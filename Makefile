@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race budget verify experiments bench chaos chaos-writes
+.PHONY: all build vet lint test race budget verify experiments bench bench-check chaos chaos-writes
 
 all: verify
 
@@ -51,6 +51,15 @@ budget:
 	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree' ./internal/core ./internal/invidx
 
 verify: build vet lint test race budget
+
+# The kwsbench benchmark lives in its own modules (cmd/kwsbench and
+# internal/kwsbench, each replacing kwsdbg with the root), so the root
+# `go build ./...` and `go test ./...` skip it. bench-check builds the driver
+# and runs the harness tests against the current tree, so a core API change
+# that breaks the benchmark fails here instead of at benchmark time.
+bench-check:
+	cd internal/kwsbench && GOWORK=off $(GO) test ./...
+	cd cmd/kwsbench && GOWORK=off $(GO) build -o /dev/null ./...
 
 experiments:
 	$(GO) run ./cmd/experiments -scale 0.02 -maxlevel 3

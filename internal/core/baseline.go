@@ -53,14 +53,15 @@ func (sys *System) ReturnNothing(keywords []string) (RNStats, error) {
 		if len(ph.nonKeywords) > 0 {
 			continue
 		}
-		oracle := newSQLOracle(context.Background(), sys.lat, sys.db, subset)
+		o := sys.newOracle(context.Background(), subset, nil)
+		o.db = sys.db
 		for _, id := range ph.mtnIDs {
-			if _, err := oracle.IsAlive(id); err != nil {
+			if _, err := o.IsAlive(id); err != nil {
 				return stats, err
 			}
 		}
-		stats.SQLExecuted += oracle.Stats().Executed
-		stats.SQLTime += oracle.Stats().SQLTime
+		stats.SQLExecuted += int(o.executed.Load())
+		stats.SQLTime += time.Duration(o.sqlNanos.Load())
 	}
 	return stats, nil
 }

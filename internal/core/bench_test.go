@@ -70,7 +70,7 @@ func BenchmarkSublatticeBuild(b *testing.B) {
 // "render" is the text path's per-probe cost of materializing the SQL string
 // (what every probe paid before handles); "compile" resolves a fresh handle
 // from the AST (the handle-cache miss path); "handle" looks a warm handle up
-// through the per-run map — the cost every repeat probe actually pays.
+// through the run's per-node memo — the cost every repeat probe actually pays.
 func BenchmarkProbeCompile(b *testing.B) {
 	sys := benchSystem(b)
 	kws := []string{"saffron", "scented", "candle"}
@@ -99,13 +99,14 @@ func BenchmarkProbeCompile(b *testing.B) {
 		}
 	})
 	b.Run("handle", func(b *testing.B) {
-		o := newPreparedOracle(context.Background(), sys.lat, sys.eng, sys.prepared, kws)
-		if _, err := o.handle(nodeID); err != nil {
+		o := sys.newOracle(context.Background(), kws, nil)
+		n := o.node(nodeID)
+		if _, err := o.handle(nodeID, n); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := o.handle(nodeID); err != nil {
+			if _, err := o.handle(nodeID, n); err != nil {
 				b.Fatal(err)
 			}
 		}

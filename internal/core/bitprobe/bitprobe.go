@@ -64,9 +64,6 @@ type Evaluator struct {
 	// cands caches candidate bitmaps, keyed by "table\x00keyword"; values
 	// are *candEntry, single-flighted through their once.
 	cands sync.Map
-
-	hits      atomic.Int64
-	fallbacks atomic.Int64
 }
 
 // New builds an evaluator over the engine's storage, index, and versions.
@@ -78,11 +75,6 @@ func New(eng *engine.Engine) *Evaluator { return &Evaluator{eng: eng} }
 func (e *Evaluator) Purge() {
 	e.plans.Range(func(k, _ any) bool { e.plans.Delete(k); return true })
 	e.cands.Range(func(k, _ any) bool { e.cands.Delete(k); return true })
-}
-
-// Stats reports probes served and fallbacks declined since construction.
-func (e *Evaluator) Stats() (hits, fallbacks int64) {
-	return e.hits.Load(), e.fallbacks.Load()
 }
 
 // pvert is one plan vertex: its table, keyword binding, and the join columns
@@ -143,7 +135,6 @@ type verdictMemo struct {
 func (e *Evaluator) Probe(node *lattice.Node, keywords []string, key string) (alive, ok bool, cause string) {
 	p := e.plan(node, keywords, key)
 	if !p.ok {
-		e.fallbacks.Add(1)
 		p.cFallback.Inc()
 		return false, false, p.cause
 	}
@@ -151,7 +142,6 @@ func (e *Evaluator) Probe(node *lattice.Node, keywords []string, key string) (al
 	if m := p.memo.Load(); m != nil {
 		seq := vv.Seq()
 		if m.seq == seq {
-			e.hits.Add(1)
 			cMemoHit.Inc()
 			return m.alive, true, ""
 		}
@@ -159,7 +149,6 @@ func (e *Evaluator) Probe(node *lattice.Node, keywords []string, key string) (al
 			// Something moved, but nothing in this probe's footprint:
 			// refresh the fast-path seq so the next probe is one read again.
 			p.memo.CompareAndSwap(m, &verdictMemo{seq: seq, stamp: m.stamp, alive: m.alive})
-			e.hits.Add(1)
 			cMemoHit.Inc()
 			return m.alive, true, ""
 		}
@@ -170,29 +159,12 @@ func (e *Evaluator) Probe(node *lattice.Node, keywords []string, key string) (al
 	stamp := vv.Stamp(p.footTables)
 	alive, ok, cause = e.evaluate(p)
 	if !ok {
-		e.fallbacks.Add(1)
 		cChurnFallback.Inc()
 		return false, false, cause
 	}
 	p.memo.Store(&verdictMemo{seq: seq, stamp: stamp, alive: alive})
-	e.hits.Add(1)
 	cComputed.Inc()
 	return alive, true, ""
-}
-
-// Warm compiles the node's plan and builds its candidate bitmaps without
-// evaluating, so the scheduler's batch pre-warm keeps worker probes
-// contention-free — the bitset analogue of pre-compiling prepared handles.
-func (e *Evaluator) Warm(node *lattice.Node, keywords []string, key string) {
-	p := e.plan(node, keywords, key)
-	if !p.ok {
-		return
-	}
-	for i := range p.verts {
-		if kw := p.verts[i].keyword; kw != "" {
-			e.candidate(p.verts[i].rel, kw)
-		}
-	}
 }
 
 // plan resolves (compiling on first use) the probe's plan.

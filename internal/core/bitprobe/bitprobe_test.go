@@ -168,8 +168,8 @@ func TestMemoInvalidatesOnInsert(t *testing.T) {
 	}
 }
 
-// TestWarmAndPurge: warming compiles plans and candidate bitmaps; purging
-// drops them; both leave verdicts unchanged.
+// TestWarmAndPurge: a first probe pass warms plans, candidate bitmaps and
+// verdict memos; purging drops them; verdicts are unchanged after both.
 func TestWarmAndPurge(t *testing.T) {
 	eng, err := figure2.Engine()
 	if err != nil {
@@ -187,9 +187,7 @@ func TestWarmAndPurge(t *testing.T) {
 		if tooManyCopies(node, len(kws)) || !hasBoundVertex(node, len(kws)) {
 			continue
 		}
-		key := node.Label
-		ev.Warm(node, kws, key)
-		alive, ok, _ := ev.Probe(node, kws, key)
+		alive, ok, _ := ev.Probe(node, kws, node.Label)
 		if ok {
 			verdicts = append(verdicts, alive)
 		}

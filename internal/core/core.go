@@ -11,6 +11,7 @@ import (
 	"context"
 	"database/sql"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -100,11 +101,16 @@ func NewSystem(eng *engine.Engine, lat *lattice.Lattice) (*System, error) {
 	if eng.Database().Schema() != lat.Schema() {
 		return nil, fmt.Errorf("core: lattice was generated from a different schema")
 	}
-	return &System{
+	sys := &System{
 		eng: eng, lat: lat, db: sqldriver.OpenDB(eng),
 		prepared: engine.NewPreparedCache(engine.DefaultPlanCacheSize, "prepared"),
 		bits:     bitprobe.New(eng),
-	}, nil
+	}
+	// An open sql.DB is held by its connection goroutine, and through it the
+	// engine; closing it once the System is unreachable lets both be
+	// collected.
+	runtime.SetFinalizer(sys, func(sys *System) { sys.db.Close() })
+	return sys, nil
 }
 
 // Build performs Phase 0 for an engine: generate the lattice and construct
@@ -181,8 +187,11 @@ type Stats struct {
 	MPANLevels map[int]int // MPAN count per lattice level (after Phase 3)
 
 	// Phase 3.
-	Strategy     Strategy
-	SQLExecuted  int
+	Strategy    Strategy
+	SQLExecuted int
+	// SQLTime is wall time spent servicing the probes the cache did not
+	// answer, on every probe step: rendering or handle resolution (compile
+	// included), a declined bitset attempt, and execution.
 	SQLTime      time.Duration
 	TraverseTime time.Duration
 	Inferred     int // nodes classified without executing SQL
@@ -289,9 +298,11 @@ type Options struct {
 	// setting because its probe order is inherently sequential. Values above
 	// 64 are clamped.
 	Workers int
-	// BypassCache disables the System's cross-request probe cache for this
-	// run: no lookups, no stores. Useful for measuring true probe costs and
-	// for forcing fresh verdicts.
+	// BypassCache disables the System's cross-request verdict cache for
+	// this run: no lookups, no stores, so every probe runs its evaluation
+	// step. On the bitset step the evaluator's own per-plan verdict memo
+	// still answers repeat probes over unchanged tables (its verdicts are
+	// stamped, never stale); PurgeBitsetCaches drops it for cold costs.
 	BypassCache bool
 	// TextProbes forces Phase 3 probes through the rendered-SQL +
 	// database/sql text path instead of compiled engine handles. The two
@@ -421,46 +432,26 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	fl := flight.FromContext(ctx)
 	gov.fl = fl
 
-	// The probe oracle: compiled engine handles by default, rendered SQL
-	// through database/sql when the caller asks for the text path. Both
-	// share the verdict cache and produce identical Output.
-	var base Oracle
-	var prepOr *preparedOracle
+	// The probe oracle: compiled engine handles by default, bitmap
+	// semi-joins or rendered SQL through database/sql when the caller asks.
+	// Every step shares the verdict cache and produces identical Output.
+	base := sys.newOracle(probeCtx, keywords, fl)
 	switch {
 	case opts.TextProbes:
-		sqlOr := newSQLOracle(probeCtx, sys.lat, sys.db, keywords)
-		if cache := sys.ProbeCache(); cache != nil && !opts.BypassCache {
-			// Sync the cache's version view before the first probe could
-			// read a verdict: writes that landed since the last run turn
-			// intersecting dead verdicts into suspects (re-probed below)
-			// while disjoint and alive verdicts keep serving hits. The
-			// returned view is this run's stamp for stored verdicts.
-			sqlOr.view = cache.SyncVersions(sys.eng.Versions())
-			sqlOr.cache = cache
-		}
-		sqlOr.fl = fl
-		base = sqlOr
+		base.db = sys.db
 	case opts.BitsetProbes:
-		bitOr := newBitsetOracle(probeCtx, sys.lat, sys.eng, sys.prepared, keywords, sys.bits)
-		if cache := sys.ProbeCache(); cache != nil && !opts.BypassCache {
-			bitOr.view = cache.SyncVersions(sys.eng.Versions())
-			bitOr.cache = cache
-		}
-		bitOr.setFlight(fl)
-		// The embedded prepared oracle serves fallbacks, so its candidate
-		// cache and compile stats flow into the run's accounting as usual.
-		prepOr = bitOr.preparedOracle
-		base = bitOr
-	default:
-		prepOr = newPreparedOracle(probeCtx, sys.lat, sys.eng, sys.prepared, keywords)
-		if cache := sys.ProbeCache(); cache != nil && !opts.BypassCache {
-			prepOr.view = cache.SyncVersions(sys.eng.Versions())
-			prepOr.cache = cache
-		}
-		prepOr.setFlight(fl)
-		base = prepOr
+		base.bits = sys.bits
 	}
-	oracle := base
+	if cache := sys.ProbeCache(); cache != nil && !opts.BypassCache {
+		// Sync the cache's version view before the first probe could read a
+		// verdict: writes that landed since the last run turn intersecting
+		// dead verdicts into suspects (re-probed and repaired) while disjoint
+		// and alive verdicts keep serving hits. The returned view is this
+		// run's stamp for stored verdicts.
+		base.view = cache.SyncVersions(sys.eng.Versions())
+		base.cache = cache
+	}
+	var oracle Oracle = base
 	sd := seed{baseAlive: sys.baseAliveFunc()}
 	if sess != nil {
 		oracle = &sessionOracle{inner: base, s: sess}
@@ -485,20 +476,8 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		out.IncompleteReason = reason
 	}
 	out.Stats.TraverseTime = clock.Since(start)
-	ost := base.Stats()
-	out.Stats.SQLExecuted = ost.Executed
-	out.Stats.SQLTime = ost.SQLTime
+	base.fill(&out.Stats)
 	out.Stats.Inferred = inferred
-	out.Stats.CacheHits = ost.CacheHits
-	out.Stats.PlanCompiles = ost.Compiled
-	out.Stats.Suspects = ost.Suspects
-	out.Stats.Repaired = ost.Repaired
-	out.Stats.BitsetHits = ost.BitsetHits
-	out.Stats.BitsetFallbacks = ost.BitsetFallbacks
-	if prepOr != nil {
-		ch, cm := prepOr.candStats()
-		out.Stats.CandSetHits, out.Stats.CandSetMisses = int(ch), int(cm)
-	}
 	strat := opts.Strategy.String()
 	mPhaseSeconds.With("traverse").Observe(out.Stats.TraverseTime.Seconds())
 	mProbes.With(strat).Add(float64(out.Stats.SQLExecuted))

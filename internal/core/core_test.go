@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kwsdbg/internal/figure2"
 	"kwsdbg/internal/lattice"
+	"kwsdbg/internal/storage"
 )
 
 // productSystem builds the Figure 2 debugger with a 2-join lattice, enough
@@ -453,6 +456,32 @@ func TestBuildSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestSystemCollected: a dropped System must not pin its engine. The
+// System's sql.DB is held by database/sql's connection goroutine until it is
+// closed, so the System closes it when it becomes unreachable.
+func TestSystemCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		sys := productSystem(t)
+		// The engine sits in cycles through its cached plans, and a
+		// finalizer never runs on an object inside a cycle; its storage is
+		// reachable only through the engine and holds no pointer back.
+		runtime.SetFinalizer(sys.eng.Database(), func(*storage.Database) { close(collected) })
+		if _, err := sys.Debug([]string{"saffron", "scented", "candle"}, Options{Strategy: SBH, TextProbes: true}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a dropped System's engine is still reachable")
+}
+
 func TestBitset(t *testing.T) {
 	b := newBitset(130)
 	for _, i := range []int{0, 63, 64, 129} {
@@ -576,7 +605,6 @@ func TestOracleErrorPropagates(t *testing.T) {
 type failingOracle struct{}
 
 func (f *failingOracle) IsAlive(int) (bool, error) { return false, fmt.Errorf("boom") }
-func (f *failingOracle) Stats() OracleStats        { return OracleStats{} }
 
 func TestFilterConstraint(t *testing.T) {
 	sys := productSystem(t)

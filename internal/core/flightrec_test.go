@@ -80,20 +80,39 @@ func TestRecorderDoesNotPerturbOutput(t *testing.T) {
 }
 
 func TestEventOrderPerProbe(t *testing.T) {
-	sys := buildSystem(t)
 	// BUWR at workers=8 drives the dispatch/commit scheduler: probes race in
 	// the pool, verdicts commit in serial order. Each pending node is probed
-	// exactly once, so each node's chain must be admit < exec < verdict.
-	fl := flight.NewLog(flight.NewRecorder(1024), "order", true)
-	ctx := flight.NewContext(context.Background(), fl)
-	if _, err := sys.DebugContext(ctx, []string{"saffron", "scented", "candle"},
-		core.Options{Strategy: core.BUWR, Workers: 8, BypassCache: true}); err != nil {
-		t.Fatal(err)
+	// exactly once, so each node's chain must be admit < exec < verdict on
+	// every probe step; a bitset hit is that step's execution.
+	for _, step := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"text", core.Options{TextProbes: true}},
+		{"prepared", core.Options{}},
+		{"bitset", core.Options{BitsetProbes: true}},
+	} {
+		t.Run(step.name, func(t *testing.T) {
+			sys := buildSystem(t)
+			fl := flight.NewLog(flight.NewRecorder(1024), "order", true)
+			ctx := flight.NewContext(context.Background(), fl)
+			opts := step.opts
+			opts.Strategy, opts.Workers, opts.BypassCache = core.BUWR, 8, true
+			if _, err := sys.DebugContext(ctx, []string{"saffron", "scented", "candle"}, opts); err != nil {
+				t.Fatal(err)
+			}
+			checkProbeOrder(t, fl.Events())
+		})
 	}
+}
 
+// checkProbeOrder requires every probed node's first admit, execution and
+// verdict events to appear in that order.
+func checkProbeOrder(t *testing.T, events []flight.Event) {
+	t.Helper()
 	type chain struct{ admit, exec, verdict uint64 } // first seq of each stage
 	chains := map[int32]*chain{}
-	for _, ev := range fl.Events() {
+	for _, ev := range events {
 		if ev.Node < 0 {
 			continue
 		}
@@ -107,7 +126,7 @@ func TestEventOrderPerProbe(t *testing.T) {
 			if c.admit == 0 {
 				c.admit = ev.Seq
 			}
-		case flight.SQLExec, flight.ProbeCacheHit:
+		case flight.SQLExec, flight.BitsetHit, flight.ProbeCacheHit:
 			if c.exec == 0 {
 				c.exec = ev.Seq
 			}

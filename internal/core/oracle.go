@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kwsdbg/internal/clock"
+	"kwsdbg/internal/core/bitprobe"
 	"kwsdbg/internal/engine"
 	"kwsdbg/internal/invidx"
 	"kwsdbg/internal/lattice"
@@ -19,49 +20,11 @@ import (
 )
 
 // Oracle answers aliveness probes for lattice nodes: does the node's
-// instantiated query return at least one tuple? Implementations count every
-// probe — the number of probes issued is the quantity the paper's evaluation
-// compares across traversal strategies — and must be safe for concurrent
-// IsAlive calls, because the Phase 3 scheduler probes independent nodes from
-// Options.Workers goroutines at once.
+// instantiated query return at least one tuple? Implementations must be safe
+// for concurrent IsAlive calls, because the Phase 3 scheduler probes
+// independent nodes from Options.Workers goroutines at once.
 type Oracle interface {
-	// IsAlive resolves the node's existence query.
 	IsAlive(nodeID int) (bool, error)
-	// Stats reports the accumulated execution counts and time.
-	Stats() OracleStats
-}
-
-// OracleStats accumulates the execution effort of one debugging run.
-type OracleStats struct {
-	// Executed counts the probes the traversal strategy issued — the
-	// paper's metric. A probe answered by the cross-request cache still
-	// counts here (the strategy spent it), so Executed is identical for
-	// any worker count and any cache state.
-	Executed int
-	// CacheHits counts the subset of Executed answered by the
-	// cross-request aliveness cache without touching the engine; the SQL
-	// actually run is Executed - CacheHits.
-	CacheHits int
-	// Compiled counts the probe handles compiled this run: the prepared
-	// oracle's misses of the cross-request handle cache. The text oracle,
-	// which compiles nothing, always reports zero. Like CacheHits this
-	// depends on execution state (what earlier requests warmed), never on
-	// the query.
-	Compiled int
-	// SQLTime is wall time spent executing probe SQL (cache hits cost none).
-	SQLTime time.Duration
-	// Suspects counts probes whose cached dead verdict a write had
-	// downgraded: the lookup could not be trusted and the probe re-ran.
-	// Repaired counts the fresh verdicts stored back for them. Both depend
-	// on cross-request cache state, never on the query.
-	Suspects int
-	Repaired int
-	// BitsetHits counts probes the bitset engine answered with bitmap
-	// semi-joins (no SQL ran); BitsetFallbacks counts probes it declined to
-	// the prepared path. Both depend on data shape and warm state, never on
-	// the query's answer set.
-	BitsetHits      int
-	BitsetFallbacks int
 }
 
 // nodeFootprint is the version-vector footprint of a node's existence query:
@@ -94,157 +57,102 @@ func nodeFootprint(lat *lattice.Lattice, nodeID int, keywords []string) probecac
 	return probecache.Footprint{Tables: tabList, Terms: termList}
 }
 
-// batchPreparer is implemented by oracles that benefit from compiling a
-// probe batch's handles before the worker pool starts: the scheduler calls
-// warmBatch with the nodes of each dispatch, so concurrent workers find
-// their handles already resolved instead of racing to compile them.
-type batchPreparer interface {
-	warmBatch(nodeIDs []int)
-}
-
-// preparedOracle is the default probe path: each node's existence query is
-// compiled once into an engine.Prepared handle — no SQL text is rendered, no
-// parse happens — and the handle is reused for the session through two
-// layers: a per-run map (the no-reuse strategies BU/TD probe shared
-// descendants once per MTN) and the System's cross-request LRU keyed by
-// probe identity, where a handle survives until evicted and revalidates
-// itself against the engine's data version on every execution. All indexed
-// candidate sets the handles' plans need are shared through the run's
-// CandidateCache.
-type preparedOracle struct {
+// oracle is the probe pipeline of one debugging run. Every probe takes the
+// same sequence — verdict-cache lookup, evaluation, store, repair — and only
+// the evaluation step differs, chosen by which fields are set:
+//
+//   - db != nil (Options.TextProbes): render the node's "SELECT 1 ... LIMIT 1"
+//     and run it through database/sql, as the paper's implementation did
+//     through JDBC — the reference the other steps are property-tested
+//     against;
+//   - bits != nil (Options.BitsetProbes): answer with bitmap semi-joins,
+//     falling back to the prepared handle for shapes the bitset engine
+//     declines;
+//   - otherwise (the default): execute the node's compiled engine.Prepared
+//     handle, shared across requests through the System's handle cache and
+//     revalidated against the data version on every execution.
+type oracle struct {
 	ctx      context.Context
 	lat      *lattice.Lattice
-	eng      *engine.Engine
 	keywords []string
 
-	// cache, when non-nil, is the cross-request aliveness cache; verdicts
-	// are looked up by (canonical label, keyword binding) before any SQL
-	// and stored after. Its version view is synced with the engine's
-	// vector by debugWith, never here.
-	cache *probecache.Cache
-	// view is this run's version-vector snapshot, taken by debugWith before
-	// the first probe. Verdicts are stamped against it so a write this
-	// run's probes did not see cannot be vouched for.
-	view *vervec.View
-
-	// handles is the System-level cross-request handle cache; local holds
-	// this run's resolved handles (nodeID -> *engine.Prepared) so repeat
-	// probes skip even the LRU lock.
+	eng     *engine.Engine
 	handles *engine.PreparedCache
-	local   sync.Map
-	// keys memoizes probe identities (nodeID -> string); see probeKey.
-	keys sync.Map
-	// fps memoizes probe footprints (nodeID -> probecache.Footprint).
-	fps sync.Map
-
-	// cands shares indexed candidate row sets across this run's probes.
+	// cands shares indexed candidate row sets across this run's prepared
+	// executions.
 	cands *engine.CandidateCache
+	bits  *bitprobe.Evaluator
+	db    *sql.DB
 
-	// fl records probe provenance (cache hits/misses, SQL latency); set
-	// once via setFlight before the run starts, nil when not recording.
+	// cache, when non-nil, is the cross-request aliveness cache; verdicts
+	// are looked up by probe key before evaluation and stored after. view is
+	// this run's version-vector snapshot, taken by debugWith before the
+	// first probe, that stored verdicts are stamped against.
+	cache *probecache.Cache
+	view  *vervec.View
+
+	// fl records probe provenance; nil when the run is not recorded. Plan
+	// and retry events on the text step come from the engine via the
+	// context instead (database/sql hides the call chain), tagged node -1.
 	fl *flight.Log
 
-	executed  atomic.Int64
-	cacheHits atomic.Int64
-	compiled  atomic.Int64
-	sqlNanos  atomic.Int64
-	suspects  atomic.Int64
-	repaired  atomic.Int64
+	// nodes memoizes per-node probe state (nodeID -> *probeNode).
+	nodes sync.Map
+
+	executed        atomic.Int64
+	cacheHits       atomic.Int64
+	compiled        atomic.Int64
+	sqlNanos        atomic.Int64
+	suspects        atomic.Int64
+	repaired        atomic.Int64
+	bitsetHits      atomic.Int64
+	bitsetFallbacks atomic.Int64
 }
 
-func newPreparedOracle(ctx context.Context, lat *lattice.Lattice, eng *engine.Engine, handles *engine.PreparedCache, keywords []string) *preparedOracle {
-	return &preparedOracle{
-		ctx: ctx, lat: lat, eng: eng, keywords: keywords,
-		handles: handles, cands: engine.NewCandidateCache(),
+// probeNode is the run's memo for one node: its probe identity — canonical
+// label plus keyword binding, shared by the verdict cache, the handle cache,
+// the bitset plans and every flight event — and its resolved prepared
+// handle.
+type probeNode struct {
+	key    string
+	handle atomic.Pointer[engine.Prepared]
+}
+
+// newOracle builds a run's oracle on the prepared step with no verdict
+// cache; callers set db or bits to pick another step. fl may be nil.
+func (sys *System) newOracle(ctx context.Context, keywords []string, fl *flight.Log) *oracle {
+	o := &oracle{
+		ctx: ctx, lat: sys.lat, keywords: keywords, fl: fl,
+		eng: sys.eng, handles: sys.prepared, cands: engine.NewCandidateCache(),
 	}
-}
-
-// setFlight attaches the run's flight log to the oracle and to its
-// candidate-set cache (the engine's planning layer emits through the cache).
-func (o *preparedOracle) setFlight(fl *flight.Log) {
-	o.fl = fl
+	// The engine's planning layer emits candidate-set events through the
+	// cache.
 	o.cands.SetFlight(fl)
+	return o
 }
 
-// probeKey is the node's probe identity: canonical label plus keyword
-// binding — the same identity the verdict cache uses, because two nodes
-// sharing it have isomorphic existence queries with identical outcomes.
-// Keys are memoized per node: warmBatch builds them while pre-compiling, so
-// the probe itself — which needs the key for the cache lookup and for every
-// flight event — gets a map hit instead of a string build.
-func (o *preparedOracle) probeKey(nodeID int) string {
-	if v, ok := o.keys.Load(nodeID); ok {
-		return v.(string)
+// node returns the node's memo, creating it on first use.
+func (o *oracle) node(nodeID int) *probeNode {
+	if v, ok := o.nodes.Load(nodeID); ok {
+		return v.(*probeNode)
 	}
 	node := o.lat.Node(nodeID)
-	key := probecache.Key(node.Label, node.CopyMask, o.keywords)
-	o.keys.Store(nodeID, key)
-	return key
-}
-
-// footprint memoizes the node's version-vector footprint, mirroring probeKey.
-func (o *preparedOracle) footprint(nodeID int) probecache.Footprint {
-	if v, ok := o.fps.Load(nodeID); ok {
-		return v.(probecache.Footprint)
-	}
-	fp := nodeFootprint(o.lat, nodeID, o.keywords)
-	o.fps.Store(nodeID, fp)
-	return fp
-}
-
-// handle resolves the node's Prepared handle: per-run map, then the
-// cross-request LRU, then compile. Concurrent probes of one node may both
-// compile; the duplicate handle is equivalent and the last store wins, so
-// correctness never depends on winning the race.
-func (o *preparedOracle) handle(nodeID int) (*engine.Prepared, error) {
-	if v, ok := o.local.Load(nodeID); ok {
-		return v.(*engine.Prepared), nil
-	}
-	key := o.probeKey(nodeID)
-	if h := o.handles.Get(key); h != nil {
-		o.local.Store(nodeID, h)
-		return h, nil
-	}
-	sel, err := o.lat.Select(o.lat.Node(nodeID), o.keywords, true)
-	if err != nil {
-		return nil, fmt.Errorf("core: instantiate node %d: %w", nodeID, err)
-	}
-	h, err := o.eng.Prepare(sel)
-	if err != nil {
-		return nil, fmt.Errorf("core: prepare node %d: %w", nodeID, err)
-	}
-	o.compiled.Add(1)
-	o.handles.Put(key, h)
-	o.local.Store(nodeID, h)
-	return h, nil
-}
-
-// warmBatch implements batchPreparer: compiling is cheap (resolve only; the
-// plan is lazy), so doing it serially before dispatch keeps the workers'
-// handle lookups contention-free.
-func (o *preparedOracle) warmBatch(nodeIDs []int) {
-	for _, id := range nodeIDs {
-		// Errors are deliberately dropped: the probe itself will hit the
-		// same error and report it through the scheduler's ordered commit.
-		_, _ = o.handle(id)
-	}
+	v, _ := o.nodes.LoadOrStore(nodeID, &probeNode{key: probecache.Key(node.Label, node.CopyMask, o.keywords)})
+	return v.(*probeNode)
 }
 
 // IsAlive implements Oracle.
 //
 //kws:hotpath
-func (o *preparedOracle) IsAlive(nodeID int) (bool, error) {
-	var key string
-	if o.cache != nil || o.fl != nil {
-		key = o.probeKey(nodeID)
-	}
+func (o *oracle) IsAlive(nodeID int) (bool, error) {
+	n := o.node(nodeID)
 	suspect := false
 	if o.cache != nil {
-		alive, outcome := o.cache.Lookup(key)
+		alive, outcome := o.cache.Lookup(n.key)
 		if outcome == probecache.Hit {
 			o.executed.Add(1)
 			o.cacheHits.Add(1)
-			o.fl.Emit(flight.ProbeCacheHit, nodeID, key, alive, 0, "")
+			o.fl.Emit(flight.ProbeCacheHit, nodeID, n.key, alive, 0, "")
 			return alive, nil
 		}
 		if outcome == probecache.Suspect {
@@ -253,125 +161,93 @@ func (o *preparedOracle) IsAlive(nodeID int) (bool, error) {
 			// dead -> alive, so the alive branch above stays trustworthy).
 			suspect = true
 			o.suspects.Add(1)
-			o.fl.Emit(flight.Suspect, nodeID, key, false, 0, outcome.Cause())
+			o.fl.Emit(flight.Suspect, nodeID, n.key, false, 0, outcome.Cause())
 		} else {
-			o.fl.Emit(flight.ProbeCacheMiss, nodeID, key, false, 0, outcome.Cause())
+			o.fl.Emit(flight.ProbeCacheMiss, nodeID, n.key, false, 0, outcome.Cause())
 		}
 	}
-	// The timer covers full probe servicing — handle lookup (or compile)
-	// plus execution — mirroring the text path, which times render plus
-	// execution; SQLTime is therefore comparable across the two paths.
+	// One timer spans the whole evaluation — rendering, handle resolution or
+	// compile, a declined bitset attempt, execution — so SQLTime is "time
+	// spent servicing probes" on every step.
 	start := clock.Now()
-	h, err := o.handle(nodeID)
+	alive, kind, err := o.evaluate(nodeID, n)
 	if err != nil {
 		return false, err
 	}
-	res, err := h.ExecFlight(o.ctx, o.cands, o.fl, nodeID, key)
-	if err != nil {
-		return false, fmt.Errorf("core: probe node %d: %w", nodeID, err)
-	}
-	alive := len(res.Rows) > 0
 	o.executed.Add(1)
 	dur := clock.Since(start)
 	o.sqlNanos.Add(int64(dur))
-	o.fl.Emit(flight.SQLExec, nodeID, key, alive, dur, "")
+	o.fl.Emit(kind, nodeID, n.key, alive, dur, "")
 	if o.cache != nil {
-		o.cache.PutFP(key, alive, o.footprint(nodeID), o.view)
+		o.cache.PutFP(n.key, alive, nodeFootprint(o.lat, nodeID, o.keywords), o.view)
 		if suspect {
 			o.repaired.Add(1)
-			o.fl.Emit(flight.Repair, nodeID, key, alive, 0, repairCause(alive))
+			o.fl.Emit(flight.Repair, nodeID, n.key, alive, 0, repairCause(alive))
 		}
 	}
 	return alive, nil
 }
 
-// repairCause labels a Repair event: "flipped" when the write the suspect
-// feared really did resurrect the query, "confirmed" when the re-probe proved
-// the dead verdict still holds.
-func repairCause(alive bool) string {
-	if alive {
-		return "flipped"
-	}
-	return "confirmed"
-}
-
-// Stats implements Oracle.
-func (o *preparedOracle) Stats() OracleStats {
-	return OracleStats{
-		Executed:  int(o.executed.Load()),
-		CacheHits: int(o.cacheHits.Load()),
-		Compiled:  int(o.compiled.Load()),
-		SQLTime:   time.Duration(o.sqlNanos.Load()),
-		Suspects:  int(o.suspects.Load()),
-		Repaired:  int(o.repaired.Load()),
-	}
-}
-
-// candStats reports the run's candidate-set cache traffic.
-func (o *preparedOracle) candStats() (hits, misses int64) { return o.cands.Stats() }
-
-// sqlOracle is the fallback text path: each node's "SELECT 1 ... LIMIT 1"
-// probe is rendered to SQL and run through database/sql, exactly as the
-// paper's Java implementation issued probes through JDBC. It exists for any
-// backend reachable only through a database/sql driver, and as the reference
-// the prepared path is property-tested against. Rendering is recomputed per
-// probe — the per-run memo it once carried is gone, since the default path
-// no longer renders at all — but the engine's canonical-SQL plan cache still
-// spares repeated probes the parse and resolve.
-type sqlOracle struct {
-	ctx      context.Context
-	lat      *lattice.Lattice
-	db       *sql.DB
-	keywords []string
-
-	// cache is the cross-request aliveness cache, as in preparedOracle;
-	// view the run's version-vector snapshot verdicts are stamped against.
-	cache *probecache.Cache
-	view  *vervec.View
-
-	// fl records probe provenance, as in preparedOracle. Plan and retry
-	// events on this path come from the engine via the context instead
-	// (database/sql hides the call chain), tagged with node -1.
-	fl *flight.Log
-
-	executed  atomic.Int64
-	cacheHits atomic.Int64
-	sqlNanos  atomic.Int64
-	suspects  atomic.Int64
-	repaired  atomic.Int64
-}
-
-func newSQLOracle(ctx context.Context, lat *lattice.Lattice, db *sql.DB, keywords []string) *sqlOracle {
-	return &sqlOracle{ctx: ctx, lat: lat, db: db, keywords: keywords}
-}
-
-// IsAlive implements Oracle.
-func (o *sqlOracle) IsAlive(nodeID int) (bool, error) {
-	var key string
-	if o.cache != nil || o.fl != nil {
-		node := o.lat.Node(nodeID)
-		key = probecache.Key(node.Label, node.CopyMask, o.keywords)
-	}
-	suspect := false
-	if o.cache != nil {
-		alive, outcome := o.cache.Lookup(key)
-		if outcome == probecache.Hit {
-			o.executed.Add(1)
-			o.cacheHits.Add(1)
-			o.fl.Emit(flight.ProbeCacheHit, nodeID, key, alive, 0, "")
-			return alive, nil
+// evaluate answers the probe on the oracle's step and names the flight kind
+// that records it: BitsetHit when bitmap semi-joins served it, SQLExec when
+// it reached the engine.
+func (o *oracle) evaluate(nodeID int, n *probeNode) (alive bool, kind flight.Kind, err error) {
+	switch {
+	case o.db != nil:
+		alive, err = o.query(nodeID)
+		return alive, flight.SQLExec, err
+	case o.bits != nil:
+		// The prepared step observes cancellation through the engine; the
+		// bitset engine never enters it, so check here to keep deadline and
+		// cancellation behavior equivalent.
+		if err := o.ctx.Err(); err != nil {
+			return false, 0, fmt.Errorf("core: probe node %d: %w", nodeID, err)
 		}
-		if outcome == probecache.Suspect {
-			suspect = true
-			o.suspects.Add(1)
-			o.fl.Emit(flight.Suspect, nodeID, key, false, 0, outcome.Cause())
-		} else {
-			o.fl.Emit(flight.ProbeCacheMiss, nodeID, key, false, 0, outcome.Cause())
+		alive, ok, cause := o.bits.Probe(o.lat.Node(nodeID), o.keywords, n.key)
+		if ok {
+			o.bitsetHits.Add(1)
+			return alive, flight.BitsetHit, nil
 		}
+		o.bitsetFallbacks.Add(1)
+		o.fl.Emit(flight.BitsetFallback, nodeID, n.key, false, 0, cause)
 	}
-	// Rendering is inside the timer: it is part of servicing a text-path
-	// probe, and skipping it is precisely what the prepared path is for.
-	start := clock.Now()
+	h, err := o.handle(nodeID, n)
+	if err != nil {
+		return false, 0, err
+	}
+	res, err := h.ExecFlight(o.ctx, o.cands, o.fl, nodeID, n.key)
+	if err != nil {
+		return false, 0, fmt.Errorf("core: probe node %d: %w", nodeID, err)
+	}
+	return len(res.Rows) > 0, flight.SQLExec, nil
+}
+
+// handle resolves the node's Prepared handle: the run's memo, then the
+// cross-request cache, then compile. Concurrent probes of one node may both
+// compile; the duplicate handle is equivalent and the last store wins, so
+// correctness never depends on winning the race.
+func (o *oracle) handle(nodeID int, n *probeNode) (*engine.Prepared, error) {
+	if h := n.handle.Load(); h != nil {
+		return h, nil
+	}
+	h := o.handles.Get(n.key)
+	if h == nil {
+		sel, err := o.lat.Select(o.lat.Node(nodeID), o.keywords, true)
+		if err != nil {
+			return nil, fmt.Errorf("core: instantiate node %d: %w", nodeID, err)
+		}
+		if h, err = o.eng.Prepare(sel); err != nil {
+			return nil, fmt.Errorf("core: prepare node %d: %w", nodeID, err)
+		}
+		o.compiled.Add(1)
+		o.handles.Put(n.key, h)
+	}
+	n.handle.Store(h)
+	return h, nil
+}
+
+// query runs the node's rendered existence SQL through database/sql.
+func (o *oracle) query(nodeID int) (bool, error) {
 	query, err := o.lat.SQL(o.lat.Node(nodeID), o.keywords, true)
 	if err != nil {
 		return false, fmt.Errorf("core: render node %d: %w", nodeID, err)
@@ -385,30 +261,29 @@ func (o *sqlOracle) IsAlive(nodeID int) (bool, error) {
 	if err := rows.Err(); err != nil {
 		return false, err
 	}
-	if closeErr != nil {
-		return false, closeErr
-	}
-	o.executed.Add(1)
-	dur := clock.Since(start)
-	o.sqlNanos.Add(int64(dur))
-	o.fl.Emit(flight.SQLExec, nodeID, key, alive, dur, "")
-	if o.cache != nil {
-		o.cache.PutFP(key, alive, nodeFootprint(o.lat, nodeID, o.keywords), o.view)
-		if suspect {
-			o.repaired.Add(1)
-			o.fl.Emit(flight.Repair, nodeID, key, alive, 0, repairCause(alive))
-		}
-	}
-	return alive, nil
+	return alive, closeErr
 }
 
-// Stats implements Oracle.
-func (o *sqlOracle) Stats() OracleStats {
-	return OracleStats{
-		Executed:  int(o.executed.Load()),
-		CacheHits: int(o.cacheHits.Load()),
-		SQLTime:   time.Duration(o.sqlNanos.Load()),
-		Suspects:  int(o.suspects.Load()),
-		Repaired:  int(o.repaired.Load()),
+// repairCause labels a Repair event: "flipped" when the write the suspect
+// feared really did resurrect the query, "confirmed" when the re-probe proved
+// the dead verdict still holds.
+func repairCause(alive bool) string {
+	if alive {
+		return "flipped"
 	}
+	return "confirmed"
+}
+
+// fill copies the run's probe accounting into st.
+func (o *oracle) fill(st *Stats) {
+	st.SQLExecuted = int(o.executed.Load())
+	st.SQLTime = time.Duration(o.sqlNanos.Load())
+	st.CacheHits = int(o.cacheHits.Load())
+	st.PlanCompiles = int(o.compiled.Load())
+	st.Suspects = int(o.suspects.Load())
+	st.Repaired = int(o.repaired.Load())
+	st.BitsetHits = int(o.bitsetHits.Load())
+	st.BitsetFallbacks = int(o.bitsetFallbacks.Load())
+	ch, cm := o.cands.Stats()
+	st.CandSetHits, st.CandSetMisses = int(ch), int(cm)
 }

@@ -68,7 +68,6 @@ type probeOutcome struct {
 // always preceded by a failed one (claims are monotonic), which is what
 // lets the caller resolve errors in deterministic, serial order.
 func (r *run) dispatch(xs []int) []probeOutcome {
-	r.warmHandles(xs)
 	outcomes := make([]probeOutcome, len(xs))
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -144,9 +143,6 @@ func (r *run) commit(xs []int, outcomes []probeOutcome) error {
 // and their verdicts committed in serial order. Nodes already classified by
 // cross-level inference cost nothing, exactly as in the serial loop.
 func (r *run) resolveLevel(xs []int) error {
-	// The probe set is final the moment the level starts (classification
-	// rules only cross levels), so the batch's handles can be compiled up
-	// front on the serial path too.
 	pending := make([]int, 0, len(xs))
 	for _, x := range xs {
 		if r.status[x] == stUnknown {
@@ -154,7 +150,6 @@ func (r *run) resolveLevel(xs []int) error {
 		}
 	}
 	if r.workers <= 1 || len(pending) <= 1 {
-		r.warmHandles(pending)
 		for _, x := range xs {
 			if err := r.evaluate(x); err != nil {
 				return err
@@ -163,21 +158,6 @@ func (r *run) resolveLevel(xs []int) error {
 		return nil
 	}
 	return r.commit(pending, r.dispatch(pending))
-}
-
-// warmHandles pre-compiles the probe handles for a batch when the oracle
-// supports it: resolve-only, so it is cheap, and it keeps the probes' handle
-// lookups contention-free (and, on the worker pool, free of compile races).
-func (r *run) warmHandles(xs []int) {
-	p, ok := r.oracle.(batchPreparer)
-	if !ok || len(xs) == 0 {
-		return
-	}
-	ids := make([]int, len(xs))
-	for i, x := range xs {
-		ids[i] = r.sub.nodeID[x]
-	}
-	p.warmBatch(ids)
 }
 
 // runMTNsParallel executes the independent single-MTN runs of the no-reuse

@@ -142,29 +142,3 @@ func (o *sessionOracle) IsAlive(nodeID int) (bool, error) {
 	close(c.done)
 	return c.alive, c.err
 }
-
-// Stats implements Oracle.
-func (o *sessionOracle) Stats() OracleStats { return o.inner.Stats() }
-
-// warmBatch forwards batch pre-compilation to the inner oracle when it
-// supports it, skipping nodes the session has already settled — their
-// probes will be answered from pins or the memo without a handle.
-func (o *sessionOracle) warmBatch(nodeIDs []int) {
-	p, ok := o.inner.(batchPreparer)
-	if !ok {
-		return
-	}
-	need := make([]int, 0, len(nodeIDs))
-	o.mu.Lock()
-	for _, id := range nodeIDs {
-		if _, pinned := o.s.pinned[id]; pinned {
-			continue
-		}
-		if _, known := o.s.memo[id]; known {
-			continue
-		}
-		need = append(need, id)
-	}
-	o.mu.Unlock()
-	p.warmBatch(need)
-}

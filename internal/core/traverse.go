@@ -359,7 +359,6 @@ func (r *run) returnEverything(sd seed) error {
 	if r.workers > 1 && len(pending) > 1 {
 		return r.commit(pending, r.dispatch(pending))
 	}
-	r.warmHandles(pending)
 	for _, x := range pending {
 		alive, err := r.probe(x)
 		if err != nil {

@@ -13,8 +13,7 @@ package hotpath
 var Manifest = []string{
 	"kwsdbg/internal/bitset.(*Bitmap).And",
 	"kwsdbg/internal/bitset.(*Bitmap).Contains",
-	"kwsdbg/internal/core.(*bitsetOracle).IsAlive",
-	"kwsdbg/internal/core.(*preparedOracle).IsAlive",
+	"kwsdbg/internal/core.(*oracle).IsAlive",
 	"kwsdbg/internal/core/bitprobe.(*Evaluator).Probe",
 	"kwsdbg/internal/core/bitprobe.(*Evaluator).evaluate",
 	"kwsdbg/internal/engine.(*PreparedCache).Get",

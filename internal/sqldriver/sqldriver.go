@@ -22,61 +22,37 @@ import (
 	"database/sql/driver"
 	"fmt"
 	"io"
-	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"kwsdbg/internal/catalog"
 	"kwsdbg/internal/engine"
 )
 
-// DriverName is the name under which the driver registers with database/sql.
-const DriverName = "kwsdb"
-
-var (
-	registry sync.Map // dsn -> *engine.Engine
-	nextDSN  atomic.Int64
-)
-
-func init() {
-	sql.Register(DriverName, &Driver{})
-}
-
-// Register makes an engine reachable under the given DSN, so that
-// sql.Open("kwsdb", dsn) connects to it.
-func Register(dsn string, e *engine.Engine) {
-	registry.Store(dsn, e)
-}
-
-// Unregister removes a DSN registration. Open connections keep working; new
-// sql.Open calls for the DSN fail.
-func Unregister(dsn string) {
-	registry.Delete(dsn)
-}
-
-// OpenDB registers the engine under a fresh DSN and returns a *sql.DB for it.
-// This is the one-call path the examples and the debugger use.
+// OpenDB returns a *sql.DB whose connections run on the engine. The DB
+// reaches the engine only through its connector — nothing process-wide
+// refers to either — so once the DB is closed and dropped, the engine is
+// free to be collected.
 func OpenDB(e *engine.Engine) *sql.DB {
-	dsn := "engine-" + strconv.FormatInt(nextDSN.Add(1), 10)
-	Register(dsn, e)
-	db, err := sql.Open(DriverName, dsn)
-	if err != nil {
-		// Open with a registered driver and well-formed DSN cannot fail.
-		panic(fmt.Sprintf("sqldriver: OpenDB: %v", err))
-	}
-	return db
+	return sql.OpenDB(connector{eng: e})
 }
 
-// Driver implements driver.Driver.
-type Driver struct{}
+// connector implements driver.Connector over one engine. database/sql also
+// asks a connector for its driver.Driver; the connector serves as its own,
+// ignoring the name Open receives since it is already bound to an engine.
+type connector struct {
+	eng *engine.Engine
+}
 
-// Open connects to the engine registered under the DSN.
-func (Driver) Open(dsn string) (driver.Conn, error) {
-	e, ok := registry.Load(dsn)
-	if !ok {
-		return nil, fmt.Errorf("sqldriver: no engine registered under %q", dsn)
-	}
-	return &conn{eng: e.(*engine.Engine)}, nil
+// Connect returns a connection to the connector's engine.
+func (c connector) Connect(context.Context) (driver.Conn, error) {
+	return &conn{eng: c.eng}, nil
+}
+
+// Driver implements driver.Connector.
+func (c connector) Driver() driver.Driver { return c }
+
+// Open implements driver.Driver.
+func (c connector) Open(string) (driver.Conn, error) {
+	return &conn{eng: c.eng}, nil
 }
 
 // conn is a stateless connection to one engine.

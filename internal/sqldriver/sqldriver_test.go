@@ -3,11 +3,14 @@ package sqldriver
 import (
 	"context"
 	"database/sql"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kwsdbg/internal/engine"
+	"kwsdbg/internal/storage"
 )
 
 const script = `
@@ -140,38 +143,41 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestUnknownDSN(t *testing.T) {
-	db, err := sql.Open(DriverName, "never-registered")
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+// TestEngineCollectedAfterClose: the DB must be the only thing holding its
+// engine, so a closed, dropped DB lets the engine be garbage collected.
+func TestEngineCollectedAfterClose(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e, err := engine.Load(script)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		// A query caches plans that point back at the engine, and a
+		// finalizer never runs on an object inside a cycle. The engine's
+		// storage is reachable only through the engine and holds no pointer
+		// back, so its finalizer running proves the engine was collected.
+		runtime.SetFinalizer(e.Database(), func(*storage.Database) { close(collected) })
+		db := OpenDB(e)
+		var n int64
+		if err := db.QueryRow("SELECT COUNT(*) FROM Item").Scan(&n); err != nil || n != 2 {
+			t.Fatalf("count = %d, %v", n, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}()
+	// Close stops database/sql's connection goroutine asynchronously, and a
+	// finalizer runs only on the collection after the object is found
+	// unreachable, so give it a few cycles.
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	defer db.Close()
-	if err := db.Ping(); err == nil {
-		t.Error("Ping on unknown DSN succeeded")
-	}
-}
-
-func TestRegisterUnregister(t *testing.T) {
-	e, err := engine.Load("CREATE TABLE t (a INT); INSERT INTO t VALUES (7)")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	Register("my-dsn", e)
-	db, err := sql.Open(DriverName, "my-dsn")
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	var a int64
-	if err := db.QueryRow("SELECT a FROM t").Scan(&a); err != nil || a != 7 {
-		t.Fatalf("scan = %d, %v", a, err)
-	}
-	db.Close()
-	Unregister("my-dsn")
-	db2, _ := sql.Open(DriverName, "my-dsn")
-	defer db2.Close()
-	if err := db2.Ping(); err == nil {
-		t.Error("Ping after Unregister succeeded")
-	}
+	t.Fatal("engine still reachable after db.Close(); something retains it")
 }
 
 func TestContextCancellation(t *testing.T) {

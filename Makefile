@@ -80,33 +80,10 @@ chaos:
 chaos-writes:
 	$(GO) test -race -count=3 -run 'ChaosWriteStorm|ChaosBitsetWriteStorm|RepairAcrossWorkerCounts' ./internal/core
 
-# Probe scheduler + cache sweep, the budget degradation curve, the
-# prepared-plan comparison, and the flight-recorder overhead check: renders
-# the tables to stdout and writes the machine-readable reports (ns/op,
-# probes/op, speedup, warm-cache hit rate at workers=1,2,4,8; MPAN recall vs
-# budget fraction; text vs prepared ns/probe cold and warm; recorder-on vs
-# recorder-off ns/op at workers=1,8) to BENCH_probe.json, BENCH_degrade.json,
-# BENCH_plan.json, and BENCH_flight.json. GOMAXPROCS is pinned so the speedup
-# columns are comparable across hosts; every report records both the
-# requested and effective value.
-#
-# The bitset step compares the bitmap semi-join probe engine against the
-# warm prepared pipeline (BENCH_bitset.json): ns per executed probe cold and
-# warm, the bitset hit rate, and the warm speedup — >= 10x on the level-3
-# DBLife sweep, with speedup_trusted flagging worker counts the host can
-# actually run in parallel.
-#
-# The second invocation runs the write-churn sweep (BENCH_writes.json) at
-# -maxlevel 5 — the level-5 lattice is where Q3 actually probes — showing a
-# disjoint-table write invalidates 0 probe-cache entries and a warm repaired
-# run beats a cold run by >= 2x fewer SQL probes.
-BENCH_GOMAXPROCS ?= 4
+# The repository's one benchmark is kwsbench (named in BENCHMARK.json): four
+# level-5 workloads served over HTTP through the real server stack, with
+# end-to-end metrics. run.sh builds from this checkout into .bench_build/;
+# call it directly to pick a workload or get the per-layer breakdown, e.g.
+# bash cmd/kwsbench/run.sh --workload debug-warm --seconds 10 --trace 1.
 bench:
-	$(GO) run ./cmd/experiments -scale 0.02 -maxlevel 3 -only probe,degrade,plan,bitset,flight \
-		-gomaxprocs $(BENCH_GOMAXPROCS) \
-		-probe-json BENCH_probe.json -degrade-json BENCH_degrade.json \
-		-plan-json BENCH_plan.json -bitset-json BENCH_bitset.json \
-		-flight-json BENCH_flight.json
-	$(GO) run ./cmd/experiments -scale 0.02 -maxlevel 5 -only writes \
-		-gomaxprocs $(BENCH_GOMAXPROCS) \
-		-writes-json BENCH_writes.json
+	bash cmd/kwsbench/run.sh

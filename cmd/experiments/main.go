@@ -11,12 +11,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -30,45 +28,16 @@ func main() {
 	maxLevel := flag.Int("maxlevel", 5, "deepest lattice level to evaluate (paper uses up to 7)")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 	cacheDir := flag.String("cachedir", "", "directory for persisted lattices (skips regeneration on reruns)")
-	probeJSON := flag.String("probe-json", "", "path where the 'probe' step writes its JSON report")
-	degradeJSON := flag.String("degrade-json", "", "path where the 'degrade' step writes its JSON report")
-	planJSON := flag.String("plan-json", "", "path where the 'plan' step writes its JSON report")
-	flightJSON := flag.String("flight-json", "", "path where the 'flight' step writes its JSON report")
-	writesJSON := flag.String("writes-json", "", "path where the 'writes' step writes its JSON report")
-	bitsetJSON := flag.String("bitset-json", "", "path where the 'bitset' step writes its JSON report")
-	procs := flag.Int("gomaxprocs", 0, "set GOMAXPROCS before measuring (0 = leave the runtime default); recorded in every JSON report")
 	verbose := flag.Bool("v", false, "log progress to stderr")
 	flag.Parse()
 
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
-	}
-	if err := run(os.Stdout, *scale, *seed, *maxLevel, *only, *cacheDir, *probeJSON, *degradeJSON, *planJSON, *flightJSON, *writesJSON, *bitsetJSON, *procs, *verbose); err != nil {
+	if err := run(os.Stdout, *scale, *seed, *maxLevel, *only, *cacheDir, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// writeJSON persists one step's machine-readable report. A non-empty
-// parallelism warning (num_cpu == 1, or a worker grid beyond the host's
-// cores) is printed to stderr exactly once per file at generation time, so
-// an untrusted speedup column is flagged where the artifact is made rather
-// than discovered in review.
-func writeJSON(path string, rep any, warning string) error {
-	body, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
-		return err
-	}
-	if warning != "" {
-		fmt.Fprintf(os.Stderr, "experiments: %s: %s\n", path, warning)
-	}
-	return nil
-}
-
-func run(w io.Writer, scale float64, seed int64, maxLevel int, only, cacheDir, probeJSON, degradeJSON, planJSON, flightJSON, writesJSON, bitsetJSON string, procs int, verbose bool) error {
+func run(w io.Writer, scale float64, seed int64, maxLevel int, only, cacheDir string, verbose bool) error {
 	if maxLevel < 3 {
 		return fmt.Errorf("-maxlevel must be >= 3")
 	}
@@ -91,7 +60,6 @@ func run(w io.Writer, scale float64, seed int64, maxLevel int, only, cacheDir, p
 		return err
 	}
 	env.CacheDir = cacheDir
-	env.Procs = procs
 	fmt.Fprintf(w, "dataset: %d tuples (scale %v, seed %d); keyword slots 3\n\n",
 		env.Engine().Database().TotalRows(), scale, seed)
 
@@ -139,79 +107,11 @@ func run(w io.Writer, scale float64, seed int64, maxLevel int, only, cacheDir, p
 		// The write-churn sweep needs the level-5 lattice: below it Q3
 		// prunes without issuing SQL and there are no verdicts to churn.
 		steps = append(steps, step{"writes", func() (*bench.Table, error) {
-			t, rep, err := bench.WritesSweep(env, 5)
-			if err != nil {
-				return nil, err
-			}
-			if writesJSON != "" {
-				if err := writeJSON(writesJSON, rep, rep.Warning); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
+			t, _, err := bench.WritesSweep(env, 5)
+			return t, err
 		}})
 	}
 	steps = append(steps,
-		step{"probe", func() (*bench.Table, error) {
-			t, rep, err := bench.ProbeSweep(env, mid, []int{1, 2, 4, 8}, 3)
-			if err != nil {
-				return nil, err
-			}
-			if probeJSON != "" {
-				if err := writeJSON(probeJSON, rep, rep.Warning); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
-		}},
-		step{"degrade", func() (*bench.Table, error) {
-			t, rep, err := bench.DegradeSweep(env, mid, []float64{1, 0.75, 0.5, 0.25, 0.1})
-			if err != nil {
-				return nil, err
-			}
-			if degradeJSON != "" {
-				if err := writeJSON(degradeJSON, rep, rep.Warning); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
-		}},
-		step{"plan", func() (*bench.Table, error) {
-			t, rep, err := bench.PlanSweep(env, mid, []int{1, 4, 8}, 7)
-			if err != nil {
-				return nil, err
-			}
-			if planJSON != "" {
-				if err := writeJSON(planJSON, rep, rep.Warning); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
-		}},
-		step{"bitset", func() (*bench.Table, error) {
-			t, rep, err := bench.BitsetSweep(env, mid, []int{1, 4, 8}, 7)
-			if err != nil {
-				return nil, err
-			}
-			if bitsetJSON != "" {
-				if err := writeJSON(bitsetJSON, rep, rep.Warning); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
-		}},
-		step{"flight", func() (*bench.Table, error) {
-			t, rep, err := bench.FlightSweep(env, mid, []int{1, 8}, 7)
-			if err != nil {
-				return nil, err
-			}
-			if flightJSON != "" {
-				if err := writeJSON(flightJSON, rep, rep.Warning); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
-		}},
 		step{"rn-coverage", func() (*bench.Table, error) { return bench.RNCoverage(env, mid) }},
 		step{"online-cn", func() (*bench.Table, error) { return bench.OnlineCN(env, mid) }},
 		step{"ablation-pa", func() (*bench.Table, error) {

@@ -5,8 +5,8 @@
 // sub-queries.
 //
 // The root package carries the repository-level benchmarks (one per table
-// and figure of the paper's evaluation); the implementation lives under
-// internal/:
+// and figure of the paper's evaluation) and two timing guards; the
+// implementation lives under internal/:
 //
 //   - internal/core     — phases 1-3: pruning, MTNs, traversals, baselines
 //   - internal/lattice  — phase 0: the offline query-template lattice
@@ -18,6 +18,9 @@
 //   - internal/dblife   — synthetic DBLife dataset and the Table 2 workload
 //   - internal/figure2  — the paper's toy product database
 //   - internal/bench    — experiment harness behind cmd/experiments
+//
+// The serving stack's performance is measured by kwsbench (cmd/kwsbench,
+// internal/kwsbench), the benchmark named in BENCHMARK.json.
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-vs-measured results.

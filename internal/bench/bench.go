@@ -2,13 +2,16 @@
 // of the paper's evaluation (§3), each producing a rendered text table with
 // the same rows and series the paper reports. The cmd/experiments binary and
 // the repository-level benchmarks are thin wrappers around these runners.
+//
+// The package reproduces the paper; it does not measure the serving stack.
+// Performance is measured by kwsbench (cmd/kwsbench, named in BENCHMARK.json),
+// which times /debug and /search over HTTP and breaks requests down by layer.
 package bench
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,57 +49,6 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// Parallelism qualifies every BENCH_*.json artifact: the parallelism the
-// harness asked for, the parallelism the runtime actually ran with, and the
-// host's core count — without which a speedup column cannot be read. The
-// JSON field names predate this struct (BENCH_probe.json carried gomaxprocs
-// and num_cpu from the start), so they are preserved.
-type Parallelism struct {
-	// GOMAXPROCS is the effective value at measurement time.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// GOMAXPROCSRequested is what the harness was asked to set (the
-	// -gomaxprocs flag); 0 means the runtime default was left alone.
-	GOMAXPROCSRequested int `json:"gomaxprocs_requested,omitempty"`
-	// NumCPU is the host's logical core count.
-	NumCPU int `json:"num_cpu"`
-	// Warning flags measurements whose parallel columns are unreliable —
-	// set whenever NumCPU == 1, where worker counts beyond one can only
-	// timeslice.
-	Warning string `json:"warning,omitempty"`
-}
-
-// NoteWorkers extends the warning when a sweep's worker grid exceeds the
-// host's logical cores: workers the host cannot run in parallel only
-// timeslice, so the speedup columns at those counts measure scheduler
-// overhead, not parallelism. The num_cpu==1 warning from CurrentParallelism
-// already covers the degenerate case and is kept as the stronger statement.
-func (p *Parallelism) NoteWorkers(maxWorkers int) {
-	if p.Warning != "" || maxWorkers <= p.NumCPU {
-		return
-	}
-	p.Warning = fmt.Sprintf("num_cpu == %d < max workers %d: speedup columns beyond %d workers reflect timeslicing, not parallelism",
-		p.NumCPU, maxWorkers, p.NumCPU)
-}
-
-// TrustSpeedups reports whether a speedup measured at the given worker count
-// is meaningful on this host — consumers (tests asserting speedup floors,
-// report readers) must skip speedup assertions where this is false.
-func (p Parallelism) TrustSpeedups(workers int) bool { return workers <= p.NumCPU }
-
-// CurrentParallelism snapshots the runtime, recording the requested value
-// alongside what actually took effect.
-func CurrentParallelism(requested int) Parallelism {
-	p := Parallelism{
-		GOMAXPROCS:          runtime.GOMAXPROCS(0),
-		GOMAXPROCSRequested: requested,
-		NumCPU:              runtime.NumCPU(),
-	}
-	if p.NumCPU == 1 {
-		p.Warning = "num_cpu == 1: worker counts beyond 1 only timeslice; treat speedup columns as noise"
-	}
-	return p
-}
-
 // Env is the shared experiment environment: one synthetic DBLife database
 // plus lazily built debuggers per lattice depth. Slots are capped at the
 // workload's three keywords, as discussed in DESIGN.md.
@@ -106,10 +58,7 @@ type Env struct {
 	// repeated experiment runs skip Phase 0 — the level-7 lattice takes
 	// tens of seconds to generate and under two to load.
 	CacheDir string
-	// Procs is the GOMAXPROCS value the harness was asked to apply (0 =
-	// untouched); it flows into every report's Parallelism block.
-	Procs int
-	eng   *engine.Engine
+	eng      *engine.Engine
 
 	mu      sync.Mutex
 	systems map[int]*core.System // keyed by maxJoins
@@ -187,17 +136,6 @@ func (e *Env) obtainLattice(maxJoins int) (*lattice.Lattice, error) {
 }
 
 func itoa(n int) string { return fmt.Sprintf("%d", n) }
-
-// maxOf returns the largest element of a non-empty worker grid.
-func maxOf(ws []int) int {
-	m := ws[0]
-	for _, w := range ws[1:] {
-		if w > m {
-			m = w
-		}
-	}
-	return m
-}
 
 // MetricsTable snapshots the process-wide obs registry as a rendered table.
 // The experiment harness prints it last, so the probe counts accumulated in

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"kwsdbg/internal/catalog"
 	"kwsdbg/internal/core"
@@ -13,51 +12,49 @@ import (
 )
 
 // WritesPhase is one step of the write-churn sweep: an optional INSERT
-// followed by a timed Debug run against the shared probe cache.
+// followed by a Debug run against the shared probe cache.
 type WritesPhase struct {
-	Label string `json:"label"`
+	Label string
 	// Table and SQL describe the write preceding the run; both empty for
 	// the baseline phases (cold, warm-up, steady-state).
-	Table string `json:"table,omitempty"`
-	SQL   string `json:"sql,omitempty"`
-	// NsPerOp is the wall time of the Debug call; Probes the SQL that
-	// reached the database (cache hits excluded).
-	NsPerOp float64 `json:"ns_per_op"`
-	Probes  int     `json:"probes"`
-	Hits    int     `json:"cache_hits"`
+	Table string
+	SQL   string
+	// Probes is the SQL that reached the database (cache hits excluded).
+	Probes int
+	Hits   int
 	// Suspects/Repaired count dead verdicts the write downgraded and this
 	// run re-proved; StaleEvictions is how many cache entries the write
 	// flushed outright (the over-invalidation the version vector removes —
 	// zero for every monotone INSERT).
-	Suspects       int `json:"suspects"`
-	Repaired       int `json:"repaired"`
-	StaleEvictions int `json:"stale_evictions"`
+	Suspects       int
+	Repaired       int
+	StaleEvictions int
 }
 
-// WritesReport is the machine-readable artifact behind BENCH_writes.json: the
-// evidence that per-table/term version vectors stop cache over-invalidation
-// under writes. The headline numbers are DisjointInvalidated (must be 0: a
-// write into a table no cached verdict joins suspects nothing) and
-// ProbeSavingsVsCold (a warm repaired run after an intersecting write issues
-// at least 2x fewer probes than a cold run of the same changed data).
+// WritesReport is the evidence that per-table/term version vectors stop
+// cache over-invalidation under writes. The headline numbers are
+// DisjointInvalidated (must be 0: a write into a table no cached verdict
+// joins suspects nothing) and ProbeSavingsVsCold (a warm repaired run after
+// an intersecting write issues at least 2x fewer probes than a cold run of
+// the same changed data). Every figure is a count, so the sweep is
+// deterministic; write-churn latency is kwsbench's debug-writes workload.
 type WritesReport struct {
-	Level    int      `json:"level"`
-	Strategy string   `json:"strategy"`
-	QueryID  string   `json:"query_id"`
-	Keywords []string `json:"keywords"`
-	Parallelism
+	Level    int
+	Strategy string
+	QueryID  string
+	Keywords []string
 	// Entries is the probe-cache population after warm-up — the verdicts at
 	// stake under the write churn.
-	Entries int `json:"entries"`
+	Entries int
 	// ColdProbes is the probe bill of a cacheless run; the denominator of
 	// ProbeSavingsVsCold.
-	ColdProbes int           `json:"cold_probes"`
-	Phases     []WritesPhase `json:"phases"`
+	ColdProbes int
+	Phases     []WritesPhase
 	// DisjointInvalidated = suspects + stale evictions caused by the
 	// disjoint-table write. The pre-fix scalar DataVersion design scored
 	// Entries here; the vector scores 0.
-	DisjointInvalidated int     `json:"disjoint_invalidated"`
-	ProbeSavingsVsCold  float64 `json:"probe_savings_vs_cold"`
+	DisjointInvalidated int
+	ProbeSavingsVsCold  float64
 }
 
 // writeRowSQL builds a literal INSERT for rel: fresh large integers for int
@@ -91,11 +88,10 @@ func WritesSweep(env *Env, level int) (*Table, *WritesReport, error) {
 	}
 	q := dblife.Workload()[2] // Q3: Agrawal, Chaudhuri, Das
 	rep := &WritesReport{
-		Level:       level,
-		Strategy:    core.SBH.String(),
-		QueryID:     q.ID,
-		Keywords:    q.Keywords,
-		Parallelism: CurrentParallelism(env.Procs),
+		Level:    level,
+		Strategy: core.SBH.String(),
+		QueryID:  q.ID,
+		Keywords: q.Keywords,
 	}
 	opts := core.Options{Strategy: core.SBH, Workers: 4}
 
@@ -112,7 +108,6 @@ func WritesSweep(env *Env, level int) (*Table, *WritesReport, error) {
 		before := cache.Snapshot()
 		o := opts
 		o.BypassCache = bypass
-		start := time.Now()
 		out, err := sys.Debug(q.Keywords, o)
 		if err != nil {
 			return nil, fmt.Errorf("bench: writes sweep %s: %w", label, err)
@@ -122,7 +117,6 @@ func WritesSweep(env *Env, level int) (*Table, *WritesReport, error) {
 			Label:          label,
 			Table:          table,
 			SQL:            sql,
-			NsPerOp:        float64(time.Since(start).Nanoseconds()),
 			Probes:         out.Stats.SQLIssued(),
 			Hits:           out.Stats.CacheHits,
 			Suspects:       out.Stats.Suspects,
@@ -186,7 +180,7 @@ func WritesSweep(env *Env, level int) (*Table, *WritesReport, error) {
 		ID: "writes",
 		Title: fmt.Sprintf("write churn sweep at level %d (%s on %s: %s)",
 			level, rep.Strategy, q.ID, strings.Join(q.Keywords, " ")),
-		Columns: []string{"phase", "table", "probes", "hits", "suspects", "repaired", "stale_evictions", "ns_per_op"},
+		Columns: []string{"phase", "table", "probes", "hits", "suspects", "repaired", "stale_evictions"},
 		Notes: fmt.Sprintf("%d cached verdicts; disjoint write invalidated %d; touching write repaired in-place at %.1fx fewer probes than cold",
 			rep.Entries, rep.DisjointInvalidated, rep.ProbeSavingsVsCold),
 	}
@@ -194,7 +188,6 @@ func WritesSweep(env *Env, level int) (*Table, *WritesReport, error) {
 		t.Rows = append(t.Rows, []string{
 			p.Label, p.Table,
 			itoa(p.Probes), itoa(p.Hits), itoa(p.Suspects), itoa(p.Repaired), itoa(p.StaleEvictions),
-			fmt.Sprintf("%.0f", p.NsPerOp),
 		})
 	}
 	return t, rep, nil

@@ -116,7 +116,7 @@ func BenchmarkProbeCompile(b *testing.B) {
 // BenchmarkDebugWorkers sweeps the probe scheduler's worker counts over the
 // strategy with the largest independent batches (RE) and the paper's default
 // (BUWR). On a single-core host the parallel runs mainly measure scheduler
-// overhead; see BENCH_probe.json for the full sweep with cache effects.
+// overhead.
 func BenchmarkDebugWorkers(b *testing.B) {
 	sys := benchSystem(b)
 	kws := []string{"saffron", "scented", "candle"}
@@ -136,8 +136,8 @@ func BenchmarkDebugWorkers(b *testing.B) {
 // BenchmarkBitsetProbe compares a full Debug call on the prepared path
 // against the bitset path, cold (bitset plan/bitmap/memo caches purged every
 // iteration) and warm (steady state: every probe is a stamped-memo read).
-// The verdict cache is bypassed so every probe actually executes; see
-// BENCH_bitset.json for the per-probe numbers on the DBLife sweep.
+// The verdict cache is bypassed so every probe actually executes; the
+// DBLife per-probe floor is TestBitsetWarmSpeedup in the root package.
 func BenchmarkBitsetProbe(b *testing.B) {
 	sys := benchSystem(b)
 	kws := []string{"saffron", "scented", "candle"}

@@ -38,10 +38,11 @@ test:
 # The observability layer, the server middleware, the core pipeline (with
 # its bitset probe engine), the engine (including the plan cache under
 # concurrent Prepare/Select/Insert), the probe cache, storage (serialized
-# writers against snapshot readers), and the bitmap containers are the
+# writers against snapshot readers), the version vector (atomic multi-name
+# bumps against concurrent stamps), and the bitmap containers are the
 # concurrency-sensitive packages; run them under the race detector.
 race:
-	$(GO) test -race ./internal/obs ./internal/server ./internal/core ./internal/core/bitprobe ./internal/bitset ./internal/engine ./internal/probecache ./internal/storage
+	$(GO) test -race ./internal/obs ./internal/server ./internal/core ./internal/core/bitprobe ./internal/bitset ./internal/engine ./internal/probecache ./internal/storage ./internal/vervec
 
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a

@@ -20,18 +20,11 @@ import (
 	"kwsdbg/internal/core/bitprobe"
 	"kwsdbg/internal/engine"
 	"kwsdbg/internal/lattice"
-	"kwsdbg/internal/obs"
 	"kwsdbg/internal/obs/flight"
 	"kwsdbg/internal/probecache"
 	"kwsdbg/internal/sqldriver"
 	"kwsdbg/internal/storage"
 )
-
-// durMillis renders a duration as fractional milliseconds for span
-// attributes, matching the report package's JSON convention.
-func durMillis(d time.Duration) float64 {
-	return float64(d.Microseconds()) / 1000
-}
 
 // Strategy selects the Phase 3 lattice traversal.
 type Strategy int
@@ -83,9 +76,9 @@ type System struct {
 
 	// prepared is the cross-request cache of compiled probe handles, keyed
 	// by probe identity (canonical node label + keyword binding). A handle
-	// found here skips render, parse, resolve, and — unless the data
-	// version moved — planning; entries self-revalidate, so the cache
-	// never needs flushing on INSERT.
+	// found here skips render, parse, resolve, and — unless a write touched
+	// its tables — planning; entries self-revalidate, so the cache never
+	// needs flushing on INSERT.
 	prepared *engine.PreparedCache
 
 	// bits is the bitset probe engine: cross-request compiled join-tree
@@ -135,11 +128,14 @@ func (sys *System) DB() *sql.DB { return sys.db }
 // SetProbeCache installs (or, with nil, removes) a cross-request aliveness
 // cache. Verdicts learned by one Debug call then answer identical probes in
 // later calls — different strategies, different keyword queries binding the
-// same sub-queries, repeated requests — without executing SQL. The cache's
-// generation is synced to the engine's DataVersion before each run, so
-// verdicts never survive a data change. Probe *counts* (Stats.SQLExecuted)
-// are unaffected: a cache hit is a probe the strategy spent, just one the
-// database did not have to answer; the savings show up in Stats.CacheHits.
+// same sub-queries, repeated requests — without executing SQL. Each run syncs
+// the cache to the engine's version vector before its first probe, so no
+// verdict a write could have changed is served: a dead verdict whose tables
+// the write touched turns suspect and is re-probed, and an epoch bump drops
+// every stamped verdict (see package probecache). Probe *counts*
+// (Stats.SQLExecuted) are unaffected: a cache hit is a probe the strategy
+// spent, just one the database did not have to answer; the savings show up
+// in Stats.CacheHits.
 func (sys *System) SetProbeCache(c *probecache.Cache) { sys.cache.Store(c) }
 
 // ProbeCache returns the installed cross-request cache, or nil.
@@ -352,9 +348,9 @@ func (sys *System) DebugContext(ctx context.Context, keywords []string, opts Opt
 
 // debugWith is the shared pipeline behind Debug and Session.Run; sess, when
 // non-nil, layers the session's pins and memo over both the SQL oracle and
-// the base-level classification rule. It reports into the obs layer: one
-// span per phase when the context carries a trace, and the probe/inference
-// counters always.
+// the base-level classification rule. It records each phase in the
+// Output's Stats and in the obs metrics; a traced response renders its phase
+// tree from those Stats (see report.Trace).
 func (sys *System) debugWith(ctx context.Context, keywords []string, opts Options, sess *Session) (out *Output, err error) {
 	defer func() {
 		status := "ok"
@@ -375,10 +371,8 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	if opts.TextProbes && opts.BitsetProbes {
 		return nil, fmt.Errorf("core: TextProbes and BitsetProbes are mutually exclusive")
 	}
-	_, sp12 := obs.StartSpan(ctx, "phase12")
 	ph, err := sys.phase12(keywords)
 	if err != nil {
-		sp12.End()
 		return nil, err
 	}
 	out = &Output{Keywords: keywords, NonKeywords: ph.nonKeywords, Stats: ph.stats}
@@ -394,16 +388,6 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		mtnIDs = kept
 		out.Stats.MTNs = len(mtnIDs)
 	}
-	sp12.SetAttr("lattice_nodes", ph.stats.LatticeNodes)
-	sp12.SetAttr("pruned_nodes", ph.stats.PrunedNodes)
-	sp12.SetAttr("mtns", out.Stats.MTNs)
-	sp12.SetAttr("map_ms", durMillis(ph.stats.MapTime))
-	sp12.SetAttr("prune_ms", durMillis(ph.stats.PruneTime))
-	sp12.SetAttr("mtn_ms", durMillis(ph.stats.MTNTime))
-	if len(ph.nonKeywords) > 0 {
-		sp12.SetAttr("non_keywords", ph.nonKeywords)
-	}
-	sp12.End()
 	mMTNs.Observe(float64(out.Stats.MTNs))
 	if len(ph.nonKeywords) > 0 || len(mtnIDs) == 0 {
 		return out, nil
@@ -458,7 +442,6 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		sd.pins = sess.pinned
 	}
 	workers := ClampWorkers(opts.Workers)
-	_, sp3 := obs.StartSpan(ctx, "phase3")
 	start := clock.Now()
 	res, inferred, err := sys.traverse(ctx, sub, oracle, sd, opts, workers, gov, fl)
 	if err == nil {
@@ -468,7 +451,6 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		err = ctx.Err()
 	}
 	if err != nil {
-		sp3.End()
 		return nil, err
 	}
 	if reason, tripped := gov.exhausted(); tripped {
@@ -482,15 +464,6 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	mPhaseSeconds.With("traverse").Observe(out.Stats.TraverseTime.Seconds())
 	mProbes.With(strat).Add(float64(out.Stats.SQLExecuted))
 	mInferred.With(strat).Add(float64(out.Stats.Inferred))
-	sp3.SetAttr("strategy", strat)
-	sp3.SetAttr("workers", workers)
-	sp3.SetAttr("probes", out.Stats.SQLExecuted)
-	sp3.SetAttr("cache_hits", out.Stats.CacheHits)
-	sp3.SetAttr("inferred", out.Stats.Inferred)
-	sp3.SetAttr("sql_ms", durMillis(out.Stats.SQLTime))
-	sp3.SetAttr("sub_nodes", out.Stats.SubNodes)
-	sp3.SetAttr("reuse_percent", out.Stats.ReusePercent())
-	sp3.End()
 
 	out.Stats.MPANLevels = make(map[int]int)
 	for _, m := range res.aliveMTNs {

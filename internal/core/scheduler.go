@@ -65,8 +65,11 @@ type probeOutcome struct {
 // with xs. Workers claim indexes from an atomic cursor, so the pool stays
 // busy regardless of per-probe skew; once any probe fails (or the context
 // is cancelled) the remaining unclaimed work is skipped. A skipped index is
-// always preceded by a failed one (claims are monotonic), which is what
-// lets the caller resolve errors in deterministic, serial order.
+// always preceded by a failed one, which is what lets the caller resolve
+// errors in deterministic, serial order: workers check for failure before
+// claiming and probe every index they claim, so only indexes above the
+// failed one go unclaimed. Checking after the claim would let a worker drop
+// a lower index when a higher one failed in between.
 func (r *run) dispatch(xs []int) []probeOutcome {
 	outcomes := make([]probeOutcome, len(xs))
 	var next atomic.Int64
@@ -78,11 +81,11 @@ func (r *run) dispatch(xs []int) []probeOutcome {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(xs) {
+				if failed.Load() || r.ctx.Err() != nil {
 					return
 				}
-				if failed.Load() || r.ctx.Err() != nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(xs) {
 					return
 				}
 				alive, err := r.probe(xs[i])
@@ -204,11 +207,13 @@ func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle 
 		go func() {
 			defer wg.Done()
 			for {
-				mi := int(next.Add(1)) - 1
-				if mi >= n {
+				// Check before claiming, as in dispatch: a claimed run is
+				// always executed, so a skipped one lies above a failure.
+				if failed.Load() || ctx.Err() != nil {
 					return
 				}
-				if failed.Load() || ctx.Err() != nil {
+				mi := int(next.Add(1)) - 1
+				if mi >= n {
 					return
 				}
 				runOne(mi)

@@ -31,12 +31,6 @@ import (
 type Engine struct {
 	db *storage.Database
 
-	// version counts observed data mutations: INSERTs through the engine,
-	// explicit index invalidations, and staleness detected at index
-	// rebuild time. It survives as the coarse fallback; fine-grained
-	// staleness goes through vv.
-	version atomic.Uint64
-
 	// vv attributes every observed mutation to the tables and terms it
 	// touched, so footprint-stamped artifacts (plans, candidate sets,
 	// probe verdicts) survive writes disjoint from their join trees.
@@ -51,8 +45,8 @@ type Engine struct {
 	// plans caches Prepared handles for the text path: QueryContext keys it
 	// by the statement's canonical rendering (see sqltext.CanonicalKey) plus
 	// the raw text as an alias, so repeated SQL skips parse and resolve
-	// entirely. Handles revalidate against version themselves, so the cache
-	// needs no generation.
+	// entirely. Handles revalidate against vv themselves, so the cache is
+	// never flushed.
 	plans *PreparedCache
 
 	// faults and retry are the resilience hooks of retry.go: an optional
@@ -68,9 +62,9 @@ func New(db *storage.Database) *Engine {
 	return &Engine{db: db, plans: NewPreparedCache(DefaultPlanCacheSize, "text"), vv: vervec.New()}
 }
 
-// Versions exposes the engine's per-table/per-term version vector, the
-// fine-grained refinement of DataVersion. Cached artifacts stamp their
-// footprint against it and the probe cache syncs a snapshot per run.
+// Versions exposes the engine's per-table/per-term version vector. Cached
+// artifacts stamp their footprint against it and the probe cache syncs a
+// snapshot per run.
 func (e *Engine) Versions() *vervec.Vector { return e.vv }
 
 // PlanCache exposes the text-path plan cache for sizing, health stats, and
@@ -138,7 +132,6 @@ func (e *Engine) Index() *invidx.Index {
 		// caches the same way the index rebuild reacts to it, attributing
 		// the appended rows' tables and terms to the version vector so
 		// footprint-stamped artifacts stale no wider than necessary.
-		e.version.Add(1)
 		e.attributeAppendsLocked(stale)
 	}
 	e.ix = invidx.Build(e.db)
@@ -208,18 +201,18 @@ func (e *Engine) InvalidateIndex() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ix = nil
-	e.version.Add(1)
 	// In-place updates are non-monotone (a row's text may have *lost* a
 	// term), so no footprint can vouch for any cached artifact: advance the
 	// epoch, which stales every stamp at once.
 	e.vv.BumpEpoch()
 }
 
-// DataVersion returns a counter that advances whenever the engine observes a
-// data mutation: an INSERT, an explicit InvalidateIndex, or staleness
-// detected while serving Index. The probe cache uses it as its generation, so
-// verdicts learned before a data change can never be served after it.
-func (e *Engine) DataVersion() uint64 { return e.version.Load() }
+// DataVersion returns a counter that advances once whenever the engine
+// observes a data mutation: an INSERT, an explicit InvalidateIndex, or
+// staleness detected while serving Index. It is the version vector's Seq, so
+// it counts the vector's bump events; /write responses and run summaries
+// report it, and no cache keys on it.
+func (e *Engine) DataVersion() uint64 { return e.vv.Seq() }
 
 // Result is the outcome of a SELECT.
 type Result struct {
@@ -289,7 +282,6 @@ func (e *Engine) execInsert(ins *sqltext.Insert) error {
 	if !ok {
 		return fmt.Errorf("engine: unknown table %q", ins.Table)
 	}
-	e.version.Add(1)
 	// Attribute the write before any row becomes visible: a footprint
 	// stamped between the bump and the insert goes stale — the safe
 	// direction — while the reverse order could vouch for data the reader

@@ -15,10 +15,11 @@ const DefaultPlanCacheSize = 4096
 
 // PreparedCache is a thread-safe LRU of Prepared handles keyed by a
 // caller-chosen identity — canonical SQL text for the engine's own cache, a
-// probe-identity key for the debugger's. Entries need no generation stamp:
-// a Prepared revalidates itself against the engine's data version on every
-// execution, so an entry outliving an INSERT is cheap to keep (it re-plans
-// once) and never wrong. A max of 0 disables the cache (Get always misses,
+// probe-identity key for the debugger's. Entries need no stamp of their own:
+// a Prepared revalidates its plan against its footprint in the engine's
+// version vector on every execution, so an entry outliving an INSERT is cheap
+// to keep (it re-plans once, and only if the write touched its tables) and
+// never wrong. A max of 0 disables the cache (Get always misses,
 // Put drops); negative means unbounded.
 type PreparedCache struct {
 	// path labels this cache's samples in the shared kwsdbg_plan_cache_*

@@ -55,8 +55,9 @@ const (
 	CandSetMiss
 	// PlanReuse: a prepared probe executed its compiled plan as-is.
 	PlanReuse
-	// Replan: a prepared probe recompiled its plan (first use or
-	// DataVersion bump; Cause distinguishes "cold" from "stale").
+	// Replan: a prepared probe recompiled its plan (first use, or a write
+	// or epoch bump staled its footprint; Cause distinguishes "cold" from
+	// "stale").
 	Replan
 	// SQLExec: a probe reached the execution layer; Dur is the measured
 	// latency and Alive the verdict it produced.
@@ -284,8 +285,7 @@ func (r *Recorder) Runs() []RunSummary {
 // Log is the per-request recording handle. A nil *Log is a valid no-op
 // receiver for every method — instrumented code holds a *Log field and emits
 // unconditionally; when recording is off the cost is the nil check, nothing
-// else (no context walk, no allocation). This is the same discipline as
-// obs.Span.
+// else (no context walk, no allocation).
 type Log struct {
 	rec *Recorder
 	req string

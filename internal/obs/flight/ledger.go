@@ -30,8 +30,9 @@ type RunSummary struct {
 	Strategy string   `json:"strategy,omitempty"`
 	// Workers is the traversal worker count.
 	Workers int `json:"workers"`
-	// DataVersion is the engine's data generation the run executed against;
-	// two ledgers with different versions are not cache-comparable.
+	// DataVersion is the engine's data version (its version vector's Seq)
+	// when the run finished; two ledgers with different versions are not
+	// cache-comparable.
 	DataVersion uint64 `json:"data_version"`
 
 	// Per-phase wall timings in milliseconds.

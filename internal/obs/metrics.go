@@ -1,10 +1,9 @@
 // Package obs is the zero-dependency observability layer: counters, gauges,
-// and fixed-bucket histograms with Prometheus text exposition, plus a
-// lightweight per-request trace (a span tree threaded through
-// context.Context). Every layer of the debugger reports into it — the paper's
-// evaluation is an accounting argument over SQL probes saved and work reused,
-// so probe counts, phase timings, and hot-path latencies are first-class
-// runtime outputs here, not post-hoc instrumentation.
+// and fixed-bucket histograms with Prometheus text exposition. Every layer of
+// the debugger reports into it — the paper's evaluation is an accounting
+// argument over SQL probes saved and work reused, so probe counts, phase
+// timings, and hot-path latencies are first-class runtime outputs here, not
+// post-hoc instrumentation.
 //
 // Metrics register themselves in a Registry (usually Default) at package
 // init; registration is idempotent, so tests and multiple System instances

@@ -12,7 +12,7 @@ var (
 	mMisses = obs.Default.Counter("kwsdbg_probecache_misses_total",
 		"Aliveness probes that missed the cross-request cache (including stale and expired entries).")
 	mEvictionsVec = obs.Default.CounterVec("kwsdbg_probecache_evictions_total",
-		"Cache entries dropped, by reason: capacity = LRU pressure (cache too small), stale = TTL expiry or generation supersession (data churning).",
+		"Cache entries dropped, by reason: capacity = LRU pressure (cache too small), stale = TTL expiry or an epoch bump (data churning).",
 		"reason")
 	mEvictionsCapacity = mEvictionsVec.With("capacity")
 	mEvictionsStale    = mEvictionsVec.With("stale")

@@ -10,14 +10,11 @@
 // identical sub-queries with the same keywords share one verdict, even across
 // lattices of different depths.
 //
-// Entries are stamped two ways. The coarse mechanism is a data generation:
-// bumping it (Bump, or SyncGeneration from an external counter) makes every
-// older entry a miss in O(1). The fine mechanism is a footprint stamp
-// against the engine's version vector (vervec): an entry stored through
-// PutFP records the tables and keyword terms of its join tree with their
-// write-counter values, and SyncVersions snapshots the live vector once per
-// debug run. A later lookup compares only the entry's own footprint slice,
-// so a write to a disjoint table invalidates nothing.
+// Entries are stamped against the engine's version vector (vervec): an entry
+// stored through PutFP records the tables and keyword terms of its join tree
+// with their write-counter values, and SyncVersions snapshots the live vector
+// once per debug run. A later lookup compares only the entry's own footprint
+// slice, so a write to a disjoint table invalidates nothing.
 //
 // Verdicts whose footprint a write *did* touch split by monotonicity: under
 // the paper's pruning rules R1/R2 an INSERT can only flip dead -> alive,
@@ -25,11 +22,11 @@
 // is downgraded to *suspect* — kept in place, reported as a Suspect outcome
 // so the oracle re-probes it, and counted as a repair when the fresh verdict
 // is stored over it. Non-monotone mutations (in-place updates) advance the
-// vector's epoch, which stales footprint entries wholesale, exactly like a
-// generation bump. Stale entries are evicted lazily as they are touched or
-// as the LRU rotates them out. An optional TTL bounds staleness against
-// mutations neither counter can see; an entry whose TTL lapsed is an
-// eviction, never a repair candidate, no matter what state it was in.
+// vector's epoch, which stales footprint entries wholesale. Stale entries
+// are evicted lazily as they are touched or as the LRU rotates them out. An
+// optional TTL bounds staleness against mutations the vector cannot see; an
+// entry whose TTL lapsed is an eviction, never a repair candidate, no matter
+// what state it was in.
 //
 // The cache is safe for concurrent use. Lookups and stores are O(footprint),
 // which is O(1) in the lattice's node size.
@@ -57,7 +54,7 @@ type Config struct {
 	// DefaultMaxEntries, negative means unbounded.
 	MaxEntries int
 	// TTL expires entries this long after they were stored; 0 disables
-	// expiry (generation bumps remain the invalidation mechanism).
+	// expiry (footprint stamps remain the invalidation mechanism).
 	TTL time.Duration
 }
 
@@ -67,16 +64,13 @@ type Stats struct {
 	Misses uint64
 	// EvictionsCapacity counts entries rotated out by LRU pressure — the
 	// "cache too small" signal — while EvictionsStale counts entries dropped
-	// on contact because their generation was superseded or their TTL
+	// on contact because an epoch bump superseded their stamp or their TTL
 	// expired — the "data churning" signal. Evictions is their sum, kept for
 	// callers that do not care about the split.
 	EvictionsCapacity uint64
 	EvictionsStale    uint64
 	Evictions         uint64
 	Entries           int
-	// Generation is the current data generation; entries stored under
-	// older generations can never hit again.
-	Generation uint64
 	// Suspects counts dead verdicts downgraded to suspect by a
 	// footprint-intersecting write; Repairs counts suspects re-proved by a
 	// fresh probe and restored. Their difference is the suspect frontier
@@ -88,12 +82,11 @@ type Stats struct {
 type entry struct {
 	key   string
 	alive bool
-	gen   uint64
 	// expires is the wall-clock deadline; zero time means no TTL.
 	expires time.Time
 
-	// Footprint stamp (PutFP entries; names is nil for legacy Put entries,
-	// which rely on the generation alone). names[:ntab] are the join tree's
+	// Footprint stamp (PutFP entries; names is nil for Put entries, which
+	// only the TTL and the LRU retire). names[:ntab] are the join tree's
 	// table counters — the suspect trigger set — and names[ntab:] its
 	// keyword-term counters, recorded for provenance. vals are the view's
 	// counter values and epoch the view's epoch at store time.
@@ -116,12 +109,9 @@ type Cache struct {
 	ll *list.List
 	// items indexes ll by probe key. guarded by mu.
 	items map[string]*list.Element
-	// gen is the newest data generation observed. guarded by mu.
-	gen uint64
 
 	// view is the version-vector snapshot footprint stamps are taken from
-	// and compared against; nil until the first SyncVersions (legacy
-	// generation-only operation). guarded by mu.
+	// and compared against; nil until the first SyncVersions. guarded by mu.
 	view *vervec.View
 
 	// hits and misses count lookups. guarded by mu.
@@ -181,41 +171,11 @@ func Key(label string, copyMask uint64, keywords []string) string {
 	return sb.String()
 }
 
-// Generation returns the current data generation.
-func (c *Cache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// Bump advances the data generation, invalidating every cached verdict in
-// O(1). Call it whenever the underlying data may have changed (data load,
-// INSERT, index invalidation).
-func (c *Cache) Bump() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-}
-
-// SyncGeneration raises the cache's generation to at least gen, invalidating
-// entries stored under older generations. It lets callers drive invalidation
-// from an external version counter (e.g. the engine's data version) without
-// double-bumping when several requests observe the same reload.
-func (c *Cache) SyncGeneration(gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen > c.gen {
-		c.gen = gen
-	}
-}
-
-// SyncVersions is SyncGeneration's footprint-aware successor: instead of
-// raising a global generation (which stales every entry), it snapshots the
-// engine's version vector so later lookups compare each entry's own
-// footprint slice. Call it once per debug run, before the first probe; the
-// snapshot is skipped when the vector has not moved since the last sync.
-// Entries stored before the first SyncVersions carry no stamp and keep
-// generation-only semantics.
+// SyncVersions snapshots the engine's version vector so later lookups
+// compare each entry's own footprint slice against it. Call it once per
+// debug run, before the first probe; the snapshot is skipped when the vector
+// has not moved since the last sync. Entries stored before the first
+// SyncVersions carry no stamp.
 //
 // The returned view is the snapshot now current; the run passes it to PutFP
 // so its entries are stamped against the state *its* probes are guaranteed
@@ -257,7 +217,7 @@ const (
 	Hit Outcome = iota
 	// MissCold means no entry existed for the key.
 	MissCold
-	// MissStale means the entry's data generation or epoch was superseded.
+	// MissStale means an epoch bump superseded the entry's stamp.
 	MissStale
 	// MissExpired means the entry's TTL had lapsed.
 	MissExpired
@@ -286,8 +246,8 @@ func (o Outcome) Cause() string {
 }
 
 // Get returns the cached verdict for the key, if it is present, current, and
-// unexpired. Stale entries (older generation or past TTL) are evicted on
-// contact and reported as misses.
+// unexpired. Stale entries (older epoch or past TTL) are evicted on contact
+// and reported as misses.
 //
 //kws:hotpath
 func (c *Cache) Get(key string) (alive, ok bool) {
@@ -296,15 +256,15 @@ func (c *Cache) Get(key string) (alive, ok bool) {
 }
 
 // Lookup is Get with the miss cause: it distinguishes entries that never
-// existed from entries invalidated by a generation/epoch bump or TTL expiry,
-// and from dead verdicts downgraded to suspect by a footprint-intersecting
-// write. Stale and expired entries are evicted on contact, exactly as in
-// Get; suspects are retained for repair.
+// existed from entries invalidated by an epoch bump or TTL expiry, and from
+// dead verdicts downgraded to suspect by a footprint-intersecting write.
+// Stale and expired entries are evicted on contact, exactly as in Get;
+// suspects are retained for repair.
 //
-// The check order is deliberate: generation, then epoch, then TTL, then
-// footprint. A suspect whose TTL lapses is therefore an expired eviction
-// (EvictionsStale), never a repair candidate — the TTL exists to bound
-// staleness the counters cannot see, and repair must not resurrect it.
+// The check order is deliberate: epoch, then TTL, then footprint. A suspect
+// whose TTL lapses is therefore an expired eviction (EvictionsStale), never
+// a repair candidate — the TTL exists to bound staleness the counters cannot
+// see, and repair must not resurrect it.
 //
 //kws:hotpath
 func (c *Cache) Lookup(key string) (alive bool, outcome Outcome) {
@@ -317,12 +277,6 @@ func (c *Cache) Lookup(key string) (alive bool, outcome Outcome) {
 		return false, MissCold
 	}
 	en := el.Value.(*entry)
-	if en.gen != c.gen {
-		c.removeLocked(el, true)
-		c.misses++
-		mMisses.Inc()
-		return false, MissStale
-	}
 	if en.names != nil && c.view != nil && en.epoch != c.view.Epoch {
 		// A non-monotone mutation (epoch bump) voids every footprint
 		// argument: alive and dead entries alike are plainly stale.
@@ -381,10 +335,9 @@ func (c *Cache) advancedLocked(en *entry) bool {
 	return false
 }
 
-// Put stores a verdict under the current generation, evicting the least
-// recently used entry when the cache is full. Entries stored this way carry
-// no footprint and are invalidated by generation bumps only; the oracle
-// stores through PutFP.
+// Put stores a verdict without a footprint, evicting the least recently used
+// entry when the cache is full. No write or epoch bump invalidates such an
+// entry, only the TTL and the LRU; the oracle stores through PutFP.
 func (c *Cache) Put(key string, alive bool) {
 	c.putStamped(key, alive, nil, nil)
 }
@@ -395,7 +348,7 @@ func (c *Cache) Put(key string, alive bool) {
 // read data — so later lookups compare only that slice of the version
 // vector. Storing over a suspect entry is a repair (the re-probe the
 // suspect asked for) and is counted as such. A nil vw (no SyncVersions ran)
-// degrades the entry to generation-only semantics.
+// stores the entry without a stamp, as Put does.
 func (c *Cache) PutFP(key string, alive bool, fp Footprint, vw *vervec.View) {
 	c.putStamped(key, alive, &fp, vw)
 }
@@ -428,14 +381,14 @@ func (c *Cache) putStamped(key string, alive bool, fp *Footprint, vw *vervec.Vie
 			c.repairs++
 			mRepairs.Inc()
 		}
-		en.alive, en.gen, en.expires = alive, c.gen, expires
+		en.alive, en.expires = alive, expires
 		en.names, en.ntab, en.vals, en.epoch = names, ntab, vals, epoch
 		en.suspect = false
 		c.ll.MoveToFront(el)
 		return
 	}
 	el := c.ll.PushFront(&entry{
-		key: key, alive: alive, gen: c.gen, expires: expires,
+		key: key, alive: alive, expires: expires,
 		names: names, ntab: ntab, vals: vals, epoch: epoch,
 	})
 	c.items[key] = el
@@ -448,7 +401,7 @@ func (c *Cache) putStamped(key string, alive bool, fp *Footprint, vw *vervec.Vie
 }
 
 // removeLocked drops one entry; the caller holds c.mu. stale separates
-// evicted-on-contact entries (superseded generation or expired TTL) from
+// evicted-on-contact entries (superseded epoch or expired TTL) from
 // LRU-capacity rotation, so the counters can tell "data churning" apart from
 // "cache too small".
 func (c *Cache) removeLocked(el *list.Element, stale bool) {
@@ -473,7 +426,7 @@ func (c *Cache) Len() int {
 	return len(c.items)
 }
 
-// Purge empties the cache without touching the generation or the counters.
+// Purge empties the cache without touching the counters.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -493,7 +446,6 @@ func (c *Cache) Snapshot() Stats {
 		EvictionsStale:    c.evictStale,
 		Evictions:         c.evictCapacity + c.evictStale,
 		Entries:           len(c.items),
-		Generation:        c.gen,
 		Suspects:          c.suspects,
 		Repairs:           c.repairs,
 	}

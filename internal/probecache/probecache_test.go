@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"kwsdbg/internal/vervec"
 )
 
 func TestGetPut(t *testing.T) {
@@ -57,42 +59,6 @@ func TestUpdateExisting(t *testing.T) {
 	}
 }
 
-func TestGenerationInvalidation(t *testing.T) {
-	c := New(Config{})
-	c.Put("a", true)
-	c.Bump()
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry from an old generation must miss")
-	}
-	// Stale contact evicts the entry.
-	if c.Len() != 0 {
-		t.Fatalf("stale entry not evicted on contact; Len = %d", c.Len())
-	}
-	c.Put("a", false)
-	if alive, ok := c.Get("a"); !ok || alive {
-		t.Fatalf("Get after re-put = %v, %v; want false, true", alive, ok)
-	}
-}
-
-func TestSyncGeneration(t *testing.T) {
-	c := New(Config{})
-	c.Put("a", true)
-	c.SyncGeneration(5)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry must be stale after SyncGeneration(5)")
-	}
-	// Syncing to the same or lower value must not invalidate again.
-	c.Put("b", true)
-	c.SyncGeneration(5)
-	c.SyncGeneration(3)
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("entry lost by idempotent SyncGeneration")
-	}
-	if g := c.Generation(); g != 5 {
-		t.Fatalf("Generation = %d; want 5", g)
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	c := New(Config{TTL: time.Minute})
 	now := time.Unix(1000, 0)
@@ -139,37 +105,16 @@ func TestTTLBoundary(t *testing.T) {
 	}
 }
 
-// TestGenerationWraparound pins that generation comparison is by equality,
-// not order: a generation that wraps uint64 back to a previously-used value
-// still invalidates entries stamped under the pre-wrap value, and entries
-// can be stored and hit at the wrapped generation.
-func TestGenerationWraparound(t *testing.T) {
-	c := New(Config{})
-	c.SyncGeneration(^uint64(0)) // max uint64
-	c.Put("a", true)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("entry at max generation must hit")
-	}
-	c.Bump() // wraps to 0
-	if g := c.Generation(); g != 0 {
-		t.Fatalf("Generation after wrap = %d; want 0", g)
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("pre-wrap entry must miss after the generation wrapped")
-	}
-	c.Put("b", false)
-	if alive, ok := c.Get("b"); !ok || alive {
-		t.Fatal("entry stored at the wrapped generation must hit")
-	}
-}
-
 // TestEvictionSplit separates the two eviction reasons end to end: LRU
-// rotation counts as capacity, generation supersession as stale.
+// rotation counts as capacity, an epoch bump as stale.
 func TestEvictionSplit(t *testing.T) {
+	vv := vervec.New()
 	c := New(Config{MaxEntries: 1})
-	c.Put("a", true)
-	c.Put("b", true) // rotates a out: capacity
-	c.Bump()
+	vw := c.SyncVersions(vv)
+	c.PutFP("a", true, fpItem(), vw)
+	c.PutFP("b", true, fpItem(), vw) // rotates a out: capacity
+	vv.BumpEpoch()
+	c.SyncVersions(vv)
 	c.Get("b") // stale on contact: stale
 	st := c.Snapshot()
 	if st.EvictionsCapacity != 1 || st.EvictionsStale != 1 || st.Evictions != 2 {
@@ -214,21 +159,35 @@ func TestPurge(t *testing.T) {
 	}
 }
 
-// TestConcurrent hammers the cache from many goroutines; run under -race.
+// TestConcurrent hammers the cache from many goroutines that sync against a
+// version vector another goroutine keeps bumping; run under -race.
 func TestConcurrent(t *testing.T) {
+	vv := vervec.New()
 	c := New(Config{MaxEntries: 64, TTL: time.Minute})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			if i%10 == 0 {
+				vv.BumpEpoch()
+			} else {
+				vv.Bump(vervec.TableKey("Item"))
+			}
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var vw *vervec.View
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g*31+i)%100)
 				if i%7 == 0 {
-					c.Bump()
+					vw = c.SyncVersions(vv)
 				}
-				c.Put(key, i%2 == 0)
-				c.Get(key)
+				c.PutFP(key, i%2 == 0, fpItem(), vw)
+				c.Lookup(key)
 				if i%50 == 0 {
 					c.Snapshot()
 					c.Len()

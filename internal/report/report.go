@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"kwsdbg/internal/core"
-	"kwsdbg/internal/obs"
 )
 
 // Options controls text rendering.
@@ -121,9 +121,9 @@ type jsonOutput struct {
 	IncompleteReason string      `json:"incomplete_reason,omitempty"`
 	Unclassified     []jsonQuery `json:"unclassified,omitempty"`
 	Stats            jsonStats   `json:"stats"`
-	// Trace is the per-request span tree, present when the caller traced the
-	// run (the server's ?trace=1).
-	Trace *obs.Span `json:"trace,omitempty"`
+	// Trace is the run's phase tree, present when the caller traced the run
+	// (the server's ?trace=1).
+	Trace *traceSpan `json:"trace,omitempty"`
 }
 
 type jsonQuery struct {
@@ -160,9 +160,63 @@ type jsonStats struct {
 type JSONOptions struct {
 	// ShowSQL includes each reported query's SQL text.
 	ShowSQL bool
-	// Trace, when non-nil, embeds the request's span tree.
-	Trace *obs.Span
+	// Trace, when non-nil, embeds the run's phase tree under "trace".
+	Trace *Trace
 }
+
+// Trace holds what a run's phase tree needs beyond its core.Stats: the wall
+// time the caller measured around the Debug call and the clamped Phase 3
+// worker count.
+type Trace struct {
+	Elapsed time.Duration
+	Workers int
+}
+
+// traceSpan is one node of the phase tree: a name, a wall time in
+// milliseconds, the Stats values the phase accounts for, and sub-phases.
+type traceSpan struct {
+	Name       string         `json:"name"`
+	DurationMS float64        `json:"duration_ms"`
+	Attrs      map[string]any `json:"attrs,omitempty"`
+	Children   []traceSpan    `json:"children,omitempty"`
+}
+
+// traceTree renders the phase tree from the run's Stats. The root "debug" is
+// the call as the caller timed it; "phase12" spans keyword binding, pruning
+// and MTN discovery; "phase3" appears only when Phase 3 ran, and its probe
+// accounting is the Stats' own, so phase3.probes equals stats.sql_executed
+// by construction.
+func traceTree(out *core.Output, tr *Trace) *traceSpan {
+	st := out.Stats
+	p12 := traceSpan{Name: "phase12", DurationMS: millis(st.MapTime + st.PruneTime + st.MTNTime), Attrs: map[string]any{
+		"lattice_nodes": st.LatticeNodes,
+		"pruned_nodes":  st.PrunedNodes,
+		"mtns":          st.MTNs,
+		"map_ms":        millis(st.MapTime),
+		"prune_ms":      millis(st.PruneTime),
+		"mtn_ms":        millis(st.MTNTime),
+	}}
+	if len(out.NonKeywords) > 0 {
+		p12.Attrs["non_keywords"] = out.NonKeywords
+	}
+	root := &traceSpan{Name: "debug", DurationMS: millis(tr.Elapsed), Children: []traceSpan{p12}}
+	if len(out.NonKeywords) == 0 && st.MTNs > 0 {
+		root.Children = append(root.Children, traceSpan{Name: "phase3", DurationMS: millis(st.TraverseTime), Attrs: map[string]any{
+			"strategy":      st.Strategy.String(),
+			"workers":       tr.Workers,
+			"probes":        st.SQLExecuted,
+			"cache_hits":    st.CacheHits,
+			"inferred":      st.Inferred,
+			"sql_ms":        millis(st.SQLTime),
+			"sub_nodes":     st.SubNodes,
+			"reuse_percent": st.ReusePercent(),
+		}})
+	}
+	return root
+}
+
+// millis renders a duration as milliseconds, truncated to the microsecond.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // JSON writes the machine-readable report.
 func JSON(w io.Writer, out *core.Output, showSQL bool) error {
@@ -186,7 +240,6 @@ func JSONOpts(w io.Writer, out *core.Output, opts JSONOptions) error {
 		NonAnswers:       []jsonDead{},
 		Incomplete:       out.Incomplete,
 		IncompleteReason: out.IncompleteReason,
-		Trace:            opts.Trace,
 		Stats: jsonStats{
 			Strategy:     out.Stats.Strategy.String(),
 			LatticeNodes: out.Stats.LatticeNodes,
@@ -196,7 +249,7 @@ func JSONOpts(w io.Writer, out *core.Output, opts JSONOptions) error {
 			Inferred:     out.Stats.Inferred,
 			CacheHits:    out.Stats.CacheHits,
 			SQLIssued:    out.Stats.SQLIssued(),
-			SQLMillis:    float64(out.Stats.SQLTime.Microseconds()) / 1000,
+			SQLMillis:    millis(out.Stats.SQLTime),
 		},
 	}
 	for _, a := range out.Answers {
@@ -211,6 +264,9 @@ func JSONOpts(w io.Writer, out *core.Output, opts JSONOptions) error {
 	}
 	for _, u := range out.Unclassified {
 		jo.Unclassified = append(jo.Unclassified, conv(u))
+	}
+	if opts.Trace != nil {
+		jo.Trace = traceTree(out, opts.Trace)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -15,9 +15,10 @@
 //
 // All responses are JSON except /metrics (Prometheus text exposition);
 // errors use {"error": "..."} with a 4xx/5xx status. With trace=1 the /debug
-// response embeds the request's span tree — per-phase wall clock plus the
-// Phase 3 probe accounting — under "trace". Every request is logged
-// structurally through log/slog with a request ID, status, and duration.
+// response embeds the run's phase tree under "trace": per-phase wall clock
+// plus the Phase 3 probe accounting, rendered from the run's Stats. Every
+// request is logged structurally through log/slog with a request ID, status,
+// and duration.
 //
 // Observability: every /debug run feeds the process-wide flight recorder
 // (internal/obs/flight) — a fixed-size ring of probe-lifecycle events.
@@ -49,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -278,6 +280,9 @@ func keywords(r *http.Request) ([]string, error) {
 	return strings.Fields(q), nil
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration can hold.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	kws, err := keywords(r)
 	if err != nil {
@@ -309,8 +314,10 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	var deadline time.Duration
 	if raw := r.URL.Query().Get("deadline_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
-		if err != nil || ms <= 0 {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad deadline_ms parameter %q (want a positive integer)", raw))
+		// Above maxDeadlineMS the conversion to a Duration would wrap
+		// negative, and a negative Deadline means no deadline at all.
+		if err != nil || ms <= 0 || int64(ms) > maxDeadlineMS {
+			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad deadline_ms parameter %q (want an integer in [1, %d])", raw, maxDeadlineMS))
 			return
 		}
 		deadline = time.Duration(ms) * time.Millisecond
@@ -365,10 +372,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	// ledger runs, keeps the private copy the JSONL file is written from.
 	fl := flight.NewLog(s.Recorder, obs.RequestID(ctx), wantLedger)
 	ctx = flight.NewContext(ctx, fl)
-	var root *obs.Span
-	if r.URL.Query().Get("trace") == "1" {
-		ctx, root = obs.StartTrace(ctx, "debug")
-	}
+	start := clock.Now()
 	out, err := s.sys.DebugContext(ctx, kws, core.Options{
 		Strategy:     strat,
 		Workers:      workers,
@@ -378,7 +382,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Deadline:     deadline,
 		ProbeBudget:  budget,
 	})
-	root.End()
+	elapsed := clock.Since(start)
 	if err != nil {
 		s.writeError(w, r, http.StatusUnprocessableEntity, err)
 		return
@@ -398,7 +402,10 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Kwsdbg-Ledger", path)
 		}
 	}
-	opts := report.JSONOptions{ShowSQL: r.URL.Query().Get("sql") == "1", Trace: root}
+	opts := report.JSONOptions{ShowSQL: r.URL.Query().Get("sql") == "1"}
+	if r.URL.Query().Get("trace") == "1" {
+		opts.Trace = &report.Trace{Elapsed: elapsed, Workers: core.ClampWorkers(workers)}
+	}
 	var buf bytes.Buffer
 	if err := report.JSONOpts(&buf, out, opts); err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
@@ -596,7 +603,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"evictions":          st.Evictions,
 			"evictions_capacity": st.EvictionsCapacity,
 			"evictions_stale":    st.EvictionsStale,
-			"generation":         st.Generation,
 			"suspects":           st.Suspects,
 			"repairs":            st.Repairs,
 		}

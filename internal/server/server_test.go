@@ -436,6 +436,7 @@ func TestGovernanceParamValidation(t *testing.T) {
 		"/debug?q=candle&deadline_ms=abc",
 		"/debug?q=candle&deadline_ms=0",
 		"/debug?q=candle&deadline_ms=-50",
+		"/debug?q=candle&deadline_ms=9223372036855", // overflows time.Duration
 		"/debug?q=candle&budget=abc",
 		"/debug?q=candle&budget=0",
 		"/debug?q=candle&budget=-3",

@@ -2,14 +2,15 @@
 // monotone write counter per table and per keyword term, plus a non-monotone
 // epoch for mutations that cannot be attributed (in-place updates).
 //
-// The scalar engine.DataVersion() it refines has a blunt failure mode: any
-// INSERT advances the one global counter, so every prepared plan, candidate
-// set, and cached probe verdict in the process goes stale at once — even for
-// join trees that cannot possibly see the written table. The vector lets a
-// cached artifact record the *footprint* it was computed from (the vector
-// names of its tables and terms, with their counter values at compute time)
-// and later ask the cheap question "did anything I depend on move?" instead
-// of the global one "did anything at all move?".
+// A scalar data version has a blunt failure mode: any INSERT advances the one
+// global counter, so every prepared plan, candidate set, and cached probe
+// verdict keyed on it goes stale at once — even for join trees that cannot
+// possibly see the written table. (engine.DataVersion survives only as a
+// report of the vector's Seq.) The vector lets a cached artifact record the
+// *footprint* it was computed from (the vector names of its tables and
+// terms, with their counter values at compute time) and later ask the cheap
+// question "did anything I depend on move?" instead of the global one "did
+// anything at all move?".
 //
 // Names are namespaced strings (TableKey / TermKey) so tables and terms
 // share one counter map without colliding. Counters only ever advance; the

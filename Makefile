@@ -39,10 +39,12 @@ test:
 # its bitset probe engine), the engine (including the plan cache under
 # concurrent Prepare/Select/Insert), the probe cache, storage (serialized
 # writers against snapshot readers), the version vector (atomic multi-name
-# bumps against concurrent stamps), and the bitmap containers are the
-# concurrency-sensitive packages; run them under the race detector.
+# bumps against concurrent stamps), the bitmap containers, and the lattice
+# (nodes labeled and linked on worker goroutines, then flattened into the
+# arrays concurrent Debug calls read) are the concurrency-sensitive
+# packages; run them under the race detector.
 race:
-	$(GO) test -race ./internal/obs ./internal/server ./internal/core ./internal/core/bitprobe ./internal/bitset ./internal/engine ./internal/probecache ./internal/storage ./internal/vervec
+	$(GO) test -race ./internal/obs ./internal/server ./internal/core ./internal/core/bitprobe ./internal/bitset ./internal/engine ./internal/probecache ./internal/storage ./internal/vervec ./internal/lattice
 
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a

@@ -142,6 +142,21 @@ func TestHotpathAllocBudgets(t *testing.T) {
 				}
 			})
 		}},
+		// Phase 1's pruning kernel allocates its result set and nothing per
+		// node.
+		"kwsdbg/internal/lattice.(*Lattice).Prune": {budget: 1, run: func(t *testing.T) float64 {
+			var tables [][]string
+			for _, kw := range kws {
+				tables = append(tables, sys.eng.Index().Tables(kw))
+			}
+			b := sys.lat.Bind(tables)
+			want := sys.lat.Prune(b).Len()
+			return testing.AllocsPerRun(1000, func() {
+				if sys.lat.Prune(b).Len() != want {
+					t.Fatal("warm prune changed its survivors")
+				}
+			})
+		}},
 		// record's receiver is unexported; its package-local harness is the
 		// budget (TestLookupRecordAllocFree in internal/invidx).
 		"kwsdbg/internal/invidx.lookupMetrics.record": {

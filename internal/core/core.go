@@ -387,6 +387,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		}
 		mtnIDs = kept
 		out.Stats.MTNs = len(mtnIDs)
+		out.Stats.MTNLevels = sys.mtnLevels(mtnIDs)
 	}
 	mMTNs.Observe(float64(out.Stats.MTNs))
 	if len(ph.nonKeywords) > 0 || len(mtnIDs) == 0 {
@@ -526,10 +527,11 @@ func (sys *System) queryInfo(nodeID int, keywords []string) QueryInfo {
 type phase12Result struct {
 	keywords    []string
 	nonKeywords []string
-	// bindings[j] is the set of relations containing keyword j+1.
-	bindings []map[string]bool
-	// surviving lattice node IDs (Phase 1) and the MTNs among them (Phase 2).
-	surviving []int
+	// tables[j] lists the relations containing keyword j+1.
+	tables [][]string
+	// surviving lattice nodes (Phase 1) and the MTNs among them (Phase 2),
+	// ascending.
+	surviving lattice.NodeSet
 	mtnIDs    []int
 	stats     Stats
 }
@@ -555,11 +557,7 @@ func (sys *System) phase12(keywords []string) (*phase12Result, error) {
 			ph.nonKeywords = append(ph.nonKeywords, kw)
 			continue
 		}
-		set := make(map[string]bool, len(tables))
-		for _, t := range tables {
-			set[t] = true
-		}
-		ph.bindings = append(ph.bindings, set)
+		ph.tables = append(ph.tables, tables)
 	}
 	ph.stats.MapTime = clock.Since(start)
 	mPhaseSeconds.With("map").Observe(ph.stats.MapTime.Seconds())
@@ -571,55 +569,28 @@ func (sys *System) phase12(keywords []string) (*phase12Result, error) {
 
 	// Phase 1b: prune nodes with unbindable keyword copies.
 	start = clock.Now()
-	n := len(keywords)
-	for id := 0; id < sys.lat.Len(); id++ {
-		node := sys.lat.Node(id)
-		ok := true
-		for _, v := range node.Vertices {
-			if v.Copy == 0 {
-				continue
-			}
-			if v.Copy > n || !ph.bindings[v.Copy-1][v.Rel] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ph.surviving = append(ph.surviving, id)
-		}
-	}
+	ph.surviving = sys.lat.Prune(sys.lat.Bind(ph.tables))
 	ph.stats.PruneTime = clock.Since(start)
-	ph.stats.PrunedNodes = len(ph.surviving)
+	ph.stats.PrunedNodes = ph.surviving.Len()
 	mPhaseSeconds.With("prune").Observe(ph.stats.PruneTime.Seconds())
 
-	// Phase 2: minimal total nodes. A surviving node is total when every
-	// keyword index occurs among its copies; it is minimal when no
-	// leaf-removed child is total. (Children of survivors always survive:
-	// pruning is downward closed.)
+	// Phase 2: minimal total nodes among the survivors.
 	start = clock.Now()
-	ph.stats.MTNLevels = make(map[int]int)
-	for _, id := range ph.surviving {
-		node := sys.lat.Node(id)
-		if !node.IsTotal(n) {
-			continue
-		}
-		minimal := true
-		for _, c := range node.Children {
-			if sys.lat.Node(c).IsTotal(n) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			ph.mtnIDs = append(ph.mtnIDs, id)
-			ph.stats.MTNLevels[node.Level]++
-		}
-	}
+	ph.mtnIDs = sys.lat.MinimalTotal(ph.surviving, len(keywords))
+	ph.stats.MTNLevels = sys.mtnLevels(ph.mtnIDs)
 	ph.stats.MTNTime = clock.Since(start)
 	ph.stats.MTNs = len(ph.mtnIDs)
 	mPhaseSeconds.With("mtn").Observe(ph.stats.MTNTime.Seconds())
-	sort.Ints(ph.mtnIDs)
 	return ph, nil
+}
+
+// mtnLevels counts MTNs per lattice level.
+func (sys *System) mtnLevels(mtnIDs []int) map[int]int {
+	levels := make(map[int]int)
+	for _, id := range mtnIDs {
+		levels[sys.lat.Node(id).Level]++
+	}
+	return levels
 }
 
 // baseAliveFunc returns the level-1 aliveness rule: keyword-bound base nodes

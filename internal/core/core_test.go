@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"kwsdbg/internal/dblife"
 	"kwsdbg/internal/figure2"
 	"kwsdbg/internal/lattice"
 	"kwsdbg/internal/storage"
@@ -621,6 +622,9 @@ func TestFilterConstraint(t *testing.T) {
 	if out.Stats.MTNs != 3 {
 		t.Errorf("filtered MTNs = %d, want 3", out.Stats.MTNs)
 	}
+	if got := levelSum(out.Stats.MTNLevels); got != 3 {
+		t.Errorf("filtered MTNLevels %v sum to %d, want 3", out.Stats.MTNLevels, got)
+	}
 	for _, na := range out.NonAnswers {
 		if strings.Contains(na.Query.Tree, "Attr") {
 			t.Errorf("filtered-out MTN reported: %s", na.Query.Tree)
@@ -634,6 +638,17 @@ func TestFilterConstraint(t *testing.T) {
 	if len(out.Answers)+len(out.NonAnswers) != 0 || out.Stats.MTNs != 0 {
 		t.Errorf("filter-all produced output: %+v", out.Stats)
 	}
+	if got := levelSum(out.Stats.MTNLevels); got != 0 {
+		t.Errorf("filter-all MTNLevels %v sum to %d, want 0", out.Stats.MTNLevels, got)
+	}
+}
+
+func levelSum(levels map[int]int) int {
+	n := 0
+	for _, c := range levels {
+		n += c
+	}
+	return n
 }
 
 func TestMPANPresentationOrder(t *testing.T) {
@@ -683,16 +698,25 @@ func TestRankAnswers(t *testing.T) {
 
 // TestOnlineCNsMatchLattice cross-validates phases 1-2 against classical
 // online candidate-network generation: both must produce exactly the same
-// candidate networks (by canonical label).
+// candidate networks (by canonical label), on the product schema and on
+// DBLife's Q1-Q10 at level 3.
 func TestOnlineCNsMatchLattice(t *testing.T) {
 	sys := productSystem(t)
-	queries := [][]string{
-		{"saffron", "scented", "candle"},
-		{"red", "candle"},
-		{"saffron"},
-		{"vanilla", "oil"},
-		{"floral", "pattern", "oil"},
+	checkOnlineCNs(t, sys, onlineCNQueries)
+	// Missing keywords short-circuit.
+	res, err := sys.OnlineCandidateNetworks([]string{"zzz", "candle"})
+	if err != nil || len(res.MTNLabels) != 0 {
+		t.Errorf("missing keyword: %v, %v", res, err)
 	}
+	var workload [][]string
+	for _, q := range dblife.Workload() {
+		workload = append(workload, q.Keywords)
+	}
+	checkOnlineCNs(t, dblifeSystem(t, 3), workload)
+}
+
+func checkOnlineCNs(t *testing.T, sys *System, queries [][]string) {
+	t.Helper()
 	for _, kws := range queries {
 		online, err := sys.OnlineCandidateNetworks(kws)
 		if err != nil {
@@ -714,11 +738,6 @@ func TestOnlineCNsMatchLattice(t *testing.T) {
 		if online.Generated == 0 && len(online.MTNLabels) > 0 {
 			t.Errorf("%v: no generation work recorded", kws)
 		}
-	}
-	// Missing keywords short-circuit.
-	res, err := sys.OnlineCandidateNetworks([]string{"zzz", "candle"})
-	if err != nil || len(res.MTNLabels) != 0 {
-		t.Errorf("missing keyword: %v, %v", res, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -40,7 +41,7 @@ func (sys *System) OnlineCandidateNetworks(keywords []string) (*OnlineCNResult, 
 	}
 	start := clock.Now()
 	allow := func(rel string, copy int) bool {
-		return copy <= len(keywords) && ph.bindings[copy-1][rel]
+		return copy <= len(keywords) && slices.Contains(ph.tables[copy-1], rel)
 	}
 	mini, err := lattice.GenerateRestricted(sys.lat.Schema(), lattice.Options{
 		MaxJoins:     sys.lat.MaxJoins(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"kwsdbg/internal/lattice"
@@ -17,9 +18,8 @@ import (
 // the scope MPAN maximality is defined over).
 type sublattice struct {
 	lat    *lattice.Lattice
-	nodeID []int       // sub index -> lattice node ID
-	subIdx map[int]int // lattice node ID -> sub index
-	level  []int       // sub index -> lattice level
+	nodeID []int // sub index -> lattice node ID
+	level  []int // sub index -> lattice level
 
 	children [][]int32 // sub index -> child sub indexes
 	parents  [][]int32 // sub index -> parent sub indexes (within sub)
@@ -33,108 +33,126 @@ type sublattice struct {
 	owners [][]int32
 
 	maxLevel int
+
+	// members has bit r set when the lattice node of rank r is in the
+	// sub-lattice, and before[w] counts the members below word w: sub
+	// indexes follow rank, so a node's sub index is the number of members
+	// of lower rank (see index).
+	members bitset
+	before  []int32
 }
 
 // buildSublattice collects Desc+(m) for every MTN (given as lattice node IDs)
 // and precomputes the navigation arrays.
 func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
-	s := &sublattice{lat: lat, subIdx: make(map[int]int)}
+	s := &sublattice{lat: lat, members: newBitset(lat.Len())}
 
-	// BFS down from the MTNs over lattice children links.
-	var stack []int
+	// Depth-first down from the MTNs over lattice children links, marking
+	// members by rank and counting the child links inside the sub-lattice.
+	stack := make([]int, 0, len(mtnIDs))
 	push := func(id int) {
-		if _, ok := s.subIdx[id]; ok {
-			return
+		if r := lat.Rank(id); !s.members.has(r) {
+			s.members.set(r)
+			stack = append(stack, id)
 		}
-		s.subIdx[id] = len(s.nodeID)
-		s.nodeID = append(s.nodeID, id)
-		stack = append(stack, id)
 	}
 	for _, id := range mtnIDs {
 		push(id)
 	}
+	links := 0
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		node := lat.Node(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		for _, c := range lat.Node(id).Children {
+		for _, c := range node.Children {
 			push(c)
 		}
+		links += len(node.Children)
 	}
 
-	// Reorder sub indexes by (level, label) so that index order is a
-	// topological order from the base upward — handy for DP and determinism.
-	order := make([]int, len(s.nodeID))
-	for i := range order {
-		order[i] = i
+	// Sub indexes follow rank, the lattice's (level, label) order, so index
+	// order is a topological order from the base upward — handy for DP and
+	// determinism.
+	s.before = make([]int32, len(s.members))
+	n := 0
+	for w, word := range s.members {
+		s.before[w] = int32(n)
+		n += bits.OnesCount64(word)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := lat.Node(s.nodeID[order[a]]), lat.Node(s.nodeID[order[b]])
-		if na.Level != nb.Level {
-			return na.Level < nb.Level
-		}
-		return na.Label < nb.Label
-	})
-	ids := make([]int, len(order))
-	for newIdx, oldIdx := range order {
-		ids[newIdx] = s.nodeID[oldIdx]
-	}
-	s.nodeID = ids
-	s.subIdx = make(map[int]int, len(ids))
-	for i, id := range ids {
-		s.subIdx[id] = i
-	}
+	s.nodeID = make([]int, 0, n)
+	s.members.forEach(func(r int) { s.nodeID = append(s.nodeID, lat.AtRank(r)) })
 
-	n := len(s.nodeID)
 	s.level = make([]int, n)
 	s.children = make([][]int32, n)
 	s.parents = make([][]int32, n)
-	s.desc = make([][]int32, n)
-	s.asc = make([][]int32, n)
+	kids, pars := make([]int32, 0, links), make([]int32, 0, links)
 	for i, id := range s.nodeID {
 		node := lat.Node(id)
 		s.level[i] = node.Level
-		if node.Level > s.maxLevel {
-			s.maxLevel = node.Level
-		}
+		s.maxLevel = max(s.maxLevel, node.Level)
+		from := len(kids)
 		for _, c := range node.Children {
-			s.children[i] = append(s.children[i], int32(s.subIdx[c]))
+			ci, _ := s.index(c)
+			kids = append(kids, int32(ci))
 		}
+		s.children[i] = window(kids, from)
+		from = len(pars)
 		for _, p := range node.Parents {
-			if pi, ok := s.subIdx[p]; ok {
-				s.parents[i] = append(s.parents[i], int32(pi))
+			if pi, ok := s.index(p); ok {
+				pars = append(pars, int32(pi))
 			}
 		}
+		s.parents[i] = window(pars, from)
 	}
 
-	// Strict descendants, bottom-up: desc(x) = U_c ({c} U desc(c)).
+	// Strict descendants, bottom-up: desc(x) = U_c ({c} U desc(c)), gathered
+	// in a scratch bitset and read back in ascending order.
+	scratch := newBitset(n)
+	s.desc = make([][]int32, n)
 	for i := 0; i < n; i++ { // index order is level order
-		set := make(map[int32]bool)
 		for _, c := range s.children[i] {
-			set[c] = true
+			scratch.set(int(c))
 			for _, d := range s.desc[c] {
-				set[d] = true
+				scratch.set(int(d))
 			}
 		}
-		s.desc[i] = sortedKeys(set)
+		s.desc[i] = scratch.drain()
 	}
 	// Strict ancestors, top-down.
+	s.asc = make([][]int32, n)
 	for i := n - 1; i >= 0; i-- {
-		set := make(map[int32]bool)
 		for _, p := range s.parents[i] {
-			set[p] = true
+			scratch.set(int(p))
 			for _, a := range s.asc[p] {
-				set[a] = true
+				scratch.set(int(a))
 			}
 		}
-		s.asc[i] = sortedKeys(set)
+		s.asc[i] = scratch.drain()
 	}
 
 	for _, id := range mtnIDs {
-		s.mtns = append(s.mtns, s.subIdx[id])
+		m, _ := s.index(id)
+		s.mtns = append(s.mtns, m)
 	}
 	sort.Ints(s.mtns)
 
+	// Size every owners list, carve them from one array, then fill them in
+	// MTN order.
+	size := make([]int, n)
+	total := 0
+	for _, m := range s.mtns {
+		size[m]++
+		for _, d := range s.desc[m] {
+			size[d]++
+		}
+		total += 1 + len(s.desc[m])
+	}
 	s.owners = make([][]int32, n)
+	all := make([]int32, total)
+	for x, k := range size {
+		if k > 0 {
+			s.owners[x], all = all[:0:k], all[k:]
+		}
+	}
 	for mi, m := range s.mtns {
 		s.owners[m] = append(s.owners[m], int32(mi))
 		for _, d := range s.desc[m] {
@@ -144,16 +162,24 @@ func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 	return s
 }
 
-func sortedKeys(set map[int32]bool) []int32 {
-	if len(set) == 0 {
+// window returns buf[from:] with its capacity cut to its length, so later
+// appends to buf never write into it, or nil when it is empty.
+func window(buf []int32, from int) []int32 {
+	if from == len(buf) {
 		return nil
 	}
-	out := make([]int32, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	return buf[from:len(buf):len(buf)]
+}
+
+// index returns the sub index of lattice node id and whether the node is in
+// the sub-lattice.
+func (s *sublattice) index(id int) (int, bool) {
+	if id < 0 || id >= s.lat.Len() {
+		return 0, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	r := s.lat.Rank(id)
+	w, bit := r>>6, uint64(1)<<uint(r&63)
+	return int(s.before[w]) + bits.OnesCount64(s.members[w]&(bit-1)), s.members[w]&bit != 0
 }
 
 // len returns the number of sub-lattice nodes.

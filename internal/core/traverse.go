@@ -229,7 +229,7 @@ func (r *run) init(sd seed) {
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			if x, ok := r.sub.subIdx[id]; ok {
+			if x, ok := r.sub.index(id); ok {
 				r.classify(x, sd.pins[id], true)
 			}
 		}

@@ -59,9 +59,23 @@ type Lattice struct {
 
 	nodes   []*Node
 	byLabel map[string]int
-	// levels[k] lists node IDs at level k+1 ordered by label.
+	// levels[k] lists node IDs at level k+1 ordered by label; after
+	// flatten, each is a window of order.
 	levels [][]int
 	stats  []LevelStats
+
+	// Derived per-node arrays for the online phases (see flatten), built
+	// once the nodes are final and never written again.
+	//
+	// order lists node IDs in (level, label) order and rank is its
+	// inverse. kwCodes[kwStart[id]:kwStart[id+1]] are node id's
+	// keyword-bound vertices, each coded (copy-1)*|relations| + relation
+	// index, and kwMask[id] is the node's CopyMask.
+	order   []int
+	rank    []int32
+	kwStart []int32
+	kwCodes []int32
+	kwMask  []uint64
 }
 
 // Generate builds the lattice with the paper's default options: keyword
@@ -200,6 +214,7 @@ func generate(schema *catalog.Schema, opts Options, allow func(rel string, copy 
 
 	l.link(workers)
 	l.sortLevels()
+	l.flatten()
 	l.record("generate", clock.Since(buildStart))
 	return l, nil
 }

@@ -108,6 +108,7 @@ func Load(r io.Reader, schema *catalog.Schema) (*Lattice, error) {
 		}
 	}
 	l.sortLevels()
+	l.flatten()
 	l.record("load", clock.Since(loadStart))
 	return l, nil
 }

@@ -18,6 +18,7 @@ var Manifest = []string{
 	"kwsdbg/internal/core/bitprobe.(*Evaluator).evaluate",
 	"kwsdbg/internal/engine.(*PreparedCache).Get",
 	"kwsdbg/internal/invidx.lookupMetrics.record",
+	"kwsdbg/internal/lattice.(*Lattice).Prune",
 	"kwsdbg/internal/obs/flight.(*Log).Emit",
 	"kwsdbg/internal/probecache.(*Cache).Get",
 	"kwsdbg/internal/probecache.(*Cache).Lookup",

@@ -154,7 +154,12 @@ func labelKey(names, values []string) string {
 	if len(names) == 0 {
 		return ""
 	}
+	size := len(names) - 1
+	for i, n := range names {
+		size += len(n) + len(values[i]) + len(`=""`)
+	}
 	var sb strings.Builder
+	sb.Grow(size) // the one allocation when no value needs escaping
 	for i, n := range names {
 		if i > 0 {
 			sb.WriteByte(',')
@@ -167,9 +172,14 @@ func labelKey(names, values []string) string {
 	return sb.String()
 }
 
+// labelEscaper escapes a label value for the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	return labelEscaper.Replace(v)
 }
 
 // Registry holds metric families and renders them in Prometheus text format.

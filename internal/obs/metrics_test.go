@@ -91,13 +91,16 @@ func TestHistogramBoundaryGoesToLowerBucket(t *testing.T) {
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "b counts things").Add(2)
-	r.GaugeVec("a_gauge", "a gauge", "kind").With(`x"y`).Set(1.5)
+	g := r.GaugeVec("a_gauge", "a gauge", "kind")
+	g.With(`x"y`).Set(1.5)
+	g.With("a\\b\nc").Set(2)
 	h := r.Histogram("c_seconds", "c latency", []float64{0.5})
 	h.Observe(0.25)
 	h.Observe(0.75)
 
 	want := `# HELP a_gauge a gauge
 # TYPE a_gauge gauge
+a_gauge{kind="a\\b\nc"} 2
 a_gauge{kind="x\"y"} 1.5
 # HELP b_total b counts things
 # TYPE b_total counter
@@ -115,6 +118,28 @@ c_seconds_count 2
 	}
 	if sb.String() != want {
 		t.Errorf("exposition mismatch:\n got:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
+// TestWithExistingChildAllocs pins the cost of resolving an existing child,
+// which every Debug run and HTTP request pays several times: rendering the
+// label key is its one allocation.
+func TestWithExistingChildAllocs(t *testing.T) {
+	r := NewRegistry()
+	h := r.HistogramVec("h_seconds", "help", nil, "phase")
+	c := r.CounterVec("c_total", "help", "strategy", "status")
+	h.With("prune").Observe(1)
+	c.With("SBH", "ok").Inc()
+	for _, tc := range []struct {
+		name string
+		with func()
+	}{
+		{"one label", func() { h.With("prune") }},
+		{"two labels", func() { c.With("SBH", "ok") }},
+	} {
+		if got := testing.AllocsPerRun(1000, tc.with); got > 1 {
+			t.Errorf("%s: With on an existing child allocates %v times, want at most 1", tc.name, got)
+		}
 	}
 }
 

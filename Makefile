@@ -78,10 +78,12 @@ chaos:
 # detector: writers serialize in storage, readers see consistent prefixes,
 # and at quiesce the repaired warm output must be byte-identical to a cold
 # run at every worker count — on the prepared path and on the bitset path
-# (suspect -> re-probe -> repair through bitmap semi-joins). Repeated because
-# the interleavings that matter are scheduling-dependent.
+# (suspect -> re-probe -> repair through bitmap semi-joins). In the engine,
+# INSERTs extend the inverted index while readers query the snapshots they
+# took; at quiesce the index must equal a fresh build. Repeated because the
+# interleavings that matter are scheduling-dependent.
 chaos-writes:
-	$(GO) test -race -count=3 -run 'ChaosWriteStorm|ChaosBitsetWriteStorm|RepairAcrossWorkerCounts' ./internal/core
+	$(GO) test -race -count=3 -run 'ChaosWriteStorm|ChaosBitsetWriteStorm|RepairAcrossWorkerCounts|IndexWriteStorm' ./internal/core ./internal/engine
 
 # The repository's one benchmark is kwsbench (named in BENCHMARK.json): four
 # level-5 workloads served over HTTP through the real server stack, with

@@ -75,13 +75,20 @@ func TestSelectContextCancelled(t *testing.T) {
 
 func TestDataVersion(t *testing.T) {
 	e := productEngine(t)
+	e.Index() // built before the write, so the write must maintain it
 	v0 := e.DataVersion()
 	if _, err := e.Exec("INSERT INTO PType VALUES (4, 'soap')"); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	v1 := e.DataVersion()
-	if v1 <= v0 {
-		t.Fatalf("DataVersion did not advance on INSERT: %d -> %d", v0, v1)
+	if v1 != v0+1 {
+		t.Fatalf("DataVersion on INSERT: %d -> %d, want one step", v0, v1)
+	}
+	// The read after the write finds the index current: the INSERT's rows
+	// are not attributed a second time.
+	e.Index()
+	if got := e.DataVersion(); got != v1 {
+		t.Fatalf("DataVersion moved %d -> %d on the read after an INSERT", v1, got)
 	}
 	e.InvalidateIndex()
 	if e.DataVersion() <= v1 {
@@ -93,7 +100,7 @@ func TestDataVersion(t *testing.T) {
 	tbl, _ := e.Database().Table("PType")
 	tbl.MustInsert(storage.Row{storage.IntV(5), storage.TextV("wax")})
 	e.Index()
-	if e.DataVersion() <= v2 {
-		t.Fatal("DataVersion did not advance on stale index rebuild")
+	if got := e.DataVersion(); got != v2+1 {
+		t.Fatalf("DataVersion on a direct append found by Index: %d -> %d, want one step", v2, got)
 	}
 }

@@ -38,9 +38,12 @@ type Engine struct {
 	// updates) advance its epoch instead, which stales every stamp.
 	vv *vervec.Vector
 
+	// ix indexes the first ixSizes[t] rows of every table t. Exec extends
+	// it over the rows it inserts and Index over rows appended directly; nil
+	// means the next Index call builds it.
 	mu      sync.Mutex
-	ix      *invidx.Index
-	ixSizes map[string]int // per-table row counts when ix was built
+	ix      *invidx.Index  // guarded by mu
+	ixSizes map[string]int // guarded by mu
 
 	// plans caches Prepared handles for the text path: QueryContext keys it
 	// by the statement's canonical rendering (see sqltext.CanonicalKey) plus
@@ -115,88 +118,118 @@ func Load(script string) (*Engine, error) {
 // Database returns the underlying store.
 func (e *Engine) Database() *storage.Database { return e.db }
 
-// Index returns the inverted index over the current data, rebuilding it if
-// any indexed table changed size since the last build. The paper's workflow
-// mutates data between debugging sessions (adding synonyms), so staleness is
-// detected rather than assumed away.
+// Index returns the inverted index over the current data. Exec keeps it
+// current for the rows it inserts. Rows appended to storage directly (tests,
+// tools and the dataset generators insert that way) are attributed to the
+// version vector and then indexed here, on the next call. A full build runs
+// only for the first call, after InvalidateIndex, or when a table shrank.
 func (e *Engine) Index() *invidx.Index {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ix != nil {
-		stale := e.staleTablesLocked()
-		if len(stale) == 0 {
-			return e.ix
-		}
-		// Rows reached storage without passing through Exec (tests and
-		// tools insert directly); surface the mutation to version-keyed
-		// caches the same way the index rebuild reacts to it, attributing
-		// the appended rows' tables and terms to the version vector so
-		// footprint-stamped artifacts stale no wider than necessary.
-		e.attributeAppendsLocked(stale)
-	}
-	e.ix = invidx.Build(e.db)
-	e.ixSizes = make(map[string]int)
-	for _, rel := range e.db.Schema().Relations() {
-		if t, ok := e.db.Table(rel.Name); ok {
-			e.ixSizes[rel.Name] = t.RowCount()
-		}
-	}
+	e.syncIndexLocked()
 	return e.ix
 }
 
-// staleTablesLocked lists tables whose row count moved since the index was
-// built, in schema order (deterministic).
-func (e *Engine) staleTablesLocked() []string {
-	var stale []string
+// syncIndexLocked brings the index up to the row counts in storage. Rows
+// that reached storage without passing through Exec are attributed to the
+// version vector before the index extends over them, so footprint-stamped
+// artifacts stale no wider than necessary and no row is indexed before its
+// bump. A table that shrank has no attributable footprint: it advances the
+// epoch and rebuilds.
+func (e *Engine) syncIndexLocked() {
+	if e.ix == nil {
+		e.buildIndexLocked()
+		return
+	}
+	type appended struct {
+		tbl      *storage.Table
+		from, to int
+	}
+	var grown []appended
 	for _, rel := range e.db.Schema().Relations() {
 		t, ok := e.db.Table(rel.Name)
-		if ok && e.ixSizes[rel.Name] != t.RowCount() {
-			stale = append(stale, rel.Name)
-		}
-	}
-	return stale
-}
-
-// attributeAppendsLocked bumps the version vector for rows that reached
-// storage directly. Appended rows are readable (ixSizes remembers where the
-// index stopped), so their text values are tokenized exactly as execInsert
-// would have; a table that *shrank* has no attributable footprint and
-// advances the epoch instead.
-func (e *Engine) attributeAppendsLocked(stale []string) {
-	var names []string
-	seen := make(map[string]bool)
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	for _, tn := range stale {
-		t, ok := e.db.Table(tn)
 		if !ok {
 			continue
 		}
-		if t.RowCount() < e.ixSizes[tn] {
+		from, to := e.ixSizes[rel.Name], t.RowCount()
+		switch {
+		case to < from:
 			e.vv.BumpEpoch()
+			e.buildIndexLocked()
 			return
-		}
-		add(vervec.TableKey(tn))
-		for id := e.ixSizes[tn]; id < t.RowCount(); id++ {
-			for _, v := range t.Row(storage.RowID(id)) {
-				if v.Kind != catalog.Text {
-					continue
-				}
-				for _, tok := range invidx.Tokenize(v.S) {
-					add(vervec.TermKey(tok))
-				}
-			}
+		case to > from:
+			grown = append(grown, appended{t, from, to})
 		}
 	}
-	e.vv.Bump(names...)
+	if len(grown) == 0 {
+		return
+	}
+	var fp footprint
+	for _, g := range grown {
+		for id := g.from; id < g.to; id++ {
+			fp.add(g.tbl.Relation().Name, g.tbl.Row(storage.RowID(id)))
+		}
+	}
+	e.vv.Bump(fp.names...)
+	for _, g := range grown {
+		e.extendIndexLocked(g.tbl, g.from, g.to)
+	}
 }
 
-// InvalidateIndex forces the next Index call to rebuild. Needed after
-// in-place row updates, which do not change table sizes.
+// buildIndexLocked indexes the whole database. The row counts are read
+// before the scan, so a row appended concurrently is at worst indexed
+// twice, which Extend ignores, and never skipped.
+func (e *Engine) buildIndexLocked() {
+	sizes := make(map[string]int)
+	for _, rel := range e.db.Schema().Relations() {
+		if t, ok := e.db.Table(rel.Name); ok {
+			sizes[rel.Name] = t.RowCount()
+		}
+	}
+	e.ix = invidx.Build(e.db)
+	e.ixSizes = sizes
+}
+
+// extendIndexLocked indexes rows [from, to) of t, which follow every row of
+// t the index covers.
+func (e *Engine) extendIndexLocked(t *storage.Table, from, to int) {
+	e.ix = e.ix.Extend(t, storage.RowID(from), storage.RowID(to))
+	e.ixSizes[t.Relation().Name] = to
+}
+
+// footprint collects the version-vector names a write touches: its table's
+// counter and one counter per distinct token of its text values, the same
+// tokens the inverted index sees.
+type footprint struct {
+	names []string
+	seen  map[string]bool
+}
+
+func (f *footprint) add(table string, row storage.Row) {
+	f.name(vervec.TableKey(table))
+	for _, v := range row {
+		if v.Kind != catalog.Text {
+			continue
+		}
+		for _, tok := range invidx.Tokenize(v.S) {
+			f.name(vervec.TermKey(tok))
+		}
+	}
+}
+
+func (f *footprint) name(n string) {
+	if f.seen == nil {
+		f.seen = make(map[string]bool)
+	}
+	if !f.seen[n] {
+		f.seen[n] = true
+		f.names = append(f.names, n)
+	}
+}
+
+// InvalidateIndex makes the next Index call build the whole index anew.
+// Needed after in-place row updates: they change no table size, and an
+// index cannot be extended over a row that lost a term.
 func (e *Engine) InvalidateIndex() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -207,11 +240,12 @@ func (e *Engine) InvalidateIndex() {
 	e.vv.BumpEpoch()
 }
 
-// DataVersion returns a counter that advances once whenever the engine
-// observes a data mutation: an INSERT, an explicit InvalidateIndex, or
-// staleness detected while serving Index. It is the version vector's Seq, so
-// it counts the vector's bump events; /write responses and run summaries
-// report it, and no cache keys on it.
+// DataVersion returns a counter that advances once per data mutation the
+// engine observes: once per Exec INSERT, once per InvalidateIndex or table
+// found to have shrunk, and once per batch of rows appended to storage
+// directly, when the next Index or Exec call finds them. It is the version vector's Seq, so it counts the
+// vector's bump events; /write responses and run summaries report it, and
+// no cache keys on it.
 func (e *Engine) DataVersion() uint64 { return e.vv.Seq() }
 
 // Result is the outcome of a SELECT.
@@ -277,34 +311,20 @@ func (e *Engine) Exec(sql string) (int64, error) {
 	return int64(len(ins.Rows)), nil
 }
 
+// execInsert applies one INSERT statement. Every row is coerced before any
+// is published, so a statement that fails leaves storage, the index and the
+// version vector as they were. Under e.mu it then attributes the rows,
+// stores them and extends the index over exactly those rows, so the next
+// read finds nothing stale.
 func (e *Engine) execInsert(ins *sqltext.Insert) error {
 	tbl, ok := e.db.Table(ins.Table)
 	if !ok {
 		return fmt.Errorf("engine: unknown table %q", ins.Table)
 	}
-	// Attribute the write before any row becomes visible: a footprint
-	// stamped between the bump and the insert goes stale — the safe
-	// direction — while the reverse order could vouch for data the reader
-	// never saw. Terms come from the statement's text literals, the same
-	// tokens the inverted index will see.
-	names := []string{vervec.TableKey(ins.Table)}
-	seen := map[string]bool{names[0]: true}
-	for _, litRow := range ins.Rows {
-		for _, lit := range litRow {
-			if lit.Kind != sqltext.LitString {
-				continue
-			}
-			for _, tok := range invidx.Tokenize(lit.S) {
-				if k := vervec.TermKey(tok); !seen[k] {
-					seen[k] = true
-					names = append(names, k)
-				}
-			}
-		}
-	}
-	e.vv.Bump(names...)
 	rel := tbl.Relation()
-	for _, litRow := range ins.Rows {
+	rows := make([]storage.Row, len(ins.Rows))
+	var fp footprint
+	for r, litRow := range ins.Rows {
 		if len(litRow) != len(rel.Columns) {
 			return fmt.Errorf("engine: INSERT INTO %s: %d values, want %d", ins.Table, len(litRow), len(rel.Columns))
 		}
@@ -316,9 +336,33 @@ func (e *Engine) execInsert(ins *sqltext.Insert) error {
 			}
 			row[i] = v
 		}
-		if _, err := tbl.Insert(row); err != nil {
+		rows[r] = row
+		fp.add(ins.Table, row)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	// Direct appends since the last sync are attributed and indexed on
+	// their own first, so these rows are the only ones past the index.
+	if e.ix != nil {
+		e.syncIndexLocked()
+	}
+	// Attribute the write before any row becomes visible: a footprint
+	// stamped between the bump and the insert goes stale — the safe
+	// direction — while the reverse order could vouch for data the reader
+	// never saw.
+	e.vv.Bump(fp.names...)
+	at, contiguous := e.ixSizes[ins.Table], true
+	for i, row := range rows {
+		id, err := tbl.Insert(row)
+		if err != nil {
 			return err
 		}
+		contiguous = contiguous && int(id) == at+i
+	}
+	// A direct append interleaved with these rows leaves them to the next
+	// sync, which attributes them a second time: safe, only wider.
+	if e.ix != nil && contiguous {
+		e.extendIndexLocked(tbl, at, at+len(rows))
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"kwsdbg/internal/storage"
 	"kwsdbg/internal/vervec"
 )
 
@@ -35,9 +37,11 @@ func TestRetryPolicyNormalizedZeroMaxDelay(t *testing.T) {
 }
 
 // TestVersionVectorAttributesInserts pins the engine-side write attribution:
-// an INSERT bumps exactly its table's counter and its text tokens' counters.
+// an INSERT bumps exactly its table's counter and its text tokens' counters,
+// once, even when a read follows it.
 func TestVersionVectorAttributesInserts(t *testing.T) {
 	e := productEngine(t)
+	e.Index() // built before the write, so the write must maintain it
 	vv := e.Versions()
 	// Seed-data loading already attributed its own rows; diff against the
 	// loaded state, not zero.
@@ -46,9 +50,12 @@ func TestVersionVectorAttributesInserts(t *testing.T) {
 	lavenderBefore := vv.Counter(vervec.TermKey("lavender"))
 	saffronBefore := vv.Counter(vervec.TermKey("saffron"))
 
+	candleBefore := vv.Counter(vervec.TermKey("candle"))
+
 	if _, err := e.Exec("INSERT INTO Item VALUES (5, 'lavender candle', 2, 3, 2, 7.5, 'fresh')"); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
+	e.Index()
 	if got := vv.Counter(vervec.TableKey("Item")); got != itemBefore+1 {
 		t.Errorf("Item counter = %d, want %d", got, itemBefore+1)
 	}
@@ -63,8 +70,66 @@ func TestVersionVectorAttributesInserts(t *testing.T) {
 	if got := vv.Counter(vervec.TermKey("lavender")); got != lavenderBefore+1 {
 		t.Errorf("lavender counter = %d, want %d", got, lavenderBefore+1)
 	}
+	if got := vv.Counter(vervec.TermKey("candle")); got != candleBefore+1 {
+		t.Errorf("candle counter = %d, want %d", got, candleBefore+1)
+	}
 	if got := vv.Counter(vervec.TermKey("saffron")); got != saffronBefore {
 		t.Errorf("unrelated term 'saffron' moved %d -> %d on the insert", saffronBefore, got)
+	}
+
+	// A row appended to storage directly and an INSERT into the same table
+	// with no read between them are two mutations, each attributed once.
+	version := e.DataVersion()
+	tbl, _ := e.Database().Table("Item")
+	tbl.MustInsert(storage.Row{storage.IntV(6), storage.TextV("plain soap"), storage.IntV(1),
+		storage.IntV(1), storage.IntV(1), storage.FloatV(1.5), storage.TextV("mild")})
+	if _, err := e.Exec("INSERT INTO Item VALUES (7, 'orchid oil', 1, 1, 1, 2.5, 'rare')"); err != nil {
+		t.Fatalf("Exec: %v", err)
+	}
+	e.Index()
+	if got := e.DataVersion(); got != version+2 {
+		t.Errorf("DataVersion %d -> %d over a direct append and an INSERT, want two steps", version, got)
+	}
+	if got := vv.Counter(vervec.TermKey("orchid")); got != 1 {
+		t.Errorf("orchid counter = %d after one INSERT, want 1", got)
+	}
+	if got := vv.Counter(vervec.TermKey("soap")); got != 1 {
+		t.Errorf("soap counter = %d after one direct append, want 1", got)
+	}
+}
+
+// TestFailedInsertLeavesNoTrace: a multi-row INSERT whose last row does not
+// fit its table stores none of its rows and moves no version.
+func TestFailedInsertLeavesNoTrace(t *testing.T) {
+	e := productEngine(t)
+	e.Index()
+	vv := e.Versions()
+	tbl, _ := e.Database().Table("PType")
+	rows, version := tbl.RowCount(), e.DataVersion()
+	names := []string{vervec.TableKey("PType"), vervec.TermKey("blue"), vervec.TermKey("candle")}
+	before := vv.Stamp(names)
+
+	_, err := e.Exec("INSERT INTO PType VALUES (5, 'blue candle'), ('x', 'oops')")
+	if !errors.Is(err, ErrLiteralType) {
+		t.Fatalf("Exec = %v, want a literal type error", err)
+	}
+	if got := tbl.RowCount(); got != rows {
+		t.Errorf("PType rows %d -> %d: the failed statement stored a row", rows, got)
+	}
+	if got := e.DataVersion(); got != version {
+		t.Errorf("DataVersion %d -> %d on a failed statement", version, got)
+	}
+	if vv.Stale(before) {
+		t.Errorf("a failed statement moved the version vector")
+	}
+	if got := e.Index().Tables("blue"); len(got) != 0 {
+		t.Errorf("Tables(blue) = %v after a failed statement", got)
+	}
+	if _, err := e.Exec("INSERT INTO PType VALUES (5, 'blue candle'), (6)"); err == nil {
+		t.Fatal("Exec with a short row succeeded")
+	}
+	if got := tbl.RowCount(); got != rows {
+		t.Errorf("PType rows %d -> %d after a short row", rows, got)
 	}
 }
 

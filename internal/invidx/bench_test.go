@@ -27,7 +27,7 @@ func benchDB(tb testing.TB, n int) *storage.Database {
 }
 
 // BenchmarkBuild measures index construction, the cost paid at load time and
-// after every data mutation.
+// after a mutation that is not an append (appends are extended over).
 func BenchmarkBuild(b *testing.B) {
 	db := benchDB(b, 20_000)
 	b.ResetTimer()

@@ -9,10 +9,14 @@ package invidx
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"unicode"
 
+	"kwsdbg/internal/catalog"
 	"kwsdbg/internal/clock"
 	"kwsdbg/internal/storage"
 )
@@ -51,16 +55,19 @@ type tablePostings struct {
 }
 
 // Index is an inverted index over every text column of a database. It is
-// immutable after Build and safe for concurrent use.
+// immutable once returned and safe for concurrent use: Extend derives a new
+// Index instead of changing one.
 type Index struct {
 	tables map[string]*tablePostings
 	// tablesByTerm[token] = sorted table names containing the token.
 	tablesByTerm map[string][]string
+	// extended is set by the first Extend of this Index (see Extend).
+	extended atomic.Bool
 }
 
-// Build scans the whole database and indexes every text column. Call it again
-// after mutating the data (the debugging workflow of the paper's introduction
-// updates synonym lists); indexes are cheap relative to the data load.
+// Build scans the whole database and indexes every text column. Appending
+// rows does not require another Build: Extend covers them. Build again only
+// after a mutation that is not an append, such as an in-place update.
 func Build(db *storage.Database) *Index {
 	buildStart := clock.Now()
 	ix := &Index{
@@ -83,27 +90,14 @@ func Build(db *storage.Database) *Index {
 		for _, c := range textCols {
 			tp.byColumn[c] = make(columnPostings)
 		}
-		colIdx := make([]int, len(textCols))
-		for i, c := range textCols {
-			colIdx[i] = rel.ColumnIndex(c)
-		}
+		cols := tp.columns(rel)
+		var fresh []string
 		tbl.Scan(func(id storage.RowID, row storage.Row) bool {
-			for i, c := range textCols {
-				for _, tok := range Tokenize(row[colIdx[i]].S) {
-					cp := tp.byColumn[c]
-					cp[tok] = appendUnique(cp[tok], id)
-					tp.anyCol[tok] = appendUnique(tp.anyCol[tok], id)
-				}
-			}
+			fresh = tp.add(id, row, cols, fresh)
 			return true
 		})
 		ix.tables[rel.Name] = tp
-		toks := make([]string, 0, len(tp.anyCol))
-		for tok := range tp.anyCol {
-			toks = append(toks, tok)
-		}
-		sort.Strings(toks)
-		for _, tok := range toks {
+		for _, tok := range fresh {
 			ix.tablesByTerm[tok] = append(ix.tablesByTerm[tok], rel.Name)
 		}
 	}
@@ -116,13 +110,114 @@ func Build(db *storage.Database) *Index {
 	return ix
 }
 
-// appendUnique appends id if it is not already the last element. Rows are
-// scanned in increasing ID order, so postings stay sorted and deduplicated.
+// Extend returns the index of ix's data plus rows [from, to) of tbl. Every
+// row of tbl before from must already be in ix; rows in the range that ix
+// covers are skipped. ix itself does not change, so a reader holding it
+// keeps its snapshot. The result shares every posting the new rows do not
+// touch, copies tbl's posting maps, and copies the term->tables map only
+// when a token is new to tbl, so an append costs O(tbl's vocabulary), not
+// O(rows).
+func (ix *Index) Extend(tbl *storage.Table, from, to storage.RowID) *Index {
+	rel := tbl.Relation()
+	if _, ok := ix.tables[rel.Name]; !ok || from >= to {
+		return ix
+	}
+	// The first Extend of ix may append into spare capacity past ix's
+	// posting lengths, which no reader of ix looks at. A second Extend of ix
+	// would write the same cells, so it clips every posting it shares
+	// instead: appending to a clipped posting copies it.
+	clip := ix.extended.Swap(true)
+	out := &Index{
+		tables:       make(map[string]*tablePostings, len(ix.tables)),
+		tablesByTerm: ix.tablesByTerm,
+	}
+	for name, tp := range ix.tables {
+		if clip || name == rel.Name {
+			tp = tp.clone(clip)
+		}
+		out.tables[name] = tp
+	}
+	tp := out.tables[rel.Name]
+	cols := tp.columns(rel)
+	var fresh []string
+	for id := from; id < to; id++ {
+		fresh = tp.add(id, tbl.Row(id), cols, fresh)
+	}
+	if len(fresh) > 0 {
+		out.tablesByTerm = maps.Clone(ix.tablesByTerm)
+		for _, tok := range fresh {
+			names := out.tablesByTerm[tok]
+			i, _ := slices.BinarySearch(names, rel.Name)
+			out.tablesByTerm[tok] = slices.Insert(slices.Clip(names), i, rel.Name)
+		}
+	}
+	mTerms.Set(float64(len(out.tablesByTerm)))
+	return out
+}
+
+// textColumn is one text column's position in a row and its postings.
+type textColumn struct {
+	idx  int
+	post columnPostings
+}
+
+// columns lists rel's text columns with their postings in tp.
+func (tp *tablePostings) columns(rel *catalog.Relation) []textColumn {
+	var cols []textColumn
+	for _, c := range rel.TextColumns() {
+		cols = append(cols, textColumn{idx: rel.ColumnIndex(c), post: tp.byColumn[c]})
+	}
+	return cols
+}
+
+// add indexes one row: each token of each text column lands in the column's
+// postings and in the any-column union. It appends to fresh, and returns,
+// every token the table had no posting for before.
+func (tp *tablePostings) add(id storage.RowID, row storage.Row, cols []textColumn, fresh []string) []string {
+	for _, c := range cols {
+		for _, tok := range Tokenize(row[c.idx].S) {
+			c.post[tok] = appendUnique(c.post[tok], id)
+			ids := tp.anyCol[tok]
+			if len(ids) == 0 {
+				fresh = append(fresh, tok)
+			}
+			tp.anyCol[tok] = appendUnique(ids, id)
+		}
+	}
+	return fresh
+}
+
+// appendUnique appends id unless the posting already reaches it. Rows are
+// indexed in increasing ID order, so postings stay sorted and deduplicated,
+// and indexing a row the posting already covers changes nothing.
 func appendUnique(ids []storage.RowID, id storage.RowID) []storage.RowID {
-	if n := len(ids); n > 0 && ids[n-1] == id {
+	if n := len(ids); n > 0 && ids[n-1] >= id {
 		return ids
 	}
 	return append(ids, id)
+}
+
+// clone copies tp's maps so rows can be added without changing tp. With
+// clip, every posting's capacity is cut to its length.
+func (tp *tablePostings) clone(clip bool) *tablePostings {
+	out := &tablePostings{
+		byColumn: make(map[string]columnPostings, len(tp.byColumn)),
+		anyCol:   tp.anyCol.clone(clip),
+	}
+	for c, cp := range tp.byColumn {
+		out.byColumn[c] = cp.clone(clip)
+	}
+	return out
+}
+
+func (cp columnPostings) clone(clip bool) columnPostings {
+	out := maps.Clone(cp)
+	if clip {
+		for tok, ids := range out {
+			out[tok] = slices.Clip(ids)
+		}
+	}
+	return out
 }
 
 // Tables returns the sorted names of the tables in which the keyword occurs

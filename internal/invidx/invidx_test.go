@@ -183,7 +183,9 @@ func TestStats(t *testing.T) {
 }
 
 // Property: for random documents, RowsAny agrees with a naive scan that
-// re-tokenizes every cell, and postings are sorted and unique.
+// re-tokenizes every cell, and postings are sorted and unique. It holds for
+// a Build over all rows and for an index extended over them in runs (a run
+// ends after every choice divisible by 3).
 func TestIndexMatchesNaiveScanProperty(t *testing.T) {
 	schema := catalog.NewSchemaBuilder().
 		AddRelation(catalog.MustRelation("Doc",
@@ -194,34 +196,21 @@ func TestIndexMatchesNaiveScanProperty(t *testing.T) {
 	f := func(choices []uint8) bool {
 		db := storage.NewDatabase(schema)
 		tbl, _ := db.Table("Doc")
+		extended := Build(db)
+		from := storage.RowID(0)
 		for i, c := range choices {
 			w1 := words[int(c)%len(words)]
 			w2 := words[int(c/8)%len(words)]
 			tbl.MustInsert(storage.Row{storage.IntV(int64(i)), storage.TextV(w1 + " " + w2)})
-		}
-		ix := Build(db)
-		for _, probe := range words {
-			got := ix.RowsAny("Doc", probe)
-			var want []storage.RowID
-			tbl.Scan(func(id storage.RowID, row storage.Row) bool {
-				for _, tok := range Tokenize(row[1].S) {
-					if tok == probe {
-						want = append(want, id)
-						break
-					}
-				}
-				return true
-			})
-			if len(got) != len(want) {
-				return false
+			if c%3 == 0 {
+				extended = extended.Extend(tbl, from, storage.RowID(i+1))
+				from = storage.RowID(i + 1)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-				if i > 0 && got[i] <= got[i-1] {
-					return false // not sorted/unique
-				}
+		}
+		extended = extended.Extend(tbl, from, storage.RowID(tbl.RowCount()))
+		for _, ix := range []*Index{Build(db), extended} {
+			if !matchesNaiveScan(ix, tbl, words) {
+				return false
 			}
 		}
 		return true
@@ -229,4 +218,34 @@ func TestIndexMatchesNaiveScanProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// matchesNaiveScan reports whether ix's RowsAny over Doc equals a scan that
+// tokenizes every body, for every probe word.
+func matchesNaiveScan(ix *Index, tbl *storage.Table, words []string) bool {
+	for _, probe := range words {
+		got := ix.RowsAny("Doc", probe)
+		var want []storage.RowID
+		tbl.Scan(func(id storage.RowID, row storage.Row) bool {
+			for _, tok := range Tokenize(row[1].S) {
+				if tok == probe {
+					want = append(want, id)
+					break
+				}
+			}
+			return true
+		})
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+			if i > 0 && got[i] <= got[i-1] {
+				return false // not sorted/unique
+			}
+		}
+	}
+	return true
 }

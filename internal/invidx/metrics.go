@@ -17,11 +17,11 @@ var (
 	mLookupSeconds = obs.Default.HistogramVec("kwsdbg_invidx_lookup_seconds",
 		"Inverted-index lookup latency by operation.", nil, "op")
 	mBuilds = obs.Default.Counter("kwsdbg_invidx_builds_total",
-		"Inverted-index (re)builds.")
+		"Full inverted-index builds (extensions over appended rows are not counted).")
 	mBuildSeconds = obs.Default.Gauge("kwsdbg_invidx_build_seconds",
-		"Wall time of the last index build.")
+		"Wall time of the last full index build.")
 	mTerms = obs.Default.Gauge("kwsdbg_invidx_terms",
-		"Distinct terms in the last built index.")
+		"Distinct terms in the last built or extended index.")
 )
 
 // lookupMetrics is one operation's pre-resolved metric children. Vec.With

@@ -34,11 +34,11 @@ var Registered = []RegisteredMetric{
 	{Name: "kwsdbg_http_requests_total", Type: "counter", Labels: []string{"path", "status"}, Help: "HTTP requests served, by endpoint and status code.", Package: "kwsdbg/internal/server"},
 	{Name: "kwsdbg_inferred_total", Type: "counter", Labels: []string{"strategy"}, Help: "Nodes classified without executing SQL (rules R1/R2), by strategy.", Package: "kwsdbg/internal/core"},
 	{Name: "kwsdbg_inflight", Type: "gauge", Labels: nil, Help: "Requests currently holding an admission slot.", Package: "kwsdbg/internal/server"},
-	{Name: "kwsdbg_invidx_build_seconds", Type: "gauge", Labels: nil, Help: "Wall time of the last index build.", Package: "kwsdbg/internal/invidx"},
-	{Name: "kwsdbg_invidx_builds_total", Type: "counter", Labels: nil, Help: "Inverted-index (re)builds.", Package: "kwsdbg/internal/invidx"},
+	{Name: "kwsdbg_invidx_build_seconds", Type: "gauge", Labels: nil, Help: "Wall time of the last full index build.", Package: "kwsdbg/internal/invidx"},
+	{Name: "kwsdbg_invidx_builds_total", Type: "counter", Labels: nil, Help: "Full inverted-index builds (extensions over appended rows are not counted).", Package: "kwsdbg/internal/invidx"},
 	{Name: "kwsdbg_invidx_lookup_seconds", Type: "histogram", Labels: []string{"op"}, Help: "Inverted-index lookup latency by operation.", Package: "kwsdbg/internal/invidx"},
 	{Name: "kwsdbg_invidx_lookup_total", Type: "counter", Labels: []string{"op", "result"}, Help: "Inverted-index lookups, by operation and hit/miss.", Package: "kwsdbg/internal/invidx"},
-	{Name: "kwsdbg_invidx_terms", Type: "gauge", Labels: nil, Help: "Distinct terms in the last built index.", Package: "kwsdbg/internal/invidx"},
+	{Name: "kwsdbg_invidx_terms", Type: "gauge", Labels: nil, Help: "Distinct terms in the last built or extended index.", Package: "kwsdbg/internal/invidx"},
 	{Name: "kwsdbg_lattice_build_seconds", Type: "gauge", Labels: nil, Help: "Wall time of the last lattice generation or load (Phase 0).", Package: "kwsdbg/internal/lattice"},
 	{Name: "kwsdbg_lattice_builds_total", Type: "counter", Labels: []string{"source"}, Help: "Lattices constructed, by source.", Package: "kwsdbg/internal/lattice"},
 	{Name: "kwsdbg_lattice_levels", Type: "gauge", Labels: nil, Help: "Levels (max joins + 1) in the most recently built or loaded lattice.", Package: "kwsdbg/internal/lattice"},

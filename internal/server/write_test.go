@@ -107,4 +107,18 @@ func TestWriteRejectsBadRequests(t *testing.T) {
 	if rec, _ := post(t, s, "/write", `{"sql": "INSERT INTO Nope VALUES (1)"}`); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown table = %d, want 422", rec.Code)
 	}
+	// A 422 means nothing was written: the good first row of a statement
+	// whose second row is bad must not be stored either.
+	eng := s.sys.Engine()
+	tbl, _ := eng.Database().Table("PType")
+	rows, version := tbl.RowCount(), eng.DataVersion()
+	if rec, _ := post(t, s, "/write", `{"sql": "INSERT INTO PType VALUES (4, 'blue candle'), ('x', 'oops')"}`); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("bad second row = %d, want 422", rec.Code)
+	}
+	if got := tbl.RowCount(); got != rows {
+		t.Fatalf("PType rows %d -> %d after a rejected write", rows, got)
+	}
+	if got := eng.DataVersion(); got != version {
+		t.Fatalf("data_version %d -> %d after a rejected write", version, got)
+	}
 }

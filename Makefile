@@ -35,7 +35,8 @@ lint:
 test:
 	$(GO) test ./...
 
-# The observability layer, the server middleware, the core pipeline (with
+# The observability layer (with the flight recorder: one mutex over the ring
+# and every attached log), the server middleware, the core pipeline (with
 # its bitset probe engine), the engine (including the plan cache under
 # concurrent Prepare/Select/Insert), the probe cache, storage (serialized
 # writers against snapshot readers), the version vector (atomic multi-name
@@ -44,7 +45,7 @@ test:
 # arrays concurrent Debug calls read) are the concurrency-sensitive
 # packages; run them under the race detector.
 race:
-	$(GO) test -race ./internal/obs ./internal/server ./internal/core ./internal/core/bitprobe ./internal/bitset ./internal/engine ./internal/probecache ./internal/storage ./internal/vervec ./internal/lattice
+	$(GO) test -race ./internal/obs ./internal/obs/flight ./internal/server ./internal/core ./internal/core/bitprobe ./internal/bitset ./internal/engine ./internal/probecache ./internal/storage ./internal/vervec ./internal/lattice
 
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a

@@ -180,7 +180,6 @@ type Stats struct {
 	DescTotal  int         // descendants of MTNs, with multiplicity
 	DescUnique int         // unique descendants
 	MTNLevels  map[int]int // MTN count per lattice level
-	MPANLevels map[int]int // MPAN count per lattice level (after Phase 3)
 
 	// Phase 3.
 	Strategy    Strategy
@@ -240,7 +239,9 @@ type QueryInfo struct {
 	Level  int
 	// Tree is the human-readable join tree, e.g. "Person#1-writes#0-Publication#2".
 	Tree string
-	// SQL is the instantiated query that returns the node's tuples.
+	// SQL is the instantiated query that returns the node's tuples. Debug,
+	// Search and SearchPartial leave it empty, because most callers never
+	// show it; Output.QuerySQL renders it on demand.
 	SQL string
 }
 
@@ -278,6 +279,24 @@ type Output struct {
 	// Unclassified lists the candidate networks the exhausted run never
 	// settled: each could be an answer or a non-answer.
 	Unclassified []QueryInfo
+
+	// lat is the lattice the run's node IDs refer to, for QuerySQL.
+	lat *lattice.Lattice
+}
+
+// QuerySQL returns the SQL text of one of the Output's queries: q.SQL when
+// set, otherwise the query that returns the node's tuples, rendered for the
+// Output's keywords.
+func (o *Output) QuerySQL(q QueryInfo) string {
+	if q.SQL != "" || o.lat == nil {
+		return q.SQL
+	}
+	sqlText, err := o.lat.SQL(o.lat.Node(q.NodeID), o.Keywords, false)
+	if err != nil {
+		// Unreachable for nodes that survived Phase 1; keep the tree view.
+		return "-- " + err.Error()
+	}
+	return sqlText
 }
 
 // Options tunes a Debug run.
@@ -375,7 +394,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	if err != nil {
 		return nil, err
 	}
-	out = &Output{Keywords: keywords, NonKeywords: ph.nonKeywords, Stats: ph.stats}
+	out = &Output{Keywords: keywords, NonKeywords: ph.nonKeywords, Stats: ph.stats, lat: sys.lat}
 	out.Stats.Strategy = opts.Strategy
 	mtnIDs := ph.mtnIDs
 	if opts.Filter != nil {
@@ -413,8 +432,10 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	// The flight log is resolved from the context exactly once per run and
 	// handed to every hot-path participant as a field; probes never walk the
 	// context chain, so an unrecorded run pays one nil check per emission
-	// point and nothing else.
+	// point and nothing else. The log's per-kind tallies reach the shared
+	// event counters once, when the run returns.
 	fl := flight.FromContext(ctx)
+	defer fl.Flush()
 	gov.fl = fl
 
 	// The probe oracle: compiled engine handles by default, bitmap
@@ -466,15 +487,13 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	mProbes.With(strat).Add(float64(out.Stats.SQLExecuted))
 	mInferred.With(strat).Add(float64(out.Stats.Inferred))
 
-	out.Stats.MPANLevels = make(map[int]int)
 	for _, m := range res.aliveMTNs {
-		out.Answers = append(out.Answers, sys.queryInfo(sub.nodeID[m], keywords))
+		out.Answers = append(out.Answers, sys.queryInfo(sub.nodeID[m]))
 	}
 	for _, m := range res.deadMTNs {
-		na := NonAnswer{Query: sys.queryInfo(sub.nodeID[m], keywords), Incomplete: res.partial[m]}
+		na := NonAnswer{Query: sys.queryInfo(sub.nodeID[m]), Incomplete: res.partial[m]}
 		for _, p := range res.mpans[m] {
-			na.MPANs = append(na.MPANs, sys.queryInfo(sub.nodeID[p], keywords))
-			out.Stats.MPANLevels[sub.level[p]]++
+			na.MPANs = append(na.MPANs, sys.queryInfo(sub.nodeID[p]))
 		}
 		// Present the most specific explanations first: an MPAN covering
 		// more of the query (higher level) is usually the actionable one.
@@ -488,7 +507,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	}
 	sort.Ints(res.unresolved)
 	for _, m := range res.unresolved {
-		out.Unclassified = append(out.Unclassified, sys.queryInfo(sub.nodeID[m], keywords))
+		out.Unclassified = append(out.Unclassified, sys.queryInfo(sub.nodeID[m]))
 	}
 	return out, nil
 }
@@ -512,15 +531,11 @@ func (sys *System) Analyze(keywords []string) (Stats, error) {
 	return stats, nil
 }
 
-// queryInfo renders a node for user consumption.
-func (sys *System) queryInfo(nodeID int, keywords []string) QueryInfo {
+// queryInfo describes a node for user consumption. It leaves the SQL text
+// to Output.QuerySQL, so a caller that never shows it never renders it.
+func (sys *System) queryInfo(nodeID int) QueryInfo {
 	n := sys.lat.Node(nodeID)
-	sqlText, err := sys.lat.SQL(n, keywords, false)
-	if err != nil {
-		// Unreachable for nodes that survived Phase 1; keep the tree view.
-		sqlText = "-- " + err.Error()
-	}
-	return QueryInfo{NodeID: nodeID, Level: n.Level, Tree: n.String(), SQL: sqlText}
+	return QueryInfo{NodeID: nodeID, Level: n.Level, Tree: n.String()}
 }
 
 // phase12 holds the outcome of phases 1 and 2 for one keyword query.

@@ -11,8 +11,8 @@ package core_test
 //     interleaved the probes.
 //
 // These run in the ordinary suite and, more importantly, under `go test
-// -race`, where the per-slot ring mutexes and the capture buffer are
-// exercised by eight concurrent probe workers.
+// -race`, where the recorder's mutex — over the ring, the log's counts and
+// its capture buffer — is exercised by eight concurrent probe workers.
 
 import (
 	"bytes"

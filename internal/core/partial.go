@@ -59,7 +59,7 @@ func (sys *System) SearchPartial(keywords []string, topK int) (full []SearchResu
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			info := sys.queryInfo(p.NodeID, keywords)
+			info := sys.queryInfo(p.NodeID)
 			textCols := sys.textColumnIndexes(node)
 			for _, row := range res.Rows {
 				tf := 0

@@ -1,7 +1,5 @@
 package core
 
-import "container/heap"
-
 // scoreBased is the greedy traversal of §2.5.3. Each unclassified node x is
 // scored by the expected shrinkage of the per-MTN search spaces if x were
 // probed:
@@ -31,21 +29,21 @@ func (r *run) scoreBased(sd seed, pa float64) error {
 		return pa*sumD + (1-pa)*sumA
 	}
 
-	h := &gainHeap{}
+	h := make(gainHeap, 0, r.sub.len())
 	for x := 0; x < r.sub.len(); x++ {
 		if r.status[x] == stUnknown && r.W[x] > 0 {
-			heap.Push(h, gainItem{x: x, gain: gain(x)})
+			h.push(gainItem{x: x, gain: gain(x)})
 		}
 	}
 	const eps = 1e-9
-	for h.Len() > 0 {
-		top := heap.Pop(h).(gainItem)
+	for len(h) > 0 {
+		top := h.pop()
 		if r.status[top.x] != stUnknown || r.W[top.x] == 0 {
 			continue
 		}
 		g := gain(top.x)
-		if h.Len() > 0 && g+eps < (*h)[0].gain {
-			heap.Push(h, gainItem{x: top.x, gain: g})
+		if len(h) > 0 && g+eps < h[0].gain {
+			h.push(gainItem{x: top.x, gain: g})
 			continue
 		}
 		if err := r.evaluate(top.x); err != nil {
@@ -62,22 +60,52 @@ type gainItem struct {
 }
 
 // gainHeap is a max-heap on gain with ascending node index as tie-breaker,
-// which keeps runs deterministic.
+// which keeps runs deterministic. It holds at most one entry per node, so
+// the order is total and any heap pops the same sequence; this one is typed
+// so that entries are not boxed through an interface on every push and pop.
 type gainHeap []gainItem
 
-func (h gainHeap) Len() int { return len(h) }
-func (h gainHeap) Less(i, j int) bool {
+// before reports whether entry i pops ahead of entry j.
+func (h gainHeap) before(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
 	}
 	return h[i].x < h[j].x
 }
-func (h gainHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(v any)   { *h = append(*h, v.(gainItem)) }
-func (h *gainHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+
+func (h *gainHeap) push(it gainItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		parent := (j - 1) / 2
+		if !q.before(j, parent) {
+			break
+		}
+		q[j], q[parent] = q[parent], q[j]
+		j = parent
+	}
+}
+
+func (h *gainHeap) pop() gainItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		best, l := i, 2*i+1
+		if l < n && q.before(l, best) {
+			best = l
+		}
+		if r := l + 1; r < n && q.before(r, best) {
+			best = r
+		}
+		if best == i {
+			break
+		}
+		q[i], q[best] = q[best], q[i]
+		i = best
+	}
+	*h = q
+	return top
 }

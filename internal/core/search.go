@@ -74,7 +74,7 @@ func (sys *System) Search(keywords []string, topK int) (results []SearchResult, 
 		if len(res.Rows) == 0 {
 			continue
 		}
-		info := sys.queryInfo(id, keywords)
+		info := sys.queryInfo(id)
 		textCols := sys.textColumnIndexes(node)
 		for _, row := range res.Rows {
 			tf := 0

@@ -106,17 +106,62 @@ func (n *Node) IsCandidateNetwork() bool {
 	return true
 }
 
-// String renders the node compactly, e.g. "Color#1-Item#0-PType#2". The
-// vertex list is sorted so that the rendering does not depend on generation
-// order; it names the tuple sets involved, not the tree shape (the SQL
-// rendering carries the join structure).
+// String renders the node compactly, e.g. "Color#1-Item#0-PType#2": the
+// vertex renderings in sorted order, so that the result does not depend on
+// generation order. It names the tuple sets involved, not the tree shape
+// (the SQL rendering carries the join structure). Reports label every node
+// they list this way, so it allocates only the result.
 func (n *Node) String() string {
-	parts := make([]string, len(n.Vertices))
+	var orderBuf [16]int
+	order := orderBuf[:0]
+	size := 0
 	for i, v := range n.Vertices {
-		parts[i] = v.String()
+		if i > 0 {
+			size++ // the separator
+		}
+		order = append(order, i)
+		size += len(v.Rel) + len(copySuffix(new([24]byte), v.Copy))
+		// Insertion sort: nodes have a handful of vertices.
+		for j := len(order) - 1; j > 0 && vertexLess(v, n.Vertices[order[j-1]]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "-")
+	var sb strings.Builder
+	sb.Grow(size)
+	for k, i := range order {
+		if k > 0 {
+			sb.WriteByte('-')
+		}
+		v := n.Vertices[i]
+		sb.WriteString(v.Rel)
+		sb.Write(copySuffix(new([24]byte), v.Copy))
+	}
+	return sb.String()
+}
+
+// copySuffix renders the "#copy" part of a vertex's String into buf.
+func copySuffix(buf *[24]byte, copy int) []byte {
+	return strconv.AppendInt(append(buf[:0], '#'), int64(copy), 10)
+}
+
+// vertexLess orders vertices as their String renderings sort, without
+// building them.
+func vertexLess(a, b Vertex) bool {
+	var bufA, bufB [24]byte
+	sufA, sufB := copySuffix(&bufA, a.Copy), copySuffix(&bufB, b.Copy)
+	at := func(rel string, suffix []byte, i int) byte {
+		if i < len(rel) {
+			return rel[i]
+		}
+		return suffix[i-len(rel)]
+	}
+	la, lb := len(a.Rel)+len(sufA), len(b.Rel)+len(sufB)
+	for i := 0; i < la && i < lb; i++ {
+		if ca, cb := at(a.Rel, sufA, i), at(b.Rel, sufB, i); ca != cb {
+			return ca < cb
+		}
+	}
+	return la < lb
 }
 
 // labeler computes canonical labelings for join trees over one schema.

@@ -2,13 +2,15 @@
 //
 // The concurrency-sensitive state in this repo — the probe cache's LRU
 // list+map, the plan caches, the governor's trip reason — is documented
-// with a comment naming the mutex that guards each field. This analyzer
-// turns the comment into a checked contract: an annotated field may only be
-// read or written
+// with a comment naming the mutex that guards each field. The mutex is a
+// sibling field (`guarded by mu`) or a mutex field of the struct a sibling
+// pointer field refers to (`guarded by rec.mu`: a flight log's state is
+// guarded by its recorder's mutex). This analyzer turns the comment into a
+// checked contract: an annotated field may only be read or written
 //
 //   - inside a method of the owning struct whose body acquires the named
-//     mutex (recv.mu.Lock / recv.mu.RLock, usually with a deferred
-//     Unlock), or
+//     mutex (recv.mu.Lock / recv.mu.RLock, or recv.rec.mu.Lock /
+//     recv.rec.mu.RLock, usually with a deferred Unlock), or
 //   - inside a method whose name ends in "Locked" — the repo's convention
 //     for helpers whose callers hold the lock, or
 //   - on a struct-typed variable created locally inside a plain function
@@ -39,10 +41,12 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// guardPattern extracts the mutex field name from an annotation comment.
-var guardPattern = regexp.MustCompile(`(?i)\bguarded by (\w+)\b`)
+// guardPattern extracts the guard from an annotation comment: a mutex field
+// name, or a pointer field name and the mutex field it leads to.
+var guardPattern = regexp.MustCompile(`(?i)\bguarded by (\w+(?:\.\w+)?)\b`)
 
-// guard records that a field is protected by a named mutex of its struct.
+// guard records that a field is protected by a named mutex: mutex is the
+// selector path from a value of the struct to it ("mu" or "rec.mu").
 type guard struct {
 	structType *types.Named
 	mutex      string
@@ -66,7 +70,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // collectGuards finds annotated fields in this package's struct types and
-// validates that the named guard is a sync.Mutex/RWMutex sibling field.
+// validates that the named guard is a sync.Mutex/RWMutex sibling field, or a
+// sync.Mutex/RWMutex field of the struct a sibling pointer field points to.
 func collectGuards(pass *analysis.Pass) map[*types.Var]guard {
 	guards := make(map[*types.Var]guard)
 	for _, f := range pass.Files {
@@ -88,7 +93,14 @@ func collectGuards(pass *analysis.Pass) map[*types.Var]guard {
 				if !ok {
 					continue
 				}
-				if !hasMutexField(pass, st, mutex) {
+				if ptr, mu, ok := strings.Cut(mutex, "."); ok {
+					if !hasPointedMutex(pass, st, ptr, mu) {
+						pass.Reportf(field.Pos(),
+							"guarded-by annotation names %q, which is not a sync.Mutex/RWMutex field reached through a pointer field of %s",
+							mutex, ts.Name.Name)
+						continue
+					}
+				} else if !isMutex(fieldType(pass, st, mutex)) {
 					pass.Reportf(field.Pos(),
 						"guarded-by annotation names %q, which is not a sync.Mutex/RWMutex field of %s",
 						mutex, ts.Name.Name)
@@ -119,22 +131,45 @@ func guardAnnotation(field *ast.Field) (string, bool) {
 	return "", false
 }
 
-func hasMutexField(pass *analysis.Pass, st *ast.StructType, name string) bool {
-	for _, field := range st.Fields.List {
-		for _, fn := range field.Names {
-			if fn.Name != name {
-				continue
-			}
-			t := pass.TypesInfo.TypeOf(field.Type)
-			named, ok := t.(*types.Named)
-			if !ok || named.Obj().Pkg() == nil {
-				return false
-			}
-			full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-			return full == "sync.Mutex" || full == "sync.RWMutex"
+// hasPointedMutex reports whether st has a field ptr of pointer-to-struct
+// type whose struct has a sync.Mutex/RWMutex field mu.
+func hasPointedMutex(pass *analysis.Pass, st *ast.StructType, ptr, mu string) bool {
+	p, ok := fieldType(pass, st, ptr).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	pointee, ok := p.Elem().Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < pointee.NumFields(); i++ {
+		if f := pointee.Field(i); f.Name() == mu {
+			return isMutex(f.Type())
 		}
 	}
 	return false
+}
+
+// fieldType returns the type of st's field called name, or nil.
+func fieldType(pass *analysis.Pass, st *ast.StructType, name string) types.Type {
+	for _, field := range st.Fields.List {
+		for _, fn := range field.Names {
+			if fn.Name == name {
+				return pass.TypesInfo.TypeOf(field.Type)
+			}
+		}
+	}
+	return nil
+}
+
+// isMutex reports whether t is sync.Mutex or sync.RWMutex; t may be nil.
+func isMutex(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	return full == "sync.Mutex" || full == "sync.RWMutex"
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, guards map[*types.Var]guard) {
@@ -213,11 +248,13 @@ func receiver(pass *analysis.Pass, fd *ast.FuncDecl) (*types.Named, types.Object
 	return named, obj
 }
 
-// locksMutex reports whether body contains recv.<mutex>.Lock() or .RLock().
+// locksMutex reports whether body contains recv.<mutex>.Lock() or .RLock(),
+// where mutex is a selector path such as "mu" or "rec.mu".
 func locksMutex(pass *analysis.Pass, body *ast.BlockStmt, recvObj types.Object, mutex string) bool {
 	if recvObj == nil {
 		return false
 	}
+	path := strings.Split(mutex, ".")
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -228,18 +265,26 @@ func locksMutex(pass *analysis.Pass, body *ast.BlockStmt, recvObj types.Object, 
 		if !ok || (outer.Sel.Name != "Lock" && outer.Sel.Name != "RLock") {
 			return true
 		}
-		inner, ok := outer.X.(*ast.SelectorExpr)
-		if !ok || inner.Sel.Name != mutex {
-			return true
-		}
-		id, ok := inner.X.(*ast.Ident)
-		if ok && pass.TypesInfo.ObjectOf(id) == recvObj {
+		if selectsPath(pass, outer.X, recvObj, path) {
 			found = true
 			return false
 		}
 		return true
 	})
 	return found
+}
+
+// selectsPath reports whether e is recv.path[0].path[1]... .
+func selectsPath(pass *analysis.Pass, e ast.Expr, recvObj types.Object, path []string) bool {
+	for i := len(path) - 1; i >= 0; i-- {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != path[i] {
+			return false
+		}
+		e = sel.X
+	}
+	id, ok := e.(*ast.Ident)
+	return ok && pass.TypesInfo.ObjectOf(id) == recvObj
 }
 
 // localBase reports whether the accessed value is a variable declared in

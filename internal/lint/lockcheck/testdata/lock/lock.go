@@ -81,3 +81,33 @@ type misnamed struct {
 }
 
 func (m *misnamed) value() int { return m.v }
+
+// owner's mutex guards the state of every handle that points to it.
+type owner struct {
+	mu sync.Mutex
+	n  int
+}
+
+// handle annotates its fields with a guard reached through a pointer field.
+type handle struct {
+	own *owner
+	// uses tallies calls. guarded by own.mu.
+	uses int
+	// wrong names a field of the owner that is not a mutex. guarded by own.n.
+	wrong int // want `guarded-by annotation names "own\.n", which is not a sync\.Mutex/RWMutex field reached through a pointer field of handle`
+}
+
+// use locks the owner's mutex through the pointer field: clean.
+func (h *handle) use() {
+	h.own.mu.Lock()
+	defer h.own.mu.Unlock()
+	h.uses++
+}
+
+// useLocked follows the *Locked convention: callers hold own.mu.
+func (h *handle) useLocked() { h.uses++ }
+
+// count reads the handle's state without the owner's lock.
+func (h *handle) count() int {
+	return h.uses // want `count accesses handle\.uses without acquiring own\.mu`
+}

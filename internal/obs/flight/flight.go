@@ -8,8 +8,9 @@
 // to the debugger itself: a slow or cache-cold run is a non-answer nobody can
 // explain without knowing which probes missed which cache and where the SQL
 // time went. The recorder captures exactly that, cheaply enough to leave on:
-// one atomic sequence fetch plus one mutex-guarded 64-byte slot store per
-// event, and a single nil check when recording is off.
+// one lock of the recorder's mutex per event, under which the event is
+// numbered, stored in its ring slot and tallied on its log, and a single nil
+// check when recording is off.
 //
 // Events are keyed by request ID and probe key and stamped with a globally
 // monotonic sequence number, so the interleaving of concurrent workers is
@@ -18,15 +19,16 @@
 // which keeps the recorder inside the determinism lint scope.
 //
 // A Log is the per-request handle: it stamps events with the request ID,
-// forwards them to the shared ring, and — when ledger capture is on — keeps a
-// private copy so the server can write a complete JSONL run ledger (see
-// ledger.go) regardless of what else the ring has overwritten since.
+// forwards them to the shared ring, counts them by kind, and — when ledger
+// capture is on — keeps a private copy so the server can write a complete
+// JSONL run ledger (see ledger.go) regardless of what else the ring has
+// overwritten since. The per-kind counts reach kwsdbg_flight_events_total
+// when the run ends (Log.Flush), not per event.
 package flight
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -166,35 +168,10 @@ type Event struct {
 }
 
 // DefaultRingSize is the slot count used when a Recorder is built with
-// size <= 0. At ~5.5 probes and ~4 events per probe per debug run, 4096
-// slots hold on the order of 150 recent runs' worth of hot-path history.
+// size <= 0. A warm debug request over DBLife at level 5 emits about 300
+// events, so 4096 slots hold roughly the last dozen such runs; ledgers, not
+// the ring, are the archive.
 const DefaultRingSize = 4096
-
-// slot is one pooled event cell. Slots are overwritten in ring order; the
-// mutex makes the 64-byte copy atomic with respect to snapshotters and to a
-// lapped writer.
-type slot struct {
-	mu sync.Mutex
-	// ev is the stored event; Seq == 0 means never written. guarded by mu.
-	ev Event
-}
-
-// store copies ev into the slot unless the slot already holds a newer event
-// (a writer that lapped the ring while this one was descheduled).
-func (s *slot) store(ev *Event) {
-	s.mu.Lock()
-	if ev.Seq > s.ev.Seq {
-		s.ev = *ev
-	}
-	s.mu.Unlock()
-}
-
-// load copies the slot's event out.
-func (s *slot) load() Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ev
-}
 
 // DefaultRunCap is how many recent run summaries a Recorder retains for
 // GET /debug/runs.
@@ -203,10 +180,22 @@ const DefaultRunCap = 64
 // Recorder is the shared fixed-size ring. One Recorder serves the whole
 // process; per-request Logs feed it. It additionally retains the most recent
 // run summaries so /debug/runs can answer without any ledger configured.
+//
+// One mutex guards the sequence counter, the ring, and the counts and capture
+// buffer of every Log attached to the recorder, so recording an event takes
+// that lock once and nothing else.
 type Recorder struct {
-	mask  uint64
-	slots []slot
-	seq   atomic.Uint64
+	mu sync.Mutex
+	// seq is the last sequence number assigned. guarded by mu.
+	seq uint64
+	// ring holds the newest len(ring) events: the event numbered s sits at
+	// ring[(s-1)&mask]. A capture-only log's private recorder has no ring.
+	// guarded by mu.
+	ring []Event
+	mask uint64
+	// scratch takes the event being recorded when there is no ring.
+	// guarded by mu.
+	scratch Event
 
 	runsMu sync.Mutex
 	// runs is a ring of the most recent run summaries, oldest first once
@@ -228,31 +217,41 @@ func NewRecorder(size int) *Recorder {
 		n <<= 1
 	}
 	mRingSlots.Set(float64(n))
-	return &Recorder{mask: uint64(n - 1), slots: make([]slot, n), runCap: DefaultRunCap}
+	return &Recorder{mask: uint64(n - 1), ring: make([]Event, n), runCap: DefaultRunCap}
 }
 
-// record assigns the next sequence number and stores the event in its ring
-// slot. Overwriting the oldest slot is the intended behavior: the ring is a
-// bounded window of the most recent activity, not an archive — ledgers are
-// the archive.
-func (r *Recorder) record(ev *Event) {
-	seq := r.seq.Add(1)
-	ev.Seq = seq
-	r.slots[(seq-1)&r.mask].store(ev)
+// nextLocked assigns the next sequence number and returns the slot its
+// event is written to, so the event is built in place: the ring slot of the
+// oldest event, or the scratch slot when there is no ring. Overwriting the
+// oldest slot is the intended behavior: the ring is a bounded window of the
+// most recent activity, not an archive — ledgers are the archive.
+func (r *Recorder) nextLocked() (seq uint64, slot *Event) {
+	r.seq++
+	if r.ring == nil {
+		return r.seq, &r.scratch
+	}
+	return r.seq, &r.ring[(r.seq-1)&r.mask]
 }
 
 // Snapshot copies out every live event in the ring, ordered by sequence
 // number. req filters to one request ID when non-empty.
 func (r *Recorder) Snapshot(req string) []Event {
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		ev := r.slots[i].load()
-		if ev.Seq == 0 || (req != "" && ev.Req != req) {
-			continue
-		}
-		out = append(out, ev)
+	// The ring's length is fixed at construction, so the output can be
+	// allocated before the lock is taken.
+	out := make([]Event, 0, len(r.ring))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// The ring holds sequence numbers oldest..seq; walking them in order
+	// visits each slot once, already sorted, wherever the ring wrapped.
+	oldest := uint64(1)
+	if n := uint64(len(r.ring)); r.seq > n {
+		oldest = r.seq - n + 1
 	}
-	sortEvents(out)
+	for s := oldest; s <= r.seq; s++ {
+		if ev := &r.ring[(s-1)&r.mask]; req == "" || ev.Req == req {
+			out = append(out, *ev)
+		}
+	}
 	return out
 }
 
@@ -287,25 +286,31 @@ func (r *Recorder) Runs() []RunSummary {
 // unconditionally; when recording is off the cost is the nil check, nothing
 // else (no context walk, no allocation).
 type Log struct {
+	// rec numbers and stores the log's events; its mutex also guards the
+	// log's own state below.
 	rec *Recorder
 	req string
-	// fallbackSeq sequences events when no ring is attached (capture-only
-	// logs in tests and CLI runs).
-	fallbackSeq atomic.Uint64
 	// count tallies events emitted through this log, capture or not, so the
 	// run summary can report it without buffering the stream.
-	count atomic.Uint64
+	// guarded by rec.mu.
+	count int
+	// kinds tallies the events not yet added to kwsdbg_flight_events_total
+	// (see Flush). guarded by rec.mu.
+	kinds [numKinds]uint32
 
 	capture bool
-	mu      sync.Mutex
-	// events is the private capture buffer for ledger writing; nil unless
-	// capture was requested. guarded by mu.
+	// events is the private capture buffer for ledger writing, in sequence
+	// order; nil unless capture was requested. guarded by rec.mu.
 	events []Event
 }
 
-// NewLog builds a recording handle. rec may be nil (capture-only); capture
-// keeps a private copy of every event for ledger writing.
+// NewLog builds a recording handle. rec may be nil (capture-only: the log
+// numbers its events on a private recorder with no ring); capture keeps a
+// private copy of every event for ledger writing.
 func NewLog(rec *Recorder, req string, capture bool) *Log {
+	if rec == nil {
+		rec = &Recorder{}
+	}
 	return &Log{rec: rec, req: req, capture: capture}
 }
 
@@ -325,18 +330,33 @@ func (l *Log) Emit(k Kind, node int, probe string, alive bool, dur time.Duration
 	if l == nil {
 		return
 	}
-	ev := Event{Req: l.req, Kind: k, Node: int32(node), Alive: alive, Probe: probe, Cause: cause, Dur: dur}
-	if l.rec != nil {
-		l.rec.record(&ev)
-	} else {
-		ev.Seq = l.fallbackSeq.Add(1)
-	}
-	evCounters[k].Inc()
-	l.count.Add(1)
+	l.rec.mu.Lock()
+	seq, ev := l.rec.nextLocked()
+	*ev = Event{Seq: seq, Req: l.req, Kind: k, Node: int32(node), Alive: alive, Probe: probe, Cause: cause, Dur: dur}
+	l.count++
+	l.kinds[k]++
 	if l.capture {
-		l.mu.Lock()
-		l.events = append(l.events, ev)
-		l.mu.Unlock()
+		l.events = append(l.events, *ev)
+	}
+	l.rec.mu.Unlock()
+}
+
+// Flush adds the events emitted since the last Flush to
+// kwsdbg_flight_events_total, by kind. The pipeline calls it once when a run
+// ends, so the shared counters are touched once per run instead of once per
+// event; flushing again adds only what was emitted in between.
+func (l *Log) Flush() {
+	if l == nil {
+		return
+	}
+	l.rec.mu.Lock()
+	kinds := l.kinds
+	l.kinds = [numKinds]uint32{}
+	l.rec.mu.Unlock()
+	for k, n := range kinds {
+		if n > 0 {
+			evCounters[k].Add(float64(n))
+		}
 	}
 }
 
@@ -345,33 +365,20 @@ func (l *Log) Count() int {
 	if l == nil {
 		return 0
 	}
-	return int(l.count.Load())
+	l.rec.mu.Lock()
+	defer l.rec.mu.Unlock()
+	return l.count
 }
 
 // Events returns the captured event stream in sequence order; nil when the
 // log is nil or capture was off.
 func (l *Log) Events() []Event {
-	if l == nil {
+	if l == nil || !l.capture {
 		return nil
 	}
-	l.mu.Lock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	l.mu.Unlock()
-	sortEvents(out)
-	return out
-}
-
-// sortEvents orders events by sequence number.
-func sortEvents(evs []Event) {
-	// Events come out of the ring nearly sorted (ring order is sequence
-	// order except across the wrap point), so a simple insertion sort is
-	// both deterministic and close to O(n).
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].Seq < evs[j-1].Seq; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
+	l.rec.mu.Lock()
+	defer l.rec.mu.Unlock()
+	return append([]Event(nil), l.events...)
 }
 
 type logKey struct{}

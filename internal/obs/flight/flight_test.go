@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -75,11 +76,36 @@ func TestRingOverwritesOldest(t *testing.T) {
 
 func TestRingSizeRoundsUp(t *testing.T) {
 	rec := NewRecorder(5)
-	if len(rec.slots) != 8 {
-		t.Errorf("NewRecorder(5) has %d slots, want 8", len(rec.slots))
+	if len(rec.ring) != 8 {
+		t.Errorf("NewRecorder(5) has %d slots, want 8", len(rec.ring))
 	}
-	if def := NewRecorder(0); len(def.slots) != DefaultRingSize {
-		t.Errorf("NewRecorder(0) has %d slots, want %d", len(def.slots), DefaultRingSize)
+	if def := NewRecorder(0); len(def.ring) != DefaultRingSize {
+		t.Errorf("NewRecorder(0) has %d slots, want %d", len(def.ring), DefaultRingSize)
+	}
+}
+
+// TestSnapshotEveryWrapOffset fills a small ring to every wrap offset: the
+// snapshot must hold the newest ring-size events (all of them before the
+// ring first fills), oldest first, whichever slot the next write lands in.
+func TestSnapshotEveryWrapOffset(t *testing.T) {
+	const size = 8
+	for total := 0; total <= 3*size; total++ {
+		rec := NewRecorder(size)
+		l := NewLog(rec, "r", false)
+		for i := 0; i < total; i++ {
+			l.Emit(Admit, i, "", false, 0, "")
+		}
+		evs := rec.Snapshot("")
+		if want := min(total, size); len(evs) != want {
+			t.Fatalf("after %d events: snapshot has %d, want %d", total, len(evs), want)
+		}
+		for i, ev := range evs {
+			seq := uint64(total - len(evs) + i + 1)
+			if ev.Seq != seq || ev.Node != int32(seq-1) {
+				t.Fatalf("after %d events: snapshot[%d] = seq %d node %d, want seq %d node %d",
+					total, i, ev.Seq, ev.Node, seq, seq-1)
+			}
+		}
 	}
 }
 
@@ -346,12 +372,193 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecorderConcurrentLogs drives one 8-slot ring from several logs, some
+// capturing, each shared by several writer goroutines, while readers call
+// every reading method. Run it with -race -count=10: the recorder's one mutex
+// guards the ring and every attached log's counts and capture buffer.
+func TestRecorderConcurrentLogs(t *testing.T) {
+	const (
+		nLogs      = 4
+		perLog     = 2 // writer goroutines per log
+		perWriter  = 400
+		ringSize   = 8
+		perLogEmit = perLog * perWriter
+	)
+	rec := NewRecorder(ringSize)
+	logs := make([]*Log, nLogs)
+	kindOf := func(i int) Kind { return Kind(1 + i%int(numKinds-1)) }
+	before := make([]float64, numKinds)
+	for k := range before {
+		before[k] = evCounters[k].Value()
+	}
+	for i := range logs {
+		logs[i] = NewLog(rec, string(rune('a'+i)), i%2 == 0)
+	}
+
+	var writers sync.WaitGroup
+	for i, l := range logs {
+		for g := 0; g < perLog; g++ {
+			writers.Add(1)
+			go func(i, g int, l *Log) {
+				defer writers.Done()
+				for n := 0; n < perWriter; n++ {
+					l.Emit(kindOf(i), g*perWriter+n, "", false, 0, "")
+				}
+				rec.AddRun(RunSummary{Req: l.Req()})
+			}(i, g, l)
+		}
+	}
+	done := make(chan struct{})
+	go func() { writers.Wait(); close(done) }()
+
+	// Readers: every unfiltered snapshot must be a gapless, ordered run of
+	// sequence numbers, however the writers interleave.
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				evs := rec.Snapshot("")
+				for i := 1; i < len(evs); i++ {
+					if evs[i].Seq != evs[i-1].Seq+1 {
+						t.Errorf("concurrent snapshot not gapless: seq %d after %d", evs[i].Seq, evs[i-1].Seq)
+						return
+					}
+				}
+				_ = rec.Runs()
+				for _, l := range logs {
+					_ = l.Count()
+					_ = l.Events()
+				}
+			}
+		}()
+	}
+	readers.Wait()
+
+	total := nLogs * perLogEmit
+	last := rec.Snapshot("")
+	if len(last) != ringSize {
+		t.Fatalf("final snapshot has %d events, want %d", len(last), ringSize)
+	}
+	for i, ev := range last {
+		if want := uint64(total - ringSize + i + 1); ev.Seq != want {
+			t.Fatalf("final snapshot[%d].Seq = %d, want %d (the newest %d of %d)", i, ev.Seq, want, ringSize, total)
+		}
+	}
+	seen := make(map[uint64]bool)
+	for i, l := range logs {
+		if got := l.Count(); got != perLogEmit {
+			t.Errorf("log %d: Count() = %d, want %d", i, got, perLogEmit)
+		}
+		evs := l.Events()
+		if !l.capture {
+			if evs != nil {
+				t.Errorf("log %d: non-capturing log returned %d events", i, len(evs))
+			}
+			continue
+		}
+		if len(evs) != perLogEmit {
+			t.Fatalf("log %d: captured %d events, want %d", i, len(evs), perLogEmit)
+		}
+		next := make([]int32, perLog) // each writer's next expected node
+		for j, ev := range evs {
+			if ev.Req != l.Req() || ev.Kind != kindOf(i) {
+				t.Fatalf("log %d: captured a foreign event %+v", i, ev)
+			}
+			if ev.Seq == 0 || ev.Seq > uint64(total) || seen[ev.Seq] {
+				t.Fatalf("log %d: sequence number %d out of range or reused", i, ev.Seq)
+			}
+			seen[ev.Seq] = true
+			if j > 0 && ev.Seq <= evs[j-1].Seq {
+				t.Fatalf("log %d: capture out of order at %d", i, j)
+			}
+			g := ev.Node / perWriter
+			if ev.Node != int32(g)*perWriter+next[g] {
+				t.Fatalf("log %d: writer %d's event %d captured out of order", i, g, ev.Node)
+			}
+			next[g]++
+		}
+	}
+	if runs := rec.Runs(); len(runs) != nLogs*perLog {
+		t.Errorf("Runs() = %d summaries, want %d", len(runs), nLogs*perLog)
+	}
+
+	for _, l := range logs {
+		l.Flush()
+	}
+	want := make([]float64, numKinds)
+	for i := range logs {
+		want[kindOf(i)] += perLogEmit
+	}
+	for k := range want {
+		if got := evCounters[k].Value() - before[k]; got != want[k] {
+			t.Errorf("kwsdbg_flight_events_total{kind=%q} rose by %v, want %v", Kind(k), got, want[k])
+		}
+	}
+}
+
+func TestFlushCountsOnce(t *testing.T) {
+	l := NewLog(nil, "flush", false)
+	before := evCounters[Retry].Value()
+	l.Emit(Retry, -1, "", false, 0, "")
+	l.Emit(Retry, -1, "", false, 0, "")
+	if got := evCounters[Retry].Value() - before; got != 0 {
+		t.Fatalf("counter moved by %v before Flush, want 0", got)
+	}
+	l.Flush()
+	l.Flush()
+	if got := evCounters[Retry].Value() - before; got != 2 {
+		t.Fatalf("counter moved by %v after two Flushes, want 2", got)
+	}
+	if l.Count() != 2 {
+		t.Errorf("Count() = %d after Flush, want 2", l.Count())
+	}
+	var nilLog *Log
+	nilLog.Flush()
+}
+
 func BenchmarkEmitRingOnly(b *testing.B) {
 	rec := NewRecorder(DefaultRingSize)
 	l := NewLog(rec, "bench", false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.Emit(SQLExec, 7, "probe-key", true, time.Millisecond, "")
+	}
+}
+
+// BenchmarkEmitParallelLogs emits from concurrent goroutines, each on its
+// own log, into one shared ring: the server's shape under load.
+func BenchmarkEmitParallelLogs(b *testing.B) {
+	rec := NewRecorder(DefaultRingSize)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		l := NewLog(rec, "bench", false)
+		for pb.Next() {
+			l.Emit(SQLExec, 7, "probe-key", true, time.Millisecond, "")
+		}
+	})
+}
+
+// BenchmarkSnapshotWrappedHalf snapshots a full default-size ring whose next
+// write lands mid-ring, the case GET /debug/flight pays after any multiple of
+// half a ring of events.
+func BenchmarkSnapshotWrappedHalf(b *testing.B) {
+	rec := NewRecorder(DefaultRingSize)
+	l := NewLog(rec, "bench", false)
+	for i := 0; i < DefaultRingSize+DefaultRingSize/2; i++ {
+		l.Emit(SQLExec, i, "probe-key", true, 0, "")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(rec.Snapshot("")) != DefaultRingSize {
+			b.Fatal("snapshot lost events")
+		}
 	}
 }
 

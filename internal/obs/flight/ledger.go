@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 )
 
@@ -223,7 +224,9 @@ func ReadLedger(r io.Reader) (*Ledger, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	sortEvents(led.Events)
+	// A ledger's writer emits events in sequence order, but one assembled
+	// or edited by hand need not be; analysis assumes the order.
+	sort.SliceStable(led.Events, func(i, j int) bool { return led.Events[i].Seq < led.Events[j].Seq })
 	return led, nil
 }
 

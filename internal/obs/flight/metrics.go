@@ -6,12 +6,13 @@ import "kwsdbg/internal/obs"
 // cache-hot" from a plain /metrics scrape, without pulling a ledger; the
 // ledger counters watch the opt-in archive path for write failures.
 //
-// CounterVec.With builds a label key (and allocates) on every call, so the
-// per-kind counters are resolved once into an array indexed by Kind — the
-// hot path does one atomic add through a preresolved pointer.
+// A Log tallies its events by kind under the recorder's lock and adds the
+// tallies to the counters once, when its run ends (Log.Flush). CounterVec.With
+// builds a label key (and allocates) on every call, so the per-kind counters
+// are resolved once into an array indexed by Kind.
 var (
 	mEventsVec = obs.Default.CounterVec("kwsdbg_flight_events_total",
-		"Probe-lifecycle events recorded by the flight recorder, by event kind.",
+		"Probe-lifecycle events recorded by the flight recorder, by event kind; counted when their run ends.",
 		"kind")
 	mRingSlots = obs.Default.Gauge("kwsdbg_flight_ring_slots",
 		"Slot capacity of the flight-recorder ring buffer.")

@@ -27,7 +27,7 @@ var Registered = []RegisteredMetric{
 	{Name: "kwsdbg_candset_misses_total", Type: "counter", Labels: nil, Help: "Candidate-set lookups that computed the row set from the index.", Package: "kwsdbg/internal/engine"},
 	{Name: "kwsdbg_candset_stale_total", Type: "counter", Labels: nil, Help: "Candidate-set entries discarded because the data version advanced.", Package: "kwsdbg/internal/engine"},
 	{Name: "kwsdbg_debug_requests_total", Type: "counter", Labels: []string{"strategy", "status"}, Help: "Debug runs, by Phase 3 strategy and outcome.", Package: "kwsdbg/internal/core"},
-	{Name: "kwsdbg_flight_events_total", Type: "counter", Labels: []string{"kind"}, Help: "Probe-lifecycle events recorded by the flight recorder, by event kind.", Package: "kwsdbg/internal/obs/flight"},
+	{Name: "kwsdbg_flight_events_total", Type: "counter", Labels: []string{"kind"}, Help: "Probe-lifecycle events recorded by the flight recorder, by event kind; counted when their run ends.", Package: "kwsdbg/internal/obs/flight"},
 	{Name: "kwsdbg_flight_ring_slots", Type: "gauge", Labels: nil, Help: "Slot capacity of the flight-recorder ring buffer.", Package: "kwsdbg/internal/obs/flight"},
 	{Name: "kwsdbg_http_in_flight", Type: "gauge", Labels: nil, Help: "Requests currently being served.", Package: "kwsdbg/internal/server"},
 	{Name: "kwsdbg_http_request_seconds", Type: "histogram", Labels: []string{"path"}, Help: "HTTP request latency by endpoint.", Package: "kwsdbg/internal/server"},

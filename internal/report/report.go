@@ -17,7 +17,8 @@ import (
 
 // Options controls text rendering.
 type Options struct {
-	// ShowSQL includes each reported query's SQL text.
+	// ShowSQL includes each reported query's SQL text (core.Output.QuerySQL,
+	// which renders it only now).
 	ShowSQL bool
 	// MaxMPANs caps the explanations printed per non-answer (0 = all).
 	MaxMPANs int
@@ -50,7 +51,7 @@ func Text(w io.Writer, out *core.Output, opts Options) error {
 			return err
 		}
 		if opts.ShowSQL {
-			fmt.Fprintf(w, "      %s\n", a.SQL)
+			fmt.Fprintf(w, "      %s\n", out.QuerySQL(a))
 		}
 		if opts.Preview > 0 && opts.Sys != nil {
 			preview(w, opts.Sys, out.Keywords, a.NodeID, opts.Preview)
@@ -61,7 +62,7 @@ func Text(w io.Writer, out *core.Output, opts Options) error {
 			return err
 		}
 		if opts.ShowSQL {
-			fmt.Fprintf(w, "      %s\n", na.Query.SQL)
+			fmt.Fprintf(w, "      %s\n", out.QuerySQL(na.Query))
 		}
 		shown := 0
 		for _, p := range na.MPANs {
@@ -71,7 +72,7 @@ func Text(w io.Writer, out *core.Output, opts Options) error {
 			}
 			fmt.Fprintf(w, "      alive up to: %s\n", p.Tree)
 			if opts.ShowSQL {
-				fmt.Fprintf(w, "        %s\n", p.SQL)
+				fmt.Fprintf(w, "        %s\n", out.QuerySQL(p))
 			}
 			shown++
 		}
@@ -158,7 +159,8 @@ type jsonStats struct {
 
 // JSONOptions controls the machine-readable rendering.
 type JSONOptions struct {
-	// ShowSQL includes each reported query's SQL text.
+	// ShowSQL includes each reported query's SQL text (core.Output.QuerySQL,
+	// which renders it only now).
 	ShowSQL bool
 	// Trace, when non-nil, embeds the run's phase tree under "trace".
 	Trace *Trace
@@ -229,7 +231,7 @@ func JSONOpts(w io.Writer, out *core.Output, opts JSONOptions) error {
 	conv := func(q core.QueryInfo) jsonQuery {
 		jq := jsonQuery{Node: q.NodeID, Level: q.Level, Tree: q.Tree}
 		if showSQL {
-			jq.SQL = q.SQL
+			jq.SQL = out.QuerySQL(q)
 		}
 		return jq
 	}

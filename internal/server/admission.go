@@ -78,8 +78,9 @@ func (s *Server) admit(ctx context.Context) (func(), bool) {
 func (s *Server) shed(w http.ResponseWriter, r *http.Request) {
 	mShed.Inc()
 	if s.Recorder != nil {
-		flight.NewLog(s.Recorder, obs.RequestID(r.Context()), false).
-			Emit(flight.Shed, -1, "", false, 0, "capacity")
+		fl := flight.NewLog(s.Recorder, obs.RequestID(r.Context()), false)
+		fl.Emit(flight.Shed, -1, "", false, 0, "capacity")
+		fl.Flush()
 	}
 	retry := s.AdmissionWait
 	if retry <= 0 {

@@ -1,11 +1,20 @@
 GO ?= go
 
-.PHONY: all build vet lint test race budget verify experiments bench bench-check chaos chaos-writes
+.PHONY: all build fmt vet lint test race budget verify experiments bench bench-check chaos chaos-writes
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt fails when gofmt would change any tracked .go file. Files under
+# testdata/ are exempt: the lint fixtures align their `// want` comments by
+# hand.
+fmt:
+	@unformatted="$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # vet runs the default analyzer set, then copylocks as an explicit pass so a
 # future change to the default set can never silently drop it (the guarded
@@ -54,7 +63,7 @@ race:
 budget:
 	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree' ./internal/core ./internal/invidx
 
-verify: build vet lint test race budget
+verify: build fmt vet lint test race budget
 
 # The kwsbench benchmark lives in its own modules (cmd/kwsbench and
 # internal/kwsbench, each replacing kwsdbg with the root), so the root

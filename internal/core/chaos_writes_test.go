@@ -84,3 +84,127 @@ func TestChaosWriteStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosWriteStormSearch runs SearchPartial and Debug from several
+// goroutines while INSERTs land (under -race by `make chaos-writes`). Search
+// reads and writes the same verdict cache as Debug, so its stored verdicts
+// must go suspect and be repaired like Debug's. Mid-storm calls must not
+// fail; at quiesce, cached SearchPartial must equal SearchPartial on a
+// cache-less System over the same engine, and warm Debug must equal a
+// BypassCache run.
+func TestChaosWriteStormSearch(t *testing.T) {
+	sys := productSystem(t)
+	sys.SetProbeCache(probecache.New(probecache.Config{}))
+	queries := [][]string{
+		{"saffron", "scented", "candle"},
+		{"saffron", "scented", "incense"},
+		{"scented", "checkered"},
+	}
+	const writers, perWriter, readers = 3, 12, 3
+	// Writers wait until every reader has finished one round, so the storm
+	// lands on warm caches and overlaps in-flight reads.
+	var warmed sync.WaitGroup
+	warmed.Add(readers)
+	warm := make(chan struct{})
+	go func() { warmed.Wait(); close(warm) }()
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+readers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-warm
+			for i := 0; i < perWriter; i++ {
+				id := 100 + w*perWriter + i
+				var stmt string
+				switch i % 4 {
+				case 0:
+					stmt = fmt.Sprintf(
+						"INSERT INTO Item VALUES (%d, 'saffron scented candle %d', 2, 4, 1, 5.0, 'storm')", id, id)
+				case 1:
+					// Revives "saffron scented incense" through Color 4 and
+					// PType 3.
+					stmt = fmt.Sprintf("INSERT INTO Item VALUES (%d, 'scented %d', 3, 4, 0, 1.0, 'storm')", id, id)
+				case 2:
+					stmt = fmt.Sprintf("INSERT INTO Attr VALUES (%d, 'pattern', 'checkered %d')", id, id)
+				default:
+					stmt = fmt.Sprintf("INSERT INTO PType VALUES (%d, 'storm%d')", id, id)
+				}
+				if _, err := sys.Engine().Exec(stmt); err != nil {
+					errs <- fmt.Errorf("writer %d insert %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	stormDone := make(chan struct{})
+	go func() { wg.Wait(); close(stormDone) }()
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			var once sync.Once
+			defer once.Do(warmed.Done)
+			for i := r; ; i++ {
+				if i-r == len(queries) {
+					once.Do(warmed.Done)
+				}
+				select {
+				case <-stormDone:
+					return
+				default:
+				}
+				kws := queries[i%len(queries)]
+				if _, _, _, err := sys.SearchPartial(kws, 5); err != nil {
+					errs <- fmt.Errorf("reader %d mid-storm SearchPartial %v: %w", r, kws, err)
+					return
+				}
+				if _, err := sys.Debug(kws, Options{Strategy: SBH}); err != nil {
+					errs <- fmt.Errorf("reader %d mid-storm Debug %v: %w", r, kws, err)
+					return
+				}
+			}
+		}(r)
+	}
+	rg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	plain, err := NewSystem(sys.Engine(), sys.Lattice())
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	for _, kws := range queries {
+		type partialOut struct {
+			Full    []SearchResult
+			Partial []PartialResult
+			Missing []string
+		}
+		var got, want partialOut
+		if got.Full, got.Partial, got.Missing, err = sys.SearchPartial(kws, 10); err != nil {
+			t.Fatalf("cached SearchPartial %v at quiesce: %v", kws, err)
+		}
+		if want.Full, want.Partial, want.Missing, err = plain.SearchPartial(kws, 10); err != nil {
+			t.Fatalf("cache-less SearchPartial %v at quiesce: %v", kws, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: cached SearchPartial diverges from a cache-less System after the storm\ngot:  %+v\nwant: %+v",
+				kws, got, want)
+		}
+		cold, err := sys.Debug(kws, Options{Strategy: SBH, BypassCache: true})
+		if err != nil {
+			t.Fatalf("cold Debug %v at quiesce: %v", kws, err)
+		}
+		warm, err := sys.Debug(kws, Options{Strategy: SBH})
+		if err != nil {
+			t.Fatalf("warm Debug %v at quiesce: %v", kws, err)
+		}
+		if !reflect.DeepEqual(normalized(warm), normalized(cold)) {
+			t.Fatalf("%v: warm Debug diverges from a BypassCache run after the storm\ngot:  %+v\nwant: %+v",
+				kws, normalized(warm), normalized(cold))
+		}
+	}
+}

@@ -126,16 +126,18 @@ func (sys *System) Engine() *engine.Engine { return sys.eng }
 func (sys *System) DB() *sql.DB { return sys.db }
 
 // SetProbeCache installs (or, with nil, removes) a cross-request aliveness
-// cache. Verdicts learned by one Debug call then answer identical probes in
-// later calls — different strategies, different keyword queries binding the
-// same sub-queries, repeated requests — without executing SQL. Each run syncs
-// the cache to the engine's version vector before its first probe, so no
-// verdict a write could have changed is served: a dead verdict whose tables
-// the write touched turns suspect and is re-probed, and an epoch bump drops
-// every stamped verdict (see package probecache). Probe *counts*
-// (Stats.SQLExecuted) are unaffected: a cache hit is a probe the strategy
-// spent, just one the database did not have to answer; the savings show up
-// in Stats.CacheHits.
+// cache. Verdicts learned by one Debug, Search or SearchPartial call then
+// answer identical probes in later calls — different strategies, different
+// keyword queries binding the same sub-queries, repeated requests — without
+// executing SQL, and spare Search the fetch of a candidate network already
+// proved dead. Search stores the verdict each fetch's rows prove, under the
+// key Debug probes with. Each call syncs the cache to the engine's version
+// vector before its first lookup, so no verdict a write could have changed
+// is served: a dead verdict whose tables the write touched turns suspect and
+// is re-probed (or re-fetched), and an epoch bump drops every stamped
+// verdict (see package probecache). Probe *counts* (Stats.SQLExecuted) are
+// unaffected: a cache hit is a probe the strategy spent, just one the
+// database did not have to answer; the savings show up in Stats.CacheHits.
 func (sys *System) SetProbeCache(c *probecache.Cache) { sys.cache.Store(c) }
 
 // ProbeCache returns the installed cross-request cache, or nil.

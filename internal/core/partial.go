@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sort"
-
-	"kwsdbg/internal/invidx"
+	"cmp"
+	"strings"
 )
 
 // PartialResult is one tuple from a maximal alive sub-query, returned when
@@ -24,9 +23,11 @@ type PartialResult struct {
 // reports to developers) and returns their top rows, ranked by keyword
 // coverage first and relevance second. One lattice traversal serves both the
 // developer-facing explanation and the user-facing partial results — the
-// symmetry the paper's introduction points out.
+// symmetry the paper's introduction points out. The candidate-network and
+// MPAN fetches read and write the verdict cache as Search's do, so the
+// dead candidate networks a Search proved are free for the Debug run here.
 func (sys *System) SearchPartial(keywords []string, topK int) (full []SearchResult, partial []PartialResult, missing []string, err error) {
-	full, missing, err = sys.Search(keywords, topK)
+	full, missing, f, err := sys.search(keywords, topK)
 	if err != nil || len(missing) > 0 || len(full) > 0 {
 		return full, nil, missing, err
 	}
@@ -34,10 +35,7 @@ func (sys *System) SearchPartial(keywords []string, topK int) (full []SearchResu
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var kwTokens []string
-	for _, kw := range keywords {
-		kwTokens = append(kwTokens, invidx.Tokenize(kw)...)
-	}
+	top := newBestK(topK, comparePartials)
 	seen := make(map[int]bool)
 	for _, na := range out.NonAnswers {
 		for _, p := range na.MPANs {
@@ -50,47 +48,37 @@ func (sys *System) SearchPartial(keywords []string, topK int) (full []SearchResu
 			if len(covered) == 0 {
 				continue // a free-only frontier carries nothing to show
 			}
-			sel, err := sys.lat.Select(node, keywords, false)
+			cols, rows, err := f.rows(p.NodeID, topK)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			sel.Limit = topK
-			res, err := sys.eng.Select(sel)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			info := sys.queryInfo(p.NodeID)
 			textCols := sys.textColumnIndexes(node)
-			for _, row := range res.Rows {
-				tf := 0
-				for _, ci := range textCols {
-					tf += tokenHits(row[ci].S, kwTokens)
-				}
-				partial = append(partial, PartialResult{
+			for _, row := range rows {
+				top.offer(PartialResult{
 					Covered: covered,
 					SearchResult: SearchResult{
-						Query:   info,
-						Columns: res.Columns,
+						Query:   p,
+						Columns: cols,
 						Tuple:   row,
-						Score:   float64(tf) / float64(node.Level),
+						Score:   f.score(row, textCols, node.Level),
 					},
 				})
 			}
 		}
 	}
-	sort.SliceStable(partial, func(i, j int) bool {
-		if len(partial[i].Covered) != len(partial[j].Covered) {
-			return len(partial[i].Covered) > len(partial[j].Covered)
-		}
-		if partial[i].Score != partial[j].Score {
-			return partial[i].Score > partial[j].Score
-		}
-		return partial[i].Query.Tree < partial[j].Query.Tree
-	})
-	if len(partial) > topK {
-		partial = partial[:topK]
+	return nil, top.sorted(), nil, nil
+}
+
+// comparePartials orders partial results: more keywords covered first, then
+// higher score, then the tree rendering.
+func comparePartials(a, b *PartialResult) int {
+	if c := cmp.Compare(len(b.Covered), len(a.Covered)); c != 0 {
+		return c
 	}
-	return nil, partial, nil, nil
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Query.Tree, b.Query.Tree)
 }
 
 // coveredKeywords maps a node's copy mask back to the keywords it covers.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"kwsdbg/internal/probecache"
 )
 
 func TestSearchBasic(t *testing.T) {
@@ -110,5 +112,46 @@ func TestSearchErrors(t *testing.T) {
 	}
 	if _, _, err := sys.Search(nil, 5); err == nil {
 		t.Error("empty query accepted")
+	}
+}
+
+// TestSearchRepairsRevivedNetwork pins the verdict-cache contract of
+// search under a write. SearchPartial proves every candidate network of
+// "saffron scented incense" dead and caches those verdicts; an INSERT then
+// joins the existing saffron Color and incense PType rows through a new
+// scented Item. The next Search must see the revived network: the write
+// turns its cached dead verdict suspect, so Search fetches it again instead
+// of skipping it, and the store that follows is the cache's repair.
+func TestSearchRepairsRevivedNetwork(t *testing.T) {
+	sys := productSystem(t)
+	sys.SetProbeCache(probecache.New(probecache.Config{}))
+	kws := []string{"saffron", "scented", "incense"}
+	full, partial, _, err := sys.SearchPartial(kws, 10)
+	if err != nil {
+		t.Fatalf("SearchPartial: %v", err)
+	}
+	if len(full) != 0 || len(partial) == 0 {
+		t.Fatalf("before the write: %d full, %d partial results; want partials only", len(full), len(partial))
+	}
+	if _, err := sys.Engine().Exec("INSERT INTO Item VALUES (999, 'scented thing', 3, 4, 0, 1.0, 'plain')"); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	results, _, err := sys.Search(kws, 10)
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	found := false
+	for _, r := range results {
+		for i, col := range r.Columns {
+			if strings.HasSuffix(col, ".name") && r.Tuple[i].S == "scented thing" {
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("Search after the write misses the revived network's row: %v", results)
+	}
+	if st := sys.ProbeCache().Snapshot(); st.Suspects == 0 || st.Repairs == 0 {
+		t.Errorf("cache stats %+v: want suspects and repairs from the revived verdict", st)
 	}
 }

@@ -114,6 +114,31 @@ func TestProjectionForms(t *testing.T) {
 	}
 }
 
+// TestStarRowSizedOnce checks that a SELECT * row over a join is allocated
+// at its final width: len and cap both equal the joined tables' total
+// column count, so projecting never regrows the slice.
+func TestStarRowSizedOnce(t *testing.T) {
+	e := productEngine(t)
+	for _, tc := range []struct {
+		sql   string
+		width int // Item 7 + PType 2 + Color 3 + Attr 3
+	}{
+		{"SELECT * FROM PType", 2},
+		{"SELECT * FROM Item t0, PType t1 WHERE t0.ptype = t1.id", 9},
+		{"SELECT * FROM Item t0, PType t1, Color t2, Attr t3 WHERE t0.ptype = t1.id AND t0.color = t2.id AND t0.attr = t3.id", 15},
+	} {
+		res := mustQuery(t, e, tc.sql)
+		if len(res.Rows) == 0 || len(res.Columns) != tc.width {
+			t.Fatalf("%s: %d rows, columns %v", tc.sql, len(res.Rows), res.Columns)
+		}
+		for i, row := range res.Rows {
+			if len(row) != tc.width || cap(row) != tc.width {
+				t.Errorf("%s: row %d has len %d cap %d, want both %d", tc.sql, i, len(row), cap(row), tc.width)
+			}
+		}
+	}
+}
+
 func TestWherePredicates(t *testing.T) {
 	e := productEngine(t)
 	tests := []struct {

@@ -637,7 +637,11 @@ func projectRow(bq *boundQuery, env []storage.Row) []storage.Value {
 	case p.One:
 		return []storage.Value{storage.IntV(1)}
 	case p.Star:
-		var out []storage.Value
+		n := 0
+		for a := range bq.rels {
+			n += len(env[a])
+		}
+		out := make([]storage.Value, 0, n)
 		for a := range bq.rels {
 			out = append(out, env[a]...)
 		}

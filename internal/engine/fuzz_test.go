@@ -35,8 +35,8 @@ func FuzzLikeMatch(f *testing.F) {
 	f.Add("", "x")
 	f.Add("_", "é")
 	f.Add("%a%b%c%", "xxaxbxc")
-	f.Add("", "")       // empty pattern
-	f.Add("%", "é")     // wildcard-only over multi-byte input
+	f.Add("", "")        // empty pattern
+	f.Add("%", "é")      // wildcard-only over multi-byte input
 	f.Add("%世界", "你好世界") // multi-byte runes at pattern boundaries
 	f.Add("_é_", "xéy")
 	f.Add("%ß%", "straße")

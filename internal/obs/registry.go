@@ -59,8 +59,8 @@ var Registered = []RegisteredMetric{
 	{Name: "kwsdbg_probe_total", Type: "counter", Labels: []string{"strategy"}, Help: "SQL existence probes executed in Phase 3, by strategy.", Package: "kwsdbg/internal/core"},
 	{Name: "kwsdbg_probecache_entries", Type: "gauge", Labels: nil, Help: "Verdicts currently held by the cache.", Package: "kwsdbg/internal/probecache"},
 	{Name: "kwsdbg_probecache_evictions_total", Type: "counter", Labels: []string{"reason"}, Help: "Cache entries dropped, by reason: capacity = LRU pressure (cache too small), stale = TTL expiry or an epoch bump (data churning).", Package: "kwsdbg/internal/probecache"},
-	{Name: "kwsdbg_probecache_hits_total", Type: "counter", Labels: nil, Help: "Aliveness probes answered from the cross-request cache.", Package: "kwsdbg/internal/probecache"},
-	{Name: "kwsdbg_probecache_misses_total", Type: "counter", Labels: nil, Help: "Aliveness probes that missed the cross-request cache (including stale and expired entries).", Package: "kwsdbg/internal/probecache"},
+	{Name: "kwsdbg_probecache_hits_total", Type: "counter", Labels: nil, Help: "Verdict lookups (Phase 3 probes and /search fetches) answered from the cross-request cache.", Package: "kwsdbg/internal/probecache"},
+	{Name: "kwsdbg_probecache_misses_total", Type: "counter", Labels: nil, Help: "Verdict lookups (Phase 3 probes and /search fetches) that missed the cross-request cache (including stale, expired and suspect entries).", Package: "kwsdbg/internal/probecache"},
 	{Name: "kwsdbg_probecache_repairs_total", Type: "counter", Labels: nil, Help: "Suspect verdicts re-proved by a fresh probe and restored to the cache.", Package: "kwsdbg/internal/probecache"},
 	{Name: "kwsdbg_probecache_suspects_total", Type: "counter", Labels: nil, Help: "Dead verdicts downgraded to suspect because a write touched a footprint table (repair candidates, not evictions).", Package: "kwsdbg/internal/probecache"},
 	{Name: "kwsdbg_reuse_percent", Type: "gauge", Labels: nil, Help: "Descendant-overlap reuse percentage of the last debug run (Figure 13 metric).", Package: "kwsdbg/internal/core"},

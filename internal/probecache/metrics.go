@@ -4,13 +4,14 @@ import "kwsdbg/internal/obs"
 
 // Cache metrics, in the process-wide obs registry alongside the probe
 // counters of internal/core: a scrape of GET /metrics shows how many Phase 3
-// probes were answered from memory instead of the engine. Counters aggregate
-// over all Cache instances in the process (servers run one).
+// probes and search fetches were answered from memory instead of the engine.
+// Counters aggregate over all Cache instances in the process (servers run
+// one).
 var (
 	mHits = obs.Default.Counter("kwsdbg_probecache_hits_total",
-		"Aliveness probes answered from the cross-request cache.")
+		"Verdict lookups (Phase 3 probes and /search fetches) answered from the cross-request cache.")
 	mMisses = obs.Default.Counter("kwsdbg_probecache_misses_total",
-		"Aliveness probes that missed the cross-request cache (including stale and expired entries).")
+		"Verdict lookups (Phase 3 probes and /search fetches) that missed the cross-request cache (including stale, expired and suspect entries).")
 	mEvictionsVec = obs.Default.CounterVec("kwsdbg_probecache_evictions_total",
 		"Cache entries dropped, by reason: capacity = LRU pressure (cache too small), stale = TTL expiry or an epoch bump (data churning).",
 		"reason")

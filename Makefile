@@ -58,10 +58,10 @@ race:
 
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a
-# harness for every annotated function and pins warm probe servicing and
-# flight logging at zero allocations.
+# harness for every annotated function and pins warm probe servicing, flight
+# logging and the engine's join kernel at zero allocations.
 budget:
-	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree' ./internal/core ./internal/invidx
+	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree|TestEnumerateAllocFree' ./internal/core ./internal/invidx ./internal/engine
 
 verify: build fmt vet lint test race budget
 

@@ -129,6 +129,16 @@ func TestHotpathAllocBudgets(t *testing.T) {
 		"kwsdbg/internal/core/bitprobe.(*Evaluator).evaluate": {
 			coveredBy: "kwsdbg/internal/core/bitprobe.(*Evaluator).Probe",
 		},
+		// The join kernel and its membership test: their receivers are
+		// unexported, so the engine's package-local harness is the budget
+		// (TestEnumerateAllocFree runs a compiled three-way join whose
+		// lookup step tests membership).
+		"kwsdbg/internal/engine.(*execState).enumerate": {
+			coveredBy: "kwsdbg/internal/engine.TestEnumerateAllocFree",
+		},
+		"kwsdbg/internal/engine.(*rowSet).has": {
+			coveredBy: "kwsdbg/internal/engine.TestEnumerateAllocFree",
+		},
 		"kwsdbg/internal/engine.(*PreparedCache).Get": {budget: 0, run: func(t *testing.T) float64 {
 			o := sys.newOracle(ctx, kws, nil)
 			n := o.node(0)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"kwsdbg/internal/sqltext"
 	"kwsdbg/internal/storage"
 )
 
@@ -55,21 +56,40 @@ func TestConcurrentSelect(t *testing.T) {
 	}
 }
 
-// TestSelectContextCancelled verifies cancellation reaches a running
-// enumeration: a pre-cancelled context must abort the scan mid-way rather
-// than return a full result.
+// TestSelectContextCancelled verifies that a context already done when an
+// execution starts fails it, however small the query: every entry point
+// returns context.Canceled and no result, on a cold and on a warm plan.
 func TestSelectContextCancelled(t *testing.T) {
 	e := productEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// The enumerate loop only polls every ctxCheckRows rows, so a tiny scan
-	// may complete before the first check; a cross product of the four
-	// tables is guaranteed to cross the threshold... with this toy dataset
-	// it is not, so assert the weaker, still-load-bearing contract: a
-	// cancelled context never yields an error-free result with st.err set,
-	// and QueryContext surfaces ctx errors from the driver entry check.
-	if _, err := e.QueryContext(ctx, "SELECT * FROM Item"); err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("unexpected error kind: %v", err)
+	const query = "SELECT * FROM Item"
+	sel, err := sqltext.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := mustPrepare(t, e, query)
+	if _, err := warm.Exec(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"QueryContext", func() (*Result, error) { return e.QueryContext(ctx, query) }},
+		{"SelectContext", func() (*Result, error) { return e.SelectContext(ctx, sel.(*sqltext.Select)) }},
+		{"Prepared.ExecContext cold", func() (*Result, error) { return mustPrepare(t, e, query).ExecContext(ctx, nil) }},
+		{"Prepared.ExecContext warm", func() (*Result, error) { return warm.ExecContext(ctx, nil) }},
+	} {
+		res, err := tc.run()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s under a cancelled context = %v, %v; want nil, context.Canceled", tc.name, res, err)
+		}
+	}
+	// The context is checked per execution, not per handle: the warm
+	// handle still runs under a live one.
+	if res, err := warm.ExecContext(context.Background(), nil); err != nil || len(res.Rows) != 4 {
+		t.Fatalf("warm handle after a cancelled execution = %v, %v; want 4 rows", res, err)
 	}
 }
 

@@ -7,9 +7,10 @@
 // The planner is deliberately query-shape-aware rather than general: it
 // computes per-alias candidate row sets from indexable local predicates
 // (CONTAINS via the inverted index, integer equality via hash indexes), picks
-// a greedy join order starting from the most selective alias, and enumerates
-// bindings by index-nested-loop backtracking with early exit on LIMIT — the
-// access pattern that dominates a lattice traversal's existence probes.
+// a greedy join order starting from the most selective alias, compiles the
+// two into per-depth steps, and enumerates bindings over the steps by
+// index-nested-loop backtracking with early exit on LIMIT — the access
+// pattern that dominates a lattice traversal's existence probes.
 package engine
 
 import (

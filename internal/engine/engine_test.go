@@ -486,110 +486,8 @@ func rowsKey(rows [][]storage.Value) []string {
 func TestExecutorMatchesNaiveProperty(t *testing.T) {
 	e := productEngine(t)
 	r := rand.New(rand.NewSource(42))
-	tables := []string{"Item", "PType", "Color", "Attr"}
-	textCols := map[string][]string{
-		"Item":  {"name", "description"},
-		"PType": {"ptype"},
-		"Color": {"color", "synonyms"},
-		"Attr":  {"property", "value"},
-	}
-	intCols := map[string][]string{
-		"Item":  {"id", "ptype", "color", "attr"},
-		"PType": {"id"},
-		"Color": {"id"},
-		"Attr":  {"id"},
-	}
-	words := []string{"saffron", "scented", "candle", "red", "oil", "vanilla", "checkered", "missing"}
 	for iter := 0; iter < 300; iter++ {
-		nt := 1 + r.Intn(3)
-		sel := &sqltext.Select{Limit: -1}
-		for i := 0; i < nt; i++ {
-			tbl := tables[r.Intn(len(tables))]
-			sel.From = append(sel.From, sqltext.TableRef{Table: tbl, Alias: fmt.Sprintf("a%d", i)})
-		}
-		switch r.Intn(3) {
-		case 0:
-			sel.Projection.Star = true
-		case 1:
-			sel.Projection.Count = true
-		default:
-			sel.Projection.One = true
-		}
-		// Join predicates chaining consecutive aliases when possible.
-		for i := 1; i < nt; i++ {
-			lt := sel.From[i-1].Table
-			rt := sel.From[i].Table
-			lc := intCols[lt][r.Intn(len(intCols[lt]))]
-			rc := intCols[rt][r.Intn(len(intCols[rt]))]
-			sel.Where = append(sel.Where, sqltext.Comparison{
-				Left:  sqltext.ColRef{Qualifier: sel.From[i-1].Alias, Column: lc},
-				Op:    sqltext.OpEq,
-				Right: sqltext.ColOperand(sqltext.ColRef{Qualifier: sel.From[i].Alias, Column: rc}),
-			})
-		}
-		// Random local predicates.
-		for i := 0; i < r.Intn(3); i++ {
-			ai := r.Intn(nt)
-			tbl := sel.From[ai].Table
-			alias := sel.From[ai].Alias
-			w := words[r.Intn(len(words))]
-			tc := textCols[tbl][r.Intn(len(textCols[tbl]))]
-			var pred sqltext.Predicate
-			switch r.Intn(4) {
-			case 0:
-				pred = sqltext.Comparison{
-					Left:  sqltext.ColRef{Qualifier: alias, Column: tc},
-					Op:    sqltext.OpContains,
-					Right: sqltext.LitOperand(sqltext.StringLit(w)),
-				}
-			case 1:
-				pred = sqltext.Comparison{
-					Left:  sqltext.ColRef{Qualifier: alias, Column: tc},
-					Op:    sqltext.OpLike,
-					Right: sqltext.LitOperand(sqltext.StringLit("%" + w + "%")),
-				}
-			case 2:
-				ic := intCols[tbl][r.Intn(len(intCols[tbl]))]
-				pred = sqltext.Comparison{
-					Left:  sqltext.ColRef{Qualifier: alias, Column: ic},
-					Op:    []sqltext.CmpOp{sqltext.OpEq, sqltext.OpLt, sqltext.OpGe}[r.Intn(3)],
-					Right: sqltext.LitOperand(sqltext.IntLit(int64(r.Intn(5)))),
-				}
-			default:
-				// Mixed OR-groups exercise the index-union path (CONTAINS
-				// and integer equality are both indexable) as well as the
-				// non-indexable fallback (LIKE poisons the union).
-				second := sqltext.Predicate(sqltext.Comparison{
-					Left:  sqltext.ColRef{Qualifier: alias, Column: textCols[tbl][0]},
-					Op:    sqltext.OpContains,
-					Right: sqltext.LitOperand(sqltext.StringLit(words[r.Intn(len(words))])),
-				})
-				switch r.Intn(3) {
-				case 0:
-					ic := intCols[tbl][r.Intn(len(intCols[tbl]))]
-					second = sqltext.Comparison{
-						Left:  sqltext.ColRef{Qualifier: alias, Column: ic},
-						Op:    sqltext.OpEq,
-						Right: sqltext.LitOperand(sqltext.IntLit(int64(r.Intn(4)))),
-					}
-				case 1:
-					second = sqltext.Comparison{
-						Left:  sqltext.ColRef{Qualifier: alias, Column: textCols[tbl][0]},
-						Op:    sqltext.OpLike,
-						Right: sqltext.LitOperand(sqltext.StringLit("%" + words[r.Intn(len(words))] + "%")),
-					}
-				}
-				pred = sqltext.OrGroup{Terms: []sqltext.Predicate{
-					sqltext.Comparison{
-						Left:  sqltext.ColRef{Qualifier: alias, Column: tc},
-						Op:    sqltext.OpContains,
-						Right: sqltext.LitOperand(sqltext.StringLit(w)),
-					},
-					second,
-				}}
-			}
-			sel.Where = append(sel.Where, pred)
-		}
+		sel := randomProductQuery(r)
 		want := naiveEval(t, e, sel)
 		got, err := e.Select(sel)
 		if err != nil {
@@ -600,6 +498,122 @@ func TestExecutorMatchesNaiveProperty(t *testing.T) {
 				iter, sqltext.Print(sel), rowsKey(got.Rows), rowsKey(want))
 		}
 	}
+}
+
+// Column names of the product database by type, for random queries.
+var (
+	productTables   = []string{"Item", "PType", "Color", "Attr"}
+	productTextCols = map[string][]string{
+		"Item":  {"name", "description"},
+		"PType": {"ptype"},
+		"Color": {"color", "synonyms"},
+		"Attr":  {"property", "value"},
+	}
+	productIntCols = map[string][]string{
+		"Item":  {"id", "ptype", "color", "attr"},
+		"PType": {"id"},
+		"Color": {"id"},
+		"Attr":  {"id"},
+	}
+)
+
+// randomProductQuery draws one query over the product database: one to three
+// aliases, each joined to the one before it by an INT equi-join (these are
+// the first len(From)-1 predicates of Where), then up to two random local
+// predicates, and no LIMIT.
+func randomProductQuery(r *rand.Rand) *sqltext.Select {
+	tables, textCols, intCols := productTables, productTextCols, productIntCols
+	words := []string{"saffron", "scented", "candle", "red", "oil", "vanilla", "checkered", "missing"}
+	nt := 1 + r.Intn(3)
+	sel := &sqltext.Select{Limit: -1}
+	for i := 0; i < nt; i++ {
+		tbl := tables[r.Intn(len(tables))]
+		sel.From = append(sel.From, sqltext.TableRef{Table: tbl, Alias: fmt.Sprintf("a%d", i)})
+	}
+	switch r.Intn(3) {
+	case 0:
+		sel.Projection.Star = true
+	case 1:
+		sel.Projection.Count = true
+	default:
+		sel.Projection.One = true
+	}
+	// Join predicates chaining consecutive aliases when possible.
+	for i := 1; i < nt; i++ {
+		lt := sel.From[i-1].Table
+		rt := sel.From[i].Table
+		lc := intCols[lt][r.Intn(len(intCols[lt]))]
+		rc := intCols[rt][r.Intn(len(intCols[rt]))]
+		sel.Where = append(sel.Where, sqltext.Comparison{
+			Left:  sqltext.ColRef{Qualifier: sel.From[i-1].Alias, Column: lc},
+			Op:    sqltext.OpEq,
+			Right: sqltext.ColOperand(sqltext.ColRef{Qualifier: sel.From[i].Alias, Column: rc}),
+		})
+	}
+	// Random local predicates.
+	for i := 0; i < r.Intn(3); i++ {
+		ai := r.Intn(nt)
+		tbl := sel.From[ai].Table
+		alias := sel.From[ai].Alias
+		w := words[r.Intn(len(words))]
+		tc := textCols[tbl][r.Intn(len(textCols[tbl]))]
+		var pred sqltext.Predicate
+		switch r.Intn(4) {
+		case 0:
+			pred = sqltext.Comparison{
+				Left:  sqltext.ColRef{Qualifier: alias, Column: tc},
+				Op:    sqltext.OpContains,
+				Right: sqltext.LitOperand(sqltext.StringLit(w)),
+			}
+		case 1:
+			pred = sqltext.Comparison{
+				Left:  sqltext.ColRef{Qualifier: alias, Column: tc},
+				Op:    sqltext.OpLike,
+				Right: sqltext.LitOperand(sqltext.StringLit("%" + w + "%")),
+			}
+		case 2:
+			ic := intCols[tbl][r.Intn(len(intCols[tbl]))]
+			pred = sqltext.Comparison{
+				Left:  sqltext.ColRef{Qualifier: alias, Column: ic},
+				Op:    []sqltext.CmpOp{sqltext.OpEq, sqltext.OpLt, sqltext.OpGe}[r.Intn(3)],
+				Right: sqltext.LitOperand(sqltext.IntLit(int64(r.Intn(5)))),
+			}
+		default:
+			// Mixed OR-groups exercise the index-union path (CONTAINS
+			// and integer equality are both indexable) as well as the
+			// non-indexable fallback (LIKE poisons the union).
+			second := sqltext.Predicate(sqltext.Comparison{
+				Left:  sqltext.ColRef{Qualifier: alias, Column: textCols[tbl][0]},
+				Op:    sqltext.OpContains,
+				Right: sqltext.LitOperand(sqltext.StringLit(words[r.Intn(len(words))])),
+			})
+			switch r.Intn(3) {
+			case 0:
+				ic := intCols[tbl][r.Intn(len(intCols[tbl]))]
+				second = sqltext.Comparison{
+					Left:  sqltext.ColRef{Qualifier: alias, Column: ic},
+					Op:    sqltext.OpEq,
+					Right: sqltext.LitOperand(sqltext.IntLit(int64(r.Intn(4)))),
+				}
+			case 1:
+				second = sqltext.Comparison{
+					Left:  sqltext.ColRef{Qualifier: alias, Column: textCols[tbl][0]},
+					Op:    sqltext.OpLike,
+					Right: sqltext.LitOperand(sqltext.StringLit("%" + words[r.Intn(len(words))] + "%")),
+				}
+			}
+			pred = sqltext.OrGroup{Terms: []sqltext.Predicate{
+				sqltext.Comparison{
+					Left:  sqltext.ColRef{Qualifier: alias, Column: tc},
+					Op:    sqltext.OpContains,
+					Right: sqltext.LitOperand(sqltext.StringLit(w)),
+				},
+				second,
+			}}
+		}
+		sel.Where = append(sel.Where, pred)
+	}
+	return sel
 }
 
 func TestCellContains(t *testing.T) {
@@ -760,6 +774,7 @@ func TestExplain(t *testing.T) {
 		"via index candidates",
 		"joined on",
 		"predicates covered",
+		"joined on t1.ptype = t0.id (hash lookup on t1.ptype)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
@@ -780,6 +795,24 @@ func TestExplain(t *testing.T) {
 	}
 	if !strings.Contains(out, "via scan") {
 		t.Errorf("unfiltered alias not scanned:\n%s", out)
+	}
+
+	// A step prints the join its hash lookup enforces first, then the joins
+	// it checks per row (here a TEXT join, which no lookup can serve).
+	out, err = e.Explain(`SELECT 1 FROM Attr a, Item i, Color c
+		WHERE i.attr = a.id AND i.color = c.id AND a.value = c.color
+		AND a.value CONTAINS 'saffron'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{
+		"1. Attr AS a via index candidates (1 rows, 1/1 local predicates covered)",
+		"2. Item AS i via scan (4 rows) joined on i.attr = a.id (hash lookup on i.attr)",
+		"3. Color AS c via scan (4 rows) joined on i.color = c.id (hash lookup on c.id) AND a.value = c.color",
+	} {
+		if got := strings.Split(out, "\n")[i+1]; got != want {
+			t.Errorf("step %d = %q, want %q\n%s", i+1, got, want, out)
+		}
 	}
 
 	if _, err := e.Explain("INSERT INTO Item VALUES (9, 'x', 1, 1, 1, 1.0, 'y')"); err == nil {

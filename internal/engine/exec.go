@@ -217,18 +217,23 @@ type boundQuery struct {
 	projCols []colLoc
 }
 
-// execState carries one Select call's enumeration state: the resolved query,
-// the per-alias plans and join order, the emit callback, and the rows-scanned
-// counter. Every call allocates its own execState, which is what makes
-// concurrent Selects on one Engine race-free by construction — the parallel
-// probe scheduler in internal/core issues many Selects at once and nothing
-// mutable is shared between them.
+// execState carries one execution's enumeration state: the resolved query,
+// its compiled steps, the binding under construction, the result being
+// collected, and the rows-scanned counter. Every execution allocates its own
+// execState, which is what makes concurrent Selects on one Engine race-free
+// by construction — the parallel probe scheduler in internal/core issues many
+// Selects at once and nothing mutable is shared between them.
 type execState struct {
 	ctx   context.Context
 	bq    *boundQuery
-	plans []aliasPlan
-	order []int
-	emit  func([]storage.Row) bool
+	steps []step
+	// env[a] is alias a's bound row, nil while a is unbound.
+	env []storage.Row
+	res *Result
+	// limit caps len(res.Rows); negative means no cap. COUNT(*) consumes
+	// every binding, so its limit is -1.
+	limit int
+	count int64
 	// scanned counts candidate rows visited during enumeration, for the
 	// rows-scanned metric. Per-call, so no atomics.
 	scanned int
@@ -236,6 +241,44 @@ type execState struct {
 	// deadline is checked every ctxCheckRows scanned rows, so a runaway
 	// cross product is abandoned promptly when the request is cancelled.
 	err error
+}
+
+// newExecState prepares one execution of bq over its compiled steps.
+func newExecState(ctx context.Context, bq *boundQuery, steps []step) *execState {
+	st := &execState{
+		ctx:   ctx,
+		bq:    bq,
+		steps: steps,
+		env:   make([]storage.Row, len(bq.aliases)),
+		res:   &Result{Columns: projectionColumns(bq)},
+		limit: bq.sel.Limit,
+	}
+	if bq.sel.Projection.Count {
+		st.limit = -1
+	}
+	return st
+}
+
+// emit consumes one complete binding; it returns false once LIMIT is reached.
+func (st *execState) emit() bool {
+	if st.bq.sel.Projection.Count {
+		st.count++
+		return true
+	}
+	st.res.Rows = append(st.res.Rows, projectRow(st.bq, st.env))
+	return st.limit < 0 || len(st.res.Rows) < st.limit
+}
+
+// result finishes the execution: the enumeration's error, or its rows (one
+// count row for COUNT(*)).
+func (st *execState) result() (*Result, error) {
+	if st.err != nil {
+		return nil, st.err
+	}
+	if st.bq.sel.Projection.Count {
+		st.res.Rows = append(st.res.Rows, []storage.Value{storage.IntV(st.count)})
+	}
+	return st.res, nil
 }
 
 // ctxCheckRows is how many candidate rows are scanned between context
@@ -402,20 +445,121 @@ func checkLiteralType(col catalog.ColType, op sqltext.CmpOp, lit sqltext.Literal
 
 // aliasPlan is the per-alias access strategy.
 type aliasPlan struct {
-	// indexed reports whether ids is authoritative; an indexed plan with an
-	// empty ids list means no row can match (nil slices from an empty
+	// indexed reports whether set is authoritative; an indexed plan with an
+	// empty candidate list means no row can match (nil slices from an empty
 	// intersection must not be confused with "no index available").
 	indexed bool
-	// ids is the explicit candidate list (sorted); meaningful when indexed.
-	ids []storage.RowID
-	// member is the membership set for ids when non-nil.
-	member map[storage.RowID]bool
+	// set holds the explicit candidate list; meaningful when indexed.
+	set rowSet
 	// est is the estimated candidate count used for join ordering.
 	est int
 	// covered marks the local predicates (parallel to boundQuery.local[a])
-	// that ids captures exactly; they need no per-row re-check because the
-	// inverted index and the CONTAINS evaluator share one tokenizer.
+	// that the candidate list captures exactly; they need no per-row
+	// re-check because the inverted index and the CONTAINS evaluator share
+	// one tokenizer.
 	covered []bool
+}
+
+// rowSet is a sorted candidate list with a membership test. A bitmap over
+// row IDs backs the test when its word count is at most the list's length,
+// so it never costs more memory than the list it indexes; a sparser list is
+// binary-searched instead. Immutable once built, so plans and candidate-set
+// cache entries share it freely.
+type rowSet struct {
+	ids  []storage.RowID
+	bits []uint64
+}
+
+// newRowSet indexes a sorted candidate list.
+func newRowSet(ids []storage.RowID) rowSet {
+	s := rowSet{ids: ids}
+	if len(ids) == 0 {
+		return s
+	}
+	if words := int(ids[len(ids)-1])/64 + 1; words <= len(ids) {
+		s.bits = make([]uint64, words)
+		for _, id := range ids {
+			s.bits[id/64] |= 1 << (uint(id) % 64)
+		}
+	}
+	return s
+}
+
+// has reports whether id is in the list.
+//
+//kws:hotpath
+func (s *rowSet) has(id storage.RowID) bool {
+	if s.bits != nil {
+		w := uint(id) / 64
+		return w < uint(len(s.bits)) && s.bits[w]&(1<<(uint(id)%64)) != 0
+	}
+	lo, hi := 0, len(s.ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(s.ids) && s.ids[lo] == id
+}
+
+// step is one depth of a compiled execution: how to bind one alias, given
+// the aliases bound at shallower depths. compile fixes every choice the
+// executor would otherwise re-derive per call and per depth.
+type step struct {
+	a   int
+	tbl *storage.Table
+	// look is the join the hash lookup enforces: rows come from
+	// tbl.LookupInt(col, value at val). Nil means the step iterates the
+	// candidate list, or scans the table when the alias is not indexed.
+	look *rcmp
+	col  int
+	val  colLoc
+	// joins are the other joins to bound aliases, checked per row in query
+	// order. The lookup proved look, so it is not among them.
+	joins []*rcmp
+	// filters are the alias's local predicates the candidate list does not
+	// cover, checked per row after joins.
+	filters []rpred
+	indexed bool
+	set     rowSet
+}
+
+// compile turns a plan and its join order into per-depth steps. The join
+// that a step looks up is the first join to a bound alias whose column on
+// the step's side is INT.
+func compile(bq *boundQuery, plans []aliasPlan, order []int) []step {
+	steps := make([]step, len(order))
+	var bound uint64
+	for depth, a := range order {
+		p := &plans[a]
+		s := &steps[depth]
+		*s = step{a: a, tbl: bq.tables[a], indexed: p.indexed, set: p.set}
+		bit := uint64(1) << uint(a)
+		for _, j := range bq.joins {
+			if j.m&^bound != bit {
+				continue // a is not the join's one unbound alias
+			}
+			probe, value := j.left, j.right
+			if probe.a != a {
+				probe, value = j.right, j.left
+			}
+			if s.look == nil && bq.rels[a].Columns[probe.c].Type == catalog.Int {
+				s.look, s.col, s.val = j, probe.c, value
+				continue
+			}
+			s.joins = append(s.joins, j)
+		}
+		for pi, pr := range bq.local[a] {
+			if !p.indexed || !p.covered[pi] {
+				s.filters = append(s.filters, pr)
+			}
+		}
+		bound |= bit
+	}
+	return steps
 }
 
 // plan computes candidate sets from indexable local predicates and an
@@ -474,36 +618,36 @@ func (e *Engine) planWith(bq *boundQuery, cands *CandidateCache) ([]aliasPlan, [
 
 // planAlias derives the candidate row set for one alias from its indexable
 // local predicates, consulting the candidate-set cache when one is supplied.
-// A single cached predicate reuses the cache's membership map directly — the
-// common case for existence probes, whose aliases carry at most one keyword
-// predicate — and only intersections allocate a fresh one.
+// A single cached predicate reuses the cache's rowSet directly — the common
+// case for existence probes, whose aliases carry at most one keyword
+// predicate — and only uncached lists and intersections index a fresh one.
 func (e *Engine) planAlias(bq *boundQuery, ix *invidx.Index, a int, cands *CandidateCache) aliasPlan {
 	tbl := bq.tables[a]
 	var ids []storage.RowID
-	var member map[storage.RowID]bool
+	var shared *rowSet
 	have := false
 	covered := make([]bool, len(bq.local[a]))
 	for pi, p := range bq.local[a] {
-		if got, mem, ok := e.candidateSet(bq, ix, a, p, cands); ok {
+		if got, set, ok := e.candidateSet(bq, ix, a, p, cands); ok {
 			covered[pi] = true
 			if !have {
-				ids, member, have = got, mem, true
+				ids, shared, have = got, set, true
 			} else {
 				ids = invidx.IntersectRowIDs(ids, got)
-				member = nil
+				shared = nil
 			}
 		}
 	}
 	if !have {
 		return aliasPlan{est: tbl.RowCount()}
 	}
-	if member == nil {
-		member = make(map[storage.RowID]bool, len(ids))
-		for _, id := range ids {
-			member[id] = true
-		}
+	p := aliasPlan{indexed: true, est: len(ids), covered: covered}
+	if shared != nil {
+		p.set = *shared
+	} else {
+		p.set = newRowSet(ids)
 	}
-	return aliasPlan{indexed: true, ids: ids, member: member, est: len(ids), covered: covered}
+	return p
 }
 
 // indexable evaluates a local predicate via an index when possible,
@@ -548,10 +692,12 @@ func (e *Engine) Select(sel *sqltext.Select) (*Result, error) {
 	return e.SelectContext(context.Background(), sel)
 }
 
-// SelectContext executes a resolved SELECT statement under a context: the
-// deadline is re-checked periodically while join bindings are enumerated, so
-// a cancelled request abandons even a long-running cross product instead of
-// running it to completion. Transient failures (see Transient) are retried
+// SelectContext executes a resolved SELECT statement under a context. An
+// execution under a context that is already done returns its error and no
+// rows, however small the query; the deadline is then re-checked
+// periodically while join bindings are enumerated, so a cancelled request
+// abandons even a long-running cross product instead of running it to
+// completion. Transient failures (see Transient) are retried
 // with exponential backoff up to the engine's RetryPolicy; the backoff sleep
 // itself is context-aware, so cancellation never waits out a delay.
 //
@@ -565,42 +711,22 @@ func (e *Engine) SelectContext(ctx context.Context, sel *sqltext.Select) (*Resul
 	return p.ExecContext(ctx, nil)
 }
 
-// runPlan enumerates one planned execution and assembles the Result; it is
+// runPlan enumerates one compiled execution and assembles the Result; it is
 // the shared tail of every execution path (text or prepared, any attempt).
 // start is when the attempt began, so the latency metric covers planning too.
-func (e *Engine) runPlan(ctx context.Context, bq *boundQuery, plans []aliasPlan, order []int, start time.Time) (*Result, error) {
-	sel := bq.sel
-	res := &Result{Columns: projectionColumns(bq)}
-	limit := sel.Limit
-	if sel.Projection.Count {
-		limit = -1 // the aggregate consumes all bindings
+// A context that is already done fails the execution before any row is read.
+func (e *Engine) runPlan(ctx context.Context, bq *boundQuery, steps []step, start time.Time) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	count := int64(0)
-	st := &execState{ctx: ctx, bq: bq, plans: plans, order: order}
-	st.emit = func(env []storage.Row) bool {
-		if sel.Projection.Count {
-			count++
-			return true
-		}
-		res.Rows = append(res.Rows, projectRow(bq, env))
-		return limit < 0 || len(res.Rows) < limit
+	st := newExecState(ctx, bq, steps)
+	if st.limit != 0 {
+		st.enumerate(0)
 	}
-
-	env := make([]storage.Row, len(bq.aliases))
-	if limit != 0 {
-		e.enumerate(st, 0, env)
-	}
-
 	mSQLExec.Inc()
 	mSQLSeconds.Observe(time.Since(start).Seconds())
 	mRowsScanned.Add(float64(st.scanned))
-	if st.err != nil {
-		return nil, st.err
-	}
-	if sel.Projection.Count {
-		res.Rows = append(res.Rows, []storage.Value{storage.IntV(count)})
-	}
-	return res, nil
+	return st.result()
 }
 
 func projectionColumns(bq *boundQuery) []string {
@@ -655,99 +781,77 @@ func projectRow(bq *boundQuery, env []storage.Row) []storage.Value {
 	}
 }
 
-// enumerate binds aliases in plan order by index-nested-loop backtracking.
-// It returns false when the emit callback asks to stop (LIMIT reached) or
-// the context is cancelled (recorded in st.err).
-func (e *Engine) enumerate(st *execState, depth int, env []storage.Row) bool {
-	bq, plans, order := st.bq, st.plans, st.order
-	if depth == len(order) {
-		for _, p := range bq.residual {
+// enumerate binds steps[depth:] by index-nested-loop backtracking and emits
+// every complete binding the residual predicates accept. It returns false
+// when emit asks to stop (LIMIT reached) or the context is cancelled
+// (recorded in st.err). It allocates nothing itself and leaves env[a] nil on
+// every return.
+//
+//kws:hotpath
+func (st *execState) enumerate(depth int) bool {
+	env := st.env
+	if depth == len(st.steps) {
+		for _, p := range st.bq.residual {
 			if !p.eval(env) {
 				return true
 			}
 		}
-		return st.emit(env)
+		return st.emit()
 	}
-	a := order[depth]
-	tbl := bq.tables[a]
-
-	var boundMask uint64
-	for _, prev := range order[:depth] {
-		boundMask |= 1 << uint(prev)
-	}
-	// Join predicates connecting a to an already-bound alias.
-	var probes []*rcmp
-	for _, j := range bq.joins {
-		if j.mask()&(1<<uint(a)) != 0 && j.mask()&boundMask != 0 && j.mask()&^(boundMask|1<<uint(a)) == 0 {
-			probes = append(probes, j)
+	s := &st.steps[depth]
+	// The rows to try: those whose lookup column holds the bound join
+	// value, the candidate list, or every row of the table.
+	var ids []storage.RowID
+	n, scan := 0, false
+	switch {
+	case s.look != nil:
+		vf, ok := numeric(env[s.val.a][s.val.c])
+		if !ok || vf != float64(int64(vf)) {
+			return true // join value cannot match any integer key
 		}
+		ids = s.tbl.LookupInt(s.col, int64(vf))
+		n = len(ids)
+	case s.indexed:
+		ids = s.set.ids
+		n = len(ids)
+	default:
+		n, scan = s.tbl.RowCount(), true
 	}
-
-	try := func(id storage.RowID) bool {
+	member := s.look != nil && s.indexed
+	ok := true
+rows:
+	for i := 0; i < n; i++ {
+		id := storage.RowID(i)
+		if !scan {
+			id = ids[i]
+			if member && !s.set.has(id) {
+				continue
+			}
+		}
 		st.scanned++
 		if st.scanned%ctxCheckRows == 0 {
 			if err := st.ctx.Err(); err != nil {
 				st.err = err
-				return false
+				ok = false
+				break
 			}
 		}
-		row := tbl.Row(id)
-		env[a] = row
-		defer func() { env[a] = nil }()
-		for _, j := range probes {
+		env[s.a] = s.tbl.Row(id)
+		for _, j := range s.joins {
 			if !j.eval(env) {
-				return true // mismatch: keep searching
+				continue rows
 			}
 		}
-		for pi, p := range bq.local[a] {
-			if plans[a].indexed && plans[a].covered[pi] {
-				continue // exactly captured by the candidate list
-			}
+		for _, p := range s.filters {
 			if !p.eval(env) {
-				return true
+				continue rows
 			}
 		}
-		return e.enumerate(st, depth+1, env)
+		if !st.enumerate(depth + 1) {
+			ok = false
+			break
+		}
 	}
-
-	// Prefer probing a hash index with a bound join value.
-	for _, j := range probes {
-		probeLoc, valueLoc := j.left, j.right
-		if probeLoc.a != a {
-			probeLoc, valueLoc = j.right, j.left
-		}
-		if bq.rels[a].Columns[probeLoc.c].Type != catalog.Int {
-			continue
-		}
-		v := env[valueLoc.a][valueLoc.c]
-		vf, ok := numeric(v)
-		if !ok || vf != float64(int64(vf)) {
-			return true // join value cannot match any integer key
-		}
-		for _, id := range tbl.LookupInt(probeLoc.c, int64(vf)) {
-			if plans[a].indexed && !plans[a].member[id] {
-				continue
-			}
-			if !try(id) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Otherwise scan the candidate list (or the whole table).
-	if plans[a].indexed {
-		for _, id := range plans[a].ids {
-			if !try(id) {
-				return false
-			}
-		}
-		return true
-	}
-	ok := true
-	tbl.Scan(func(id storage.RowID, _ storage.Row) bool {
-		ok = try(id)
-		return ok
-	})
+	env[s.a] = nil
 	return ok
 }

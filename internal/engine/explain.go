@@ -9,9 +9,11 @@ import (
 
 // Explain describes how the engine would execute a SELECT: the join order
 // the planner chose, each alias's access path (index candidates versus full
-// scan, and which predicates the candidate list already guarantees), and the
-// residual predicates applied to complete bindings. No data is touched
-// beyond what planning itself needs (index lookups for candidate lists).
+// scan, and which predicates the candidate list already guarantees), the
+// joins each alias is bound on (the one its hash lookup enforces first), and
+// the residual predicates applied to complete bindings. It prints the same
+// compiled steps an execution runs. No data is touched beyond what planning
+// itself needs (index lookups for candidate lists).
 func (e *Engine) Explain(query string) (string, error) {
 	stmt, err := sqltext.Parse(query)
 	if err != nil {
@@ -29,40 +31,31 @@ func (e *Engine) Explain(query string) (string, error) {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan for: %s\n", sqltext.Print(sel))
-	for depth, a := range order {
-		tbl := bq.tables[a]
+	for depth, s := range compile(bq, plans, order) {
+		a := s.a
 		fmt.Fprintf(&sb, "%d. %s AS %s", depth+1, bq.rels[a].Name, bq.aliases[a])
 		switch {
-		case plans[a].indexed:
-			covered := 0
-			for _, c := range plans[a].covered {
-				if c {
-					covered++
-				}
-			}
+		case s.indexed:
 			fmt.Fprintf(&sb, " via index candidates (%d rows, %d/%d local predicates covered)",
-				len(plans[a].ids), covered, len(bq.local[a]))
+				len(s.set.ids), len(bq.local[a])-len(s.filters), len(bq.local[a]))
 		default:
-			fmt.Fprintf(&sb, " via scan (%d rows", tbl.RowCount())
+			fmt.Fprintf(&sb, " via scan (%d rows", s.tbl.RowCount())
 			if len(bq.local[a]) > 0 {
 				fmt.Fprintf(&sb, ", %d filter predicates", len(bq.local[a]))
 			}
 			sb.WriteString(")")
 		}
 		if depth > 0 {
-			var probes []string
-			var boundMask uint64
-			for _, prev := range order[:depth] {
-				boundMask |= 1 << uint(prev)
+			var on []string
+			if s.look != nil {
+				on = append(on, fmt.Sprintf("%s (hash lookup on %s.%s)", joinString(bq, s.look),
+					bq.aliases[a], bq.rels[a].Columns[s.col].Name))
 			}
-			for _, j := range bq.joins {
-				if j.mask()&(1<<uint(a)) != 0 && j.mask()&boundMask != 0 &&
-					j.mask()&^(boundMask|1<<uint(a)) == 0 {
-					probes = append(probes, joinString(bq, j))
-				}
+			for _, j := range s.joins {
+				on = append(on, joinString(bq, j))
 			}
-			if len(probes) > 0 {
-				fmt.Fprintf(&sb, " joined on %s", strings.Join(probes, " AND "))
+			if len(on) > 0 {
+				fmt.Fprintf(&sb, " joined on %s", strings.Join(on, " AND "))
 			} else {
 				sb.WriteString(" (cross product)")
 			}

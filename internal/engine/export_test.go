@@ -1,5 +1,7 @@
 package engine
 
+import "kwsdbg/internal/sqltext"
+
 // ProductScript exposes the Figure 2 load script to the engine_test
 // package, whose tests also load DBLife (which imports engine).
 const ProductScript = productScript
@@ -12,4 +14,13 @@ func (e *Engine) OvercountIndexedRows(table string, n int) {
 	defer e.mu.Unlock()
 	e.syncIndexLocked()
 	e.ixSizes[table] += n
+}
+
+// CheckKernel plans sel (through cands when non-nil) and runs the plan
+// through the compiled kernel and through the reference executor of
+// kernel_test.go, reporting the first difference in result rows (in order)
+// or in rows scanned.
+func (e *Engine) CheckKernel(sel *sqltext.Select, cands *CandidateCache) error {
+	_, err := checkKernel(e, sel, cands)
+	return err
 }

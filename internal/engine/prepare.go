@@ -42,14 +42,13 @@ const maxReplanAttempts = 8
 // converges the moment the write storm pauses for one planning window.
 var ErrReplanChurn = errors.New("engine: replan abandoned under sustained write churn")
 
-// compiledPlan is one planning outcome: the per-alias access paths and join
-// order valid while no write intersects the stamped footprint. It is
+// compiledPlan is one planning outcome: the per-depth steps (access paths in
+// join order) valid while no write intersects the stamped footprint. It is
 // immutable after construction, which is what lets concurrent executions
 // share it through an atomic pointer.
 type compiledPlan struct {
 	stamp vervec.Stamp
-	plans []aliasPlan
-	order []int
+	steps []step
 }
 
 // Prepared is a compiled, reusable query handle. The bound query is fixed at
@@ -122,7 +121,7 @@ func (p *Prepared) replan(cands *CandidateCache) (*compiledPlan, error) {
 		st := p.e.vv.Stamp(p.fp)
 		plans, order := p.e.planWith(p.bq, cands)
 		if !p.e.vv.Stale(st) {
-			cp := &compiledPlan{stamp: st, plans: plans, order: order}
+			cp := &compiledPlan{stamp: st, steps: compile(p.bq, plans, order)}
 			p.plan.Store(cp)
 			return cp, nil
 		}
@@ -209,7 +208,7 @@ func (p *Prepared) execOnce(ctx context.Context, cands *CandidateCache, fl *flig
 	start := time.Now()
 	if cp := p.plan.Load(); cp != nil && !p.e.vv.Stale(cp.stamp) {
 		fl.Emit(flight.PlanReuse, node, probe, false, 0, "")
-		return p.e.runPlan(ctx, p.bq, cp.plans, cp.order, start)
+		return p.e.runPlan(ctx, p.bq, cp.steps, start)
 	} else if cp != nil {
 		fl.Emit(flight.Replan, node, probe, false, 0, "stale")
 	} else {
@@ -219,13 +218,13 @@ func (p *Prepared) execOnce(ctx context.Context, cands *CandidateCache, fl *flig
 	if err != nil {
 		return nil, err
 	}
-	return p.e.runPlan(ctx, p.bq, cp.plans, cp.order, start)
+	return p.e.runPlan(ctx, p.bq, cp.steps, start)
 }
 
 // CandidateCache shares the per-alias indexed candidate row sets of one debug
 // run. Dozens of lattice nodes bind the same keyword to the same relation
 // copy, so the same CONTAINS lookup — index probe, intersection, membership
-// map — recurs across probes; entries are keyed by table plus the resolved
+// set — recurs across probes; entries are keyed by table plus the resolved
 // predicate's signature (alias-independent), computed once under a
 // single-flight, and revalidated against the entry's footprint slice of the
 // engine's version vector so an INSERT between probes can never serve a
@@ -257,8 +256,8 @@ func (c *CandidateCache) SetFlight(fl *flight.Log) {
 	}
 }
 
-// candEntry is one computed candidate set. stamp, groups, ids, and member
-// are written under once and immutable afterwards.
+// candEntry is one computed candidate set. stamp, groups, and set are
+// written under once and immutable afterwards.
 type candEntry struct {
 	once sync.Once
 	// stamp snapshots the entry's footprint (table counter first, then the
@@ -266,8 +265,7 @@ type candEntry struct {
 	// per-branch term indices (see candFootprint).
 	stamp  vervec.Stamp
 	groups [][]int
-	ids    []storage.RowID
-	member map[storage.RowID]bool
+	set    rowSet
 }
 
 // candFootprint describes what a candidate set depends on. names[0] is the
@@ -350,11 +348,7 @@ func (c *CandidateCache) get(e *Engine, key string, fp candFootprint, compute fu
 			// the stamp stale rather than vouching for rows it never saw.
 			en.stamp = e.vv.Stamp(fp.names)
 			en.groups = fp.groups
-			en.ids = compute()
-			en.member = make(map[storage.RowID]bool, len(en.ids))
-			for _, id := range en.ids {
-				en.member[id] = true
-			}
+			en.set = newRowSet(compute())
 		})
 		if computed {
 			c.misses.Add(1)
@@ -442,9 +436,10 @@ func indexableShape(bq *boundQuery, a int, p rpred) bool {
 }
 
 // candidateSet resolves one indexable local predicate to its candidate rows,
-// through the cache when one is supplied. The bool mirrors indexable's: false
-// means the predicate has no index path and must be evaluated per row.
-func (e *Engine) candidateSet(bq *boundQuery, ix *invidx.Index, a int, p rpred, cands *CandidateCache) ([]storage.RowID, map[storage.RowID]bool, bool) {
+// through the cache when one is supplied; a cached set comes with the
+// entry's rowSet. The bool mirrors indexable's: false means the predicate has
+// no index path and must be evaluated per row.
+func (e *Engine) candidateSet(bq *boundQuery, ix *invidx.Index, a int, p rpred, cands *CandidateCache) ([]storage.RowID, *rowSet, bool) {
 	if !indexableShape(bq, a, p) {
 		return nil, nil, false
 	}
@@ -457,7 +452,7 @@ func (e *Engine) candidateSet(bq *boundQuery, ix *invidx.Index, a int, p rpred, 
 		ids, _ := e.indexable(bq, ix, a, p)
 		return ids
 	})
-	return en.ids, en.member, true
+	return en.set.ids, &en.set, true
 }
 
 // candFP builds the footprint of one indexable predicate: the table's vector

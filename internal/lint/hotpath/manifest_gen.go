@@ -17,6 +17,8 @@ var Manifest = []string{
 	"kwsdbg/internal/core/bitprobe.(*Evaluator).Probe",
 	"kwsdbg/internal/core/bitprobe.(*Evaluator).evaluate",
 	"kwsdbg/internal/engine.(*PreparedCache).Get",
+	"kwsdbg/internal/engine.(*execState).enumerate",
+	"kwsdbg/internal/engine.(*rowSet).has",
 	"kwsdbg/internal/invidx.lookupMetrics.record",
 	"kwsdbg/internal/lattice.(*Lattice).Prune",
 	"kwsdbg/internal/obs/flight.(*Log).Emit",

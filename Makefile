@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race budget verify experiments bench bench-check chaos chaos-writes
+.PHONY: all build fmt vet lint test race budget verify fuzz experiments bench bench-check chaos chaos-writes
 
 all: verify
 
@@ -59,11 +59,32 @@ race:
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a
 # harness for every annotated function and pins warm probe servicing, flight
-# logging and the engine's join kernel at zero allocations.
+# logging, the engine's join kernel and the /debug report's entry writer at
+# zero allocations, and JSONOpts at one allocation per Q1-Q10 report.
 budget:
-	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree|TestEnumerateAllocFree' ./internal/core ./internal/invidx ./internal/engine
+	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree|TestEnumerateAllocFree|TestQueryEntryAllocFree|TestJSONOptsAllocs' ./internal/core ./internal/invidx ./internal/engine ./internal/report
 
 verify: build fmt vet lint test race budget
+
+# fuzz runs every fuzz target past its seed corpus (the seeds alone run in
+# `test`) for FUZZTIME each, one target at a time: go test -fuzz takes a
+# single target per run. A failing input is written under the package's
+# testdata/fuzz/ directory; commit it with the fix as a regression seed.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	FuzzTokenize:./internal/invidx \
+	FuzzLikeMatch:./internal/engine \
+	FuzzContainsToken:./internal/engine \
+	FuzzParse:./internal/sqltext \
+	FuzzTokenHits:./internal/core \
+	FuzzJSONOpts:./internal/report
+
+fuzz:
+	@set -e; for target in $(FUZZ_TARGETS); do \
+		name=$${target%%:*}; pkg=$${target#*:}; \
+		echo "fuzz $$name in $$pkg for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # The kwsbench benchmark lives in its own modules (cmd/kwsbench and
 # internal/kwsbench, each replacing kwsdbg with the root), so the root

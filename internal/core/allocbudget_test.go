@@ -188,6 +188,12 @@ func TestHotpathAllocBudgets(t *testing.T) {
 				}
 			})
 		}},
+		// The /debug report's per-entry writer: report imports core, so its
+		// package-local harness is the budget (TestQueryEntryAllocFree writes
+		// an entry, SQL included, into a slice with room).
+		"kwsdbg/internal/report.(*jsonWriter).query": {
+			coveredBy: "kwsdbg/internal/report.TestQueryEntryAllocFree",
+		},
 		"kwsdbg/internal/probecache.(*Cache).Lookup": {budget: 0, run: func(t *testing.T) float64 {
 			c := probecache.New(probecache.Config{})
 			c.Put("k", true)

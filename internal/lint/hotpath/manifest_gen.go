@@ -24,4 +24,5 @@ var Manifest = []string{
 	"kwsdbg/internal/obs/flight.(*Log).Emit",
 	"kwsdbg/internal/probecache.(*Cache).Get",
 	"kwsdbg/internal/probecache.(*Cache).Lookup",
+	"kwsdbg/internal/report.(*jsonWriter).query",
 }

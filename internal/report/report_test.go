@@ -2,6 +2,7 @@ package report
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -84,6 +85,55 @@ func TestTextNonKeywords(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "not found anywhere") {
 		t.Errorf("text = %q", sb.String())
+	}
+}
+
+// failingWriter accepts ok writes, then fails every later one.
+type failingWriter struct{ ok, writes int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > f.ok {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
+}
+
+// TestTextReturnsWriteErrors fails the writer at each line of a report in
+// turn, and Text must return the failure every time: the SQL, MPAN,
+// "... and N more", "(explanation incomplete ...)" and preview lines
+// included, so a writer failing after the last DEAD line is reported too.
+func TestTextReturnsWriteErrors(t *testing.T) {
+	sys, out := exampleOutput(t)
+	q := core.QueryInfo{NodeID: 7, Level: 2, Tree: "Item#1-PType#2", SQL: "SELECT 1"}
+	budgeted := &core.Output{
+		Keywords:         []string{"saffron", "candle"},
+		NonAnswers:       []core.NonAnswer{{Query: q, MPANs: []core.QueryInfo{q}, Incomplete: true}},
+		Incomplete:       true,
+		IncompleteReason: core.ReasonProbeBudget,
+		Unclassified:     []core.QueryInfo{q},
+	}
+	for _, c := range []struct {
+		name string
+		out  *core.Output
+		opts Options
+	}{
+		{"sql, preview, capped mpans", out, Options{ShowSQL: true, MaxMPANs: 1, Preview: 2, Sys: sys}},
+		{"plain", out, Options{}},
+		{"budgeted", budgeted, Options{ShowSQL: true}},
+		{"non-keyword", &core.Output{Keywords: []string{"zzz"}, NonKeywords: []string{"zzz"}}, Options{}},
+	} {
+		count := &failingWriter{ok: 1 << 30}
+		if err := Text(count, c.out, c.opts); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for ok := 0; ok < count.writes; ok++ {
+			if err := Text(&failingWriter{ok: ok}, c.out, c.opts); !errors.Is(err, errWriteFailed) {
+				t.Errorf("%s: write %d of %d failed, Text returned %v", c.name, ok+1, count.writes, err)
+			}
+		}
 	}
 }
 

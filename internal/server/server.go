@@ -44,7 +44,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -52,6 +51,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -272,8 +272,8 @@ func flightJSON(evs []flight.Event) []flightEventJSON {
 }
 
 // keywords parses the q parameter into keyword fields.
-func keywords(r *http.Request) ([]string, error) {
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
+func keywords(params url.Values) ([]string, error) {
+	q := strings.TrimSpace(params.Get("q"))
 	if q == "" {
 		return nil, fmt.Errorf("missing q parameter")
 	}
@@ -284,13 +284,14 @@ func keywords(r *http.Request) ([]string, error) {
 const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
-	kws, err := keywords(r)
+	params := r.URL.Query()
+	kws, err := keywords(params)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	strat := core.SBH
-	if name := r.URL.Query().Get("strategy"); name != "" {
+	if name := params.Get("strategy"); name != "" {
 		strat, err = parseStrategy(name)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, err)
@@ -298,7 +299,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	workers := s.Workers
-	if raw := r.URL.Query().Get("workers"); raw != "" {
+	if raw := params.Get("workers"); raw != "" {
 		workers, err = strconv.Atoi(raw)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad workers parameter %q (want an integer)", raw))
@@ -312,7 +313,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	// deadline_ms bounds this request's probing wall clock; the server
 	// timeout remains the ceiling.
 	var deadline time.Duration
-	if raw := r.URL.Query().Get("deadline_ms"); raw != "" {
+	if raw := params.Get("deadline_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
 		// Above maxDeadlineMS the conversion to a Duration would wrap
 		// negative, and a negative Deadline means no deadline at all.
@@ -327,7 +328,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	}
 	// budget tightens the server-wide probe allowance; it can never raise it.
 	budget := s.ProbeBudget
-	if raw := r.URL.Query().Get("budget"); raw != "" {
+	if raw := params.Get("budget"); raw != "" {
 		b, err := strconv.Atoi(raw)
 		if err != nil || b <= 0 {
 			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad budget parameter %q (want a positive integer)", raw))
@@ -342,7 +343,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	// bitmap-semi-join path. The outputs are identical; the knob exists for
 	// benchmarking and debugging.
 	textProbes, bitsetProbes := false, false
-	switch raw := r.URL.Query().Get("probe_path"); raw {
+	switch raw := params.Get("probe_path"); raw {
 	case "", "prepared":
 	case "text":
 		textProbes = true
@@ -354,7 +355,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	}
 	// ledger=1 additionally captures the run's full event stream and writes
 	// it as a JSONL ledger; it needs a configured directory.
-	wantLedger := r.URL.Query().Get("ledger") == "1"
+	wantLedger := params.Get("ledger") == "1"
 	if wantLedger && s.LedgerDir == "" {
 		s.writeError(w, r, http.StatusBadRequest,
 			fmt.Errorf("ledger=1 requires the server to be started with a ledger directory"))
@@ -376,7 +377,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	out, err := s.sys.DebugContext(ctx, kws, core.Options{
 		Strategy:     strat,
 		Workers:      workers,
-		BypassCache:  r.URL.Query().Get("cache") == "0",
+		BypassCache:  params.Get("cache") == "0",
 		TextProbes:   textProbes,
 		BitsetProbes: bitsetProbes,
 		Deadline:     deadline,
@@ -402,17 +403,17 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Kwsdbg-Ledger", path)
 		}
 	}
-	opts := report.JSONOptions{ShowSQL: r.URL.Query().Get("sql") == "1"}
-	if r.URL.Query().Get("trace") == "1" {
+	opts := report.JSONOptions{ShowSQL: params.Get("sql") == "1"}
+	if params.Get("trace") == "1" {
 		opts.Trace = &report.Trace{Elapsed: elapsed, Workers: core.ClampWorkers(workers)}
 	}
-	var buf bytes.Buffer
-	if err := report.JSONOpts(&buf, out, opts); err != nil {
+	body, err := report.AppendJSON(nil, out, opts)
+	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if _, err := io.Copy(w, &buf); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.logger().Warn("write response", slog.String("error", err.Error()))
 	}
 }
@@ -497,7 +498,8 @@ type partialResult struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	kws, err := keywords(r)
+	params := r.URL.Query()
+	kws, err := keywords(params)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -509,7 +511,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	k := 10
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := params.Get("k"); raw != "" {
 		k, err = strconv.Atoi(raw)
 		if err != nil || k <= 0 || k > 1000 {
 			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad k parameter %q", raw))

@@ -59,10 +59,11 @@ race:
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a
 # harness for every annotated function and pins warm probe servicing, flight
-# logging, the engine's join kernel and the /debug report's entry writer at
-# zero allocations, and JSONOpts at one allocation per Q1-Q10 report.
+# logging, the per-binding cache lookup, the engine's join kernel and the
+# /debug report's entry writer at zero allocations, a warm Q1-Q10 debug run
+# at its measured count, and JSONOpts at one allocation per Q1-Q10 report.
 budget:
-	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree|TestEnumerateAllocFree|TestQueryEntryAllocFree|TestJSONOptsAllocs' ./internal/core ./internal/invidx ./internal/engine ./internal/report
+	$(GO) test -run 'TestHotpathAllocBudgets|TestWarmDebugAllocBudget|TestLookupRecordAllocFree|TestEnumerateAllocFree|TestQueryEntryAllocFree|TestJSONOptsAllocs' ./internal/core ./internal/invidx ./internal/engine ./internal/report
 
 verify: build fmt vet lint test race budget
 
@@ -109,12 +110,15 @@ chaos:
 # detector: writers serialize in storage, readers see consistent prefixes,
 # and at quiesce the repaired warm output must be byte-identical to a cold
 # run at every worker count — on the prepared path and on the bitset path
-# (suspect -> re-probe -> repair through bitmap semi-joins). In the engine,
-# INSERTs extend the inverted index while readers query the snapshots they
-# took; at quiesce the index must equal a fresh build. Repeated because the
-# interleavings that matter are scheduling-dependent.
+# (suspect -> re-probe -> repair through bitmap semi-joins). One storm makes
+# query keywords bind new relations, so readers build new per-binding cache
+# entries while others read the old ones; at quiesce every output must equal
+# a fresh System's. In the engine, INSERTs extend the inverted index while
+# readers query the snapshots they took; at quiesce the index must equal a
+# fresh build. Repeated because the interleavings that matter are
+# scheduling-dependent.
 chaos-writes:
-	$(GO) test -race -count=3 -run 'ChaosWriteStorm|ChaosBitsetWriteStorm|RepairAcrossWorkerCounts|IndexWriteStorm' ./internal/core ./internal/engine
+	$(GO) test -race -count=3 -run 'ChaosWriteStorm|ChaosBitsetWriteStorm|ChaosBindingStorm|RepairAcrossWorkerCounts|IndexWriteStorm' ./internal/core ./internal/engine
 
 # The repository's one benchmark is kwsbench (named in BENCHMARK.json): four
 # level-5 workloads served over HTTP through the real server stack, with

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	roaring "kwsdbg/internal/bitset"
+	"kwsdbg/internal/dblife"
 	"kwsdbg/internal/lint/hotpath"
 	"kwsdbg/internal/obs/flight"
 	"kwsdbg/internal/probecache"
@@ -69,12 +70,12 @@ func TestHotpathAllocBudgets(t *testing.T) {
 		run  func(t *testing.T) float64
 	}{
 		{"kwsdbg/internal/core.(*bitsetOracle).IsAlive", func(t *testing.T) float64 {
-			o := sys.newOracle(ctx, kws, nil)
+			o := sys.newOracle(ctx, buildSublattice(sys.lat, []int{probeNode}), kws, nil)
 			o.bits = sys.bits
 			return warmIsAlive(t, o, probeNode)
 		}},
 		{"kwsdbg/internal/core.(*preparedOracle).IsAlive", func(t *testing.T) float64 {
-			o := sys.newOracle(ctx, kws, nil)
+			o := sys.newOracle(ctx, buildSublattice(sys.lat, []int{0}), kws, nil)
 			cache := probecache.New(probecache.Config{})
 			o.view = cache.SyncVersions(sys.eng.Versions())
 			o.cache = cache
@@ -103,6 +104,23 @@ func TestHotpathAllocBudgets(t *testing.T) {
 					t.Fatal("wrong intersection")
 				}
 				c.Release()
+			})
+		}},
+		// The per-binding cache lookup every Debug, Search and ReturnNothing
+		// call makes, on a key built as phase12 builds it.
+		"kwsdbg/internal/core.(*bindingCache).get": {budget: 0, run: func(t *testing.T) float64 {
+			if _, err := sys.Debug(kws, Options{}); err != nil { // fills the binding's entry
+				t.Fatal(err)
+			}
+			var tables [][]string
+			for _, kw := range kws {
+				tables = append(tables, sys.eng.Index().Tables(kw))
+			}
+			key := appendBindKey(nil, sys.lat.Bind(tables), len(kws))
+			return testing.AllocsPerRun(1000, func() {
+				if sys.bindings.get(key) == nil {
+					t.Fatal("warm binding missing")
+				}
 			})
 		}},
 		// The single probe pipeline, warm on its two hot steps (see steps
@@ -140,8 +158,11 @@ func TestHotpathAllocBudgets(t *testing.T) {
 			coveredBy: "kwsdbg/internal/engine.TestEnumerateAllocFree",
 		},
 		"kwsdbg/internal/engine.(*PreparedCache).Get": {budget: 0, run: func(t *testing.T) float64 {
-			o := sys.newOracle(ctx, kws, nil)
-			n := o.node(0)
+			o := sys.newOracle(ctx, buildSublattice(sys.lat, []int{0}), kws, nil)
+			n, err := o.node(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if _, err := o.handle(0, n); err != nil { // compiles and Puts the handle
 				t.Fatalf("compile handle: %v", err)
 			}
@@ -240,5 +261,36 @@ func TestHotpathAllocBudgets(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("harness entry %s is not in the //kws:hotpath manifest; annotate the function or drop the row", name)
 		}
+	}
+}
+
+// TestWarmDebugAllocBudget pins what a warm debug run allocates: SBH over
+// DBLife Q1-Q10 at level 5 with a flight log attached, every binding served
+// by the per-binding cache and every probe by the verdict cache — the shape
+// of a warm /debug request. The budget is the measured count (781 per run
+// on go1.24; 1,609 before the per-binding cache) plus 5 %.
+func TestWarmDebugAllocBudget(t *testing.T) {
+	base := dblifeSystem(t, 5)
+	sys, err := NewSystem(base.eng, base.lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetProbeCache(probecache.New(probecache.Config{}))
+	rec := flight.NewRecorder(flight.DefaultRingSize)
+	queries := dblife.Workload()
+	sweep := func() {
+		for _, q := range queries {
+			ctx := flight.NewContext(context.Background(), flight.NewLog(rec, "alloc-budget", false))
+			if _, err := sys.DebugContext(ctx, q.Keywords, Options{Strategy: SBH}); err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+		}
+	}
+	sweep() // fills the binding, verdict and handle caches
+	perCall := testing.AllocsPerRun(20, sweep) / float64(len(queries))
+	t.Logf("warm debug run: %.1f allocations", perCall)
+	const budget = 820
+	if perCall > budget {
+		t.Errorf("a warm debug run allocates %.1f times, budget %d", perCall, budget)
 	}
 }

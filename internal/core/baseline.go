@@ -44,16 +44,16 @@ func (sys *System) ReturnNothing(keywords []string) (RNStats, error) {
 				subset = append(subset, keywords[i])
 			}
 		}
-		ph, err := sys.phase12(subset)
+		ph, err := sys.phase12(subset, true)
 		if err != nil {
 			return stats, err
 		}
 		stats.KeywordQueries++
 		stats.MapTime += ph.stats.MapTime
-		if len(ph.nonKeywords) > 0 {
+		if len(ph.nonKeywords) > 0 || ph.entry.sub == nil {
 			continue
 		}
-		o := sys.newOracle(context.Background(), subset, nil)
+		o := sys.newOracle(context.Background(), ph.entry.sub, subset, nil)
 		o.db = sys.db
 		for _, id := range ph.mtnIDs {
 			if _, err := o.IsAlive(id); err != nil {

@@ -54,7 +54,7 @@ func BenchmarkPhase12(b *testing.B) {
 // BenchmarkSublatticeBuild isolates the Phase 2 closure construction.
 func BenchmarkSublatticeBuild(b *testing.B) {
 	sys := benchSystem(b)
-	ph, err := sys.phase12([]string{"saffron", "scented", "candle"})
+	ph, err := sys.phase12([]string{"saffron", "scented", "candle"}, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func BenchmarkSublatticeBuild(b *testing.B) {
 func BenchmarkProbeCompile(b *testing.B) {
 	sys := benchSystem(b)
 	kws := []string{"saffron", "scented", "candle"}
-	ph, err := sys.phase12(kws)
+	ph, err := sys.phase12(kws, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,8 +99,11 @@ func BenchmarkProbeCompile(b *testing.B) {
 		}
 	})
 	b.Run("handle", func(b *testing.B) {
-		o := sys.newOracle(context.Background(), kws, nil)
-		n := o.node(nodeID)
+		o := sys.newOracle(context.Background(), sub, kws, nil)
+		n, err := o.node(nodeID)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := o.handle(nodeID, n); err != nil {
 			b.Fatal(err)
 		}

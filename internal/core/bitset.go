@@ -30,21 +30,15 @@ func (b bitset) empty() bool {
 	return true
 }
 
-// drain returns the set bits in ascending order, nil when none is set, and
-// clears the set.
-func (b bitset) drain() []int32 {
-	n := b.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, 0, n)
+// drain appends the set bits to dst in ascending order and clears the set.
+func (b bitset) drain(dst []int32) []int32 {
 	for wi, w := range b {
 		for ; w != 0; w &= w - 1 {
-			out = append(out, int32(wi<<6+bits.TrailingZeros64(w)))
+			dst = append(dst, int32(wi<<6+bits.TrailingZeros64(w)))
 		}
 		b[wi] = 0
 	}
-	return out
+	return dst
 }
 
 // forEach calls fn for every set bit in ascending order.

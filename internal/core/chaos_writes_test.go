@@ -208,3 +208,128 @@ func TestChaosWriteStormSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosBindingStorm lands INSERTs that make query keywords bind
+// relations they did not bind while readers debug and search (under -race
+// by `make chaos-writes`). Each new binding keys a new per-binding cache
+// entry, built while other runs read the old ones. Mid-storm runs must not
+// fail; at quiesce every output must equal a fresh System's over the same
+// engine, at every strategy and worker count.
+func TestChaosBindingStorm(t *testing.T) {
+	sys := productSystem(t)
+	sys.SetProbeCache(probecache.New(probecache.Config{}))
+	queries := [][]string{
+		{"saffron", "scented", "candle"},
+		{"scented", "incense"},
+		{"vanilla", "checkered"},
+		{"floral", "oil"},
+	}
+	const writers, perWriter, readers = 2, 16, 3
+	// Writers wait until every reader has run each query once, so the storm
+	// rebinds keywords whose old bindings are cached.
+	var warmed sync.WaitGroup
+	warmed.Add(readers)
+	warm := make(chan struct{})
+	go func() { warmed.Wait(); close(warm) }()
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+readers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-warm
+			for i := 0; i < perWriter; i++ {
+				id := 200 + w*perWriter + i
+				var stmt string
+				switch i % 4 {
+				case 0: // "scented" and "candle" reach PType
+					stmt = fmt.Sprintf("INSERT INTO PType VALUES (%d, 'scented candle %d')", id, id)
+				case 1: // "incense" and "vanilla" reach Color
+					stmt = fmt.Sprintf("INSERT INTO Color VALUES (%d, 'incense grey', 'vanilla %d')", id, id)
+				case 2: // "oil" and "candle" reach Attr
+					stmt = fmt.Sprintf("INSERT INTO Attr VALUES (%d, 'finish', 'oil candle %d')", id, id)
+				default: // "floral" and "saffron" reach Item's text
+					stmt = fmt.Sprintf("INSERT INTO Item VALUES (%d, 'floral incense %d', 3, 4, 3, 2.0, 'saffron oil')", id, id)
+				}
+				if _, err := sys.Engine().Exec(stmt); err != nil {
+					errs <- fmt.Errorf("writer %d insert %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	stormDone := make(chan struct{})
+	go func() { wg.Wait(); close(stormDone) }()
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			var once sync.Once
+			defer once.Do(warmed.Done)
+			for i := r; ; i++ {
+				if i-r == len(queries) {
+					once.Do(warmed.Done)
+				}
+				select {
+				case <-stormDone:
+					return
+				default:
+				}
+				kws := queries[i%len(queries)]
+				opts := Options{Strategy: allStrategies[i%len(allStrategies)], Workers: 1 + 3*(i%2)}
+				if _, err := sys.Debug(kws, opts); err != nil {
+					errs <- fmt.Errorf("reader %d mid-storm Debug %v: %w", r, kws, err)
+					return
+				}
+				if _, _, _, err := sys.SearchPartial(kws, 5); err != nil {
+					errs <- fmt.Errorf("reader %d mid-storm SearchPartial %v: %w", r, kws, err)
+					return
+				}
+			}
+		}(r)
+	}
+	rg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	plain, err := NewSystem(sys.Engine(), sys.Lattice())
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	for _, kws := range queries {
+		for _, strat := range allStrategies {
+			for _, workers := range []int{1, 4} {
+				opts := Options{Strategy: strat, Workers: workers}
+				got, err := sys.Debug(kws, opts)
+				if err != nil {
+					t.Fatalf("%v %v at quiesce: %v", kws, strat, err)
+				}
+				want, err := plain.Debug(kws, opts)
+				if err != nil {
+					t.Fatalf("fresh %v %v at quiesce: %v", kws, strat, err)
+				}
+				if !reflect.DeepEqual(normalized(got), normalized(want)) {
+					t.Fatalf("%v %v workers=%d: output after the binding storm differs from a fresh System\ngot:  %+v\nwant: %+v",
+						kws, strat, workers, normalized(got), normalized(want))
+				}
+			}
+		}
+		gotFull, gotPartial, _, err := sys.SearchPartial(kws, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFull, wantPartial, _, err := plain.SearchPartial(kws, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotFull, wantFull) || !reflect.DeepEqual(gotPartial, wantPartial) {
+			t.Fatalf("%v: SearchPartial after the binding storm differs from a fresh System", kws)
+		}
+	}
+	if st := sys.BindingCacheStats(); st.Entries <= len(queries) {
+		t.Errorf("binding cache holds %d entries for %d queries: the storm rebound no keyword", st.Entries, len(queries))
+	}
+}

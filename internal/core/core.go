@@ -86,6 +86,10 @@ type System struct {
 	// entries self-revalidate against the engine's version vector, so the
 	// evaluator never needs flushing on INSERT.
 	bits *bitprobe.Evaluator
+
+	// bindings caches Phases 1b-2 per keyword binding: the pruned-node
+	// count, the MTNs, their sublattice and its tree labels (bindcache.go).
+	bindings *bindingCache
 }
 
 // NewSystem wires an engine and a pre-generated lattice together. The lattice
@@ -98,6 +102,7 @@ func NewSystem(eng *engine.Engine, lat *lattice.Lattice) (*System, error) {
 		eng: eng, lat: lat, db: sqldriver.OpenDB(eng),
 		prepared: engine.NewPreparedCache(engine.DefaultPlanCacheSize, "prepared"),
 		bits:     bitprobe.New(eng),
+		bindings: newBindingCache(bindingCacheBytes),
 	}
 	// An open sql.DB is held by its connection goroutine, and through it the
 	// engine; closing it once the System is unreachable lets both be
@@ -166,10 +171,16 @@ func (sys *System) PurgePlanCaches() {
 // and candidate bitmaps; benchmarks use it to measure the cold bitset path.
 func (sys *System) PurgeBitsetCaches() { sys.bits.Purge() }
 
+// BindingCacheStats snapshots the per-binding cache of Phases 1b-2, for
+// health endpoints.
+func (sys *System) BindingCacheStats() BindingCacheStats { return sys.bindings.stats() }
+
 // Stats aggregates the measurements of one debugging run — every quantity
 // §3 of the paper reports.
 type Stats struct {
-	// Phase 1.
+	// Phase 1. The timings are what the run spent: when the per-binding
+	// cache holds the query's binding, PruneTime is the binding's encoding
+	// and the lookup, and MTNTime is zero.
 	MapTime      time.Duration // keyword -> relation binding via the inverted index
 	PruneTime    time.Duration // lattice pruning
 	LatticeNodes int           // nodes in the offline lattice
@@ -178,10 +189,9 @@ type Stats struct {
 	// Phase 2.
 	MTNTime    time.Duration
 	MTNs       int
-	SubNodes   int         // nodes in the MTNs' descendant closure
-	DescTotal  int         // descendants of MTNs, with multiplicity
-	DescUnique int         // unique descendants
-	MTNLevels  map[int]int // MTN count per lattice level
+	SubNodes   int // nodes in the MTNs' descendant closure
+	DescTotal  int // descendants of MTNs, with multiplicity
+	DescUnique int // unique descendants
 
 	// Phase 3.
 	Strategy    Strategy
@@ -392,32 +402,35 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	if opts.TextProbes && opts.BitsetProbes {
 		return nil, fmt.Errorf("core: TextProbes and BitsetProbes are mutually exclusive")
 	}
-	ph, err := sys.phase12(keywords)
+	ph, err := sys.phase12(keywords, true)
 	if err != nil {
 		return nil, err
 	}
 	out = &Output{Keywords: keywords, NonKeywords: ph.nonKeywords, Stats: ph.stats, lat: sys.lat}
 	out.Stats.Strategy = opts.Strategy
-	mtnIDs := ph.mtnIDs
+	if len(ph.nonKeywords) > 0 {
+		mMTNs.Observe(0)
+		return out, nil
+	}
+	e := ph.entry
 	if opts.Filter != nil {
-		kept := mtnIDs[:0:0]
-		for _, id := range mtnIDs {
+		// A filtered run builds a private entry over the MTNs it keeps.
+		kept := e.mtnIDs[:0:0]
+		for _, id := range e.mtnIDs {
 			if opts.Filter(sys.lat.Node(id)) {
 				kept = append(kept, id)
 			}
 		}
-		mtnIDs = kept
-		out.Stats.MTNs = len(mtnIDs)
-		out.Stats.MTNLevels = sys.mtnLevels(mtnIDs)
+		e = newBindingEntry(sys.lat, e.pruned, kept)
+		out.Stats.MTNs = len(kept)
 	}
 	mMTNs.Observe(float64(out.Stats.MTNs))
-	if len(ph.nonKeywords) > 0 || len(mtnIDs) == 0 {
+	if e.sub == nil {
 		return out, nil
 	}
-
-	sub := buildSublattice(sys.lat, mtnIDs)
+	sub := e.sub
 	out.Stats.SubNodes = sub.len()
-	out.Stats.DescTotal, out.Stats.DescUnique = sub.descendantStats()
+	out.Stats.DescTotal, out.Stats.DescUnique = e.descTotal, e.descUnique
 	mReusePercent.Set(out.Stats.ReusePercent())
 
 	// The governor meters Phase 3: probes run under probeCtx (the caller's
@@ -443,7 +456,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	// The probe oracle: compiled engine handles by default, bitmap
 	// semi-joins or rendered SQL through database/sql when the caller asks.
 	// Every step shares the verdict cache and produces identical Output.
-	base := sys.newOracle(probeCtx, keywords, fl)
+	base := sys.newOracle(probeCtx, sub, keywords, fl)
 	switch {
 	case opts.TextProbes:
 		base.db = sys.db
@@ -485,17 +498,17 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	base.fill(&out.Stats)
 	out.Stats.Inferred = inferred
 	strat := opts.Strategy.String()
-	mPhaseSeconds.With("traverse").Observe(out.Stats.TraverseTime.Seconds())
+	hTraverse.Observe(out.Stats.TraverseTime.Seconds())
 	mProbes.With(strat).Add(float64(out.Stats.SQLExecuted))
 	mInferred.With(strat).Add(float64(out.Stats.Inferred))
 
 	for _, m := range res.aliveMTNs {
-		out.Answers = append(out.Answers, sys.queryInfo(sub.nodeID[m]))
+		out.Answers = append(out.Answers, e.info(m))
 	}
 	for _, m := range res.deadMTNs {
-		na := NonAnswer{Query: sys.queryInfo(sub.nodeID[m]), Incomplete: res.partial[m]}
+		na := NonAnswer{Query: e.info(m), Incomplete: res.partial[m]}
 		for _, p := range res.mpans[m] {
-			na.MPANs = append(na.MPANs, sys.queryInfo(sub.nodeID[p]))
+			na.MPANs = append(na.MPANs, e.info(p))
 		}
 		// Present the most specific explanations first: an MPAN covering
 		// more of the query (higher level) is usually the actionable one.
@@ -509,7 +522,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	}
 	sort.Ints(res.unresolved)
 	for _, m := range res.unresolved {
-		out.Unclassified = append(out.Unclassified, sys.queryInfo(sub.nodeID[m]))
+		out.Unclassified = append(out.Unclassified, e.info(m))
 	}
 	return out, nil
 }
@@ -517,9 +530,10 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 // Analyze runs phases 1 and 2 only — keyword binding, pruning, MTN
 // discovery, and the descendant-overlap statistics — without probing any
 // node. The experiment harness uses it for the measurements of Figure 10 and
-// Figure 13, which are traversal-independent.
+// Figure 13, which are traversal-independent, so it times the phases
+// themselves: it never reads or fills the per-binding cache.
 func (sys *System) Analyze(keywords []string) (Stats, error) {
-	ph, err := sys.phase12(keywords)
+	ph, err := sys.phase12(keywords, false)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -533,28 +547,23 @@ func (sys *System) Analyze(keywords []string) (Stats, error) {
 	return stats, nil
 }
 
-// queryInfo describes a node for user consumption. It leaves the SQL text
-// to Output.QuerySQL, so a caller that never shows it never renders it.
-func (sys *System) queryInfo(nodeID int) QueryInfo {
-	n := sys.lat.Node(nodeID)
-	return QueryInfo{NodeID: nodeID, Level: n.Level, Tree: n.String()}
-}
-
-// phase12 holds the outcome of phases 1 and 2 for one keyword query.
+// phase12Result holds the outcome of phases 1 and 2 for one keyword query.
 type phase12Result struct {
-	keywords    []string
 	nonKeywords []string
 	// tables[j] lists the relations containing keyword j+1.
 	tables [][]string
-	// surviving lattice nodes (Phase 1) and the MTNs among them (Phase 2),
-	// ascending.
-	surviving lattice.NodeSet
-	mtnIDs    []int
-	stats     Stats
+	// mtnIDs are the MTNs' lattice node IDs, ascending.
+	mtnIDs []int
+	// entry is the binding's per-binding cache entry; nil when phase12 ran
+	// uncached or a keyword is missing.
+	entry *bindingEntry
+	stats Stats
 }
 
-// phase12 binds keywords to relations, prunes the lattice, and finds MTNs.
-func (sys *System) phase12(keywords []string) (*phase12Result, error) {
+// bind is Phase 1a: it binds keywords to relations through the live
+// inverted index. It runs on every request, cached or not, because a write
+// can make a keyword bind a new relation.
+func (sys *System) bind(keywords []string) (*phase12Result, error) {
 	if len(keywords) == 0 {
 		return nil, fmt.Errorf("core: empty keyword query")
 	}
@@ -562,10 +571,8 @@ func (sys *System) phase12(keywords []string) (*phase12Result, error) {
 		return nil, fmt.Errorf("core: query has %d keywords; lattice supports %d",
 			len(keywords), sys.lat.KeywordSlots())
 	}
-	ph := &phase12Result{keywords: keywords}
+	ph := &phase12Result{}
 	ph.stats.LatticeNodes = sys.lat.Len()
-
-	// Phase 1a: keyword -> relation binding via the inverted index.
 	start := clock.Now()
 	ix := sys.eng.Index()
 	for _, kw := range keywords {
@@ -577,37 +584,51 @@ func (sys *System) phase12(keywords []string) (*phase12Result, error) {
 		ph.tables = append(ph.tables, tables)
 	}
 	ph.stats.MapTime = clock.Since(start)
-	mPhaseSeconds.With("map").Observe(ph.stats.MapTime.Seconds())
-	if len(ph.nonKeywords) > 0 {
-		// "And" semantics: a keyword absent from the data means the whole
-		// query has no answers; report the missing keywords and stop.
-		return ph, nil
-	}
-
-	// Phase 1b: prune nodes with unbindable keyword copies.
-	start = clock.Now()
-	ph.surviving = sys.lat.Prune(sys.lat.Bind(ph.tables))
-	ph.stats.PruneTime = clock.Since(start)
-	ph.stats.PrunedNodes = ph.surviving.Len()
-	mPhaseSeconds.With("prune").Observe(ph.stats.PruneTime.Seconds())
-
-	// Phase 2: minimal total nodes among the survivors.
-	start = clock.Now()
-	ph.mtnIDs = sys.lat.MinimalTotal(ph.surviving, len(keywords))
-	ph.stats.MTNLevels = sys.mtnLevels(ph.mtnIDs)
-	ph.stats.MTNTime = clock.Since(start)
-	ph.stats.MTNs = len(ph.mtnIDs)
-	mPhaseSeconds.With("mtn").Observe(ph.stats.MTNTime.Seconds())
+	hMap.Observe(ph.stats.MapTime.Seconds())
 	return ph, nil
 }
 
-// mtnLevels counts MTNs per lattice level.
-func (sys *System) mtnLevels(mtnIDs []int) map[int]int {
-	levels := make(map[int]int)
-	for _, id := range mtnIDs {
-		levels[sys.lat.Node(id).Level]++
+// phase12 binds keywords to relations (Phase 1a), then prunes the lattice
+// (Phase 1b) and finds the MTNs (Phase 2). With cached set, the pruning and
+// MTNs come from the per-binding cache, and a miss builds and stores the
+// binding's whole entry, sublattice and labels included; without it they
+// are computed afresh and no entry is built.
+func (sys *System) phase12(keywords []string, cached bool) (*phase12Result, error) {
+	ph, err := sys.bind(keywords)
+	if err != nil || len(ph.nonKeywords) > 0 {
+		// "And" semantics: a keyword absent from the data means the whole
+		// query has no answers; report the missing keywords and stop.
+		return ph, err
 	}
-	return levels
+	start := clock.Now()
+	b := sys.lat.Bind(ph.tables)
+	var buf [bindKeyStack]byte
+	key := appendBindKey(buf[:0], b, len(keywords))
+	if cached {
+		ph.entry = sys.bindings.get(key)
+	}
+	if ph.entry != nil {
+		ph.stats.PruneTime = clock.Since(start)
+		ph.stats.PrunedNodes, ph.mtnIDs = ph.entry.pruned, ph.entry.mtnIDs
+	} else {
+		// Phase 1b: prune nodes with unbindable keyword copies.
+		surviving := sys.lat.Prune(b)
+		ph.stats.PruneTime = clock.Since(start)
+		ph.stats.PrunedNodes = surviving.Len()
+
+		// Phase 2: minimal total nodes among the survivors.
+		start = clock.Now()
+		ph.mtnIDs = sys.lat.MinimalTotal(surviving, len(keywords))
+		ph.stats.MTNTime = clock.Since(start)
+		if cached {
+			ph.entry = newBindingEntry(sys.lat, ph.stats.PrunedNodes, ph.mtnIDs)
+			sys.bindings.put(key, ph.entry)
+		}
+	}
+	ph.stats.MTNs = len(ph.mtnIDs)
+	hPrune.Observe(ph.stats.PruneTime.Seconds())
+	hMTN.Observe(ph.stats.MTNTime.Seconds())
+	return ph, nil
 }
 
 // baseAliveFunc returns the level-1 aliveness rule: keyword-bound base nodes

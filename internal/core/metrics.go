@@ -22,4 +22,20 @@ var (
 	mMTNs = obs.Default.Histogram("kwsdbg_mtns",
 		"Minimal total nodes (candidate networks) per debug run.",
 		[]float64{0, 1, 2, 5, 10, 20, 50, 100, 250, 1000})
+	mBindingCache = obs.Default.CounterVec("kwsdbg_binding_cache_total",
+		"Per-binding cache lookups (pruning, MTNs, sublattice and tree labels of a keyword binding), by result.",
+		"result")
+)
+
+// Every request observes the phase timings and looks its binding up;
+// Vec.With builds a label key per call, so the fixed children are resolved
+// once and the binding lookup allocates nothing.
+var (
+	hMap      = mPhaseSeconds.With("map")
+	hPrune    = mPhaseSeconds.With("prune")
+	hMTN      = mPhaseSeconds.With("mtn")
+	hTraverse = mPhaseSeconds.With("traverse")
+
+	cBindingHit  = mBindingCache.With("hit")
+	cBindingMiss = mBindingCache.With("miss")
 )

@@ -32,7 +32,7 @@ type OnlineCNResult struct {
 // (iii): the offline structure "bypasses the costly candidate network
 // generation phase".
 func (sys *System) OnlineCandidateNetworks(keywords []string) (*OnlineCNResult, error) {
-	ph, err := sys.phase12(keywords)
+	ph, err := sys.bind(keywords)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"database/sql"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,6 +73,7 @@ func nodeFootprint(lat *lattice.Lattice, nodeID int, keywords []string) probecac
 type oracle struct {
 	ctx      context.Context
 	lat      *lattice.Lattice
+	sub      *sublattice
 	keywords []string
 
 	eng     *engine.Engine
@@ -96,8 +96,9 @@ type oracle struct {
 	// context instead (database/sql hides the call chain), tagged node -1.
 	fl *flight.Log
 
-	// nodes memoizes per-node probe state (nodeID -> *probeNode).
-	nodes sync.Map
+	// nodes memoizes per-node probe state by sub index, each slot filled
+	// on the node's first probe.
+	nodes []atomic.Pointer[probeNode]
 
 	executed        atomic.Int64
 	cacheHits       atomic.Int64
@@ -118,34 +119,42 @@ type probeNode struct {
 	handle atomic.Pointer[engine.Prepared]
 }
 
-// newOracle builds a run's oracle on the prepared step with no verdict
-// cache; callers set db or bits to pick another step. fl may be nil.
-func (sys *System) newOracle(ctx context.Context, keywords []string, fl *flight.Log) *oracle {
-	o := &oracle{
-		ctx: ctx, lat: sys.lat, keywords: keywords, fl: fl,
+// newOracle builds a run's oracle over the run's sublattice, on the
+// prepared step with no verdict cache; callers set db or bits to pick
+// another step. fl may be nil.
+func (sys *System) newOracle(ctx context.Context, sub *sublattice, keywords []string, fl *flight.Log) *oracle {
+	return &oracle{
+		ctx: ctx, lat: sys.lat, sub: sub, keywords: keywords, fl: fl,
 		eng: sys.eng, handles: sys.prepared, cands: engine.NewCandidateCache(),
+		nodes: make([]atomic.Pointer[probeNode], sub.len()),
 	}
-	// The engine's planning layer emits candidate-set events through the
-	// cache.
-	o.cands.SetFlight(fl)
-	return o
 }
 
-// node returns the node's memo, creating it on first use.
-func (o *oracle) node(nodeID int) *probeNode {
-	if v, ok := o.nodes.Load(nodeID); ok {
-		return v.(*probeNode)
+// node returns the node's memo, creating it on first use. Concurrent first
+// probes of one node may both build a memo; the first stored wins. A node
+// outside the run's sublattice is a caller bug.
+func (o *oracle) node(nodeID int) (*probeNode, error) {
+	x, ok := o.sub.index(nodeID)
+	if !ok {
+		return nil, fmt.Errorf("core: probe of node %d outside the run's sublattice", nodeID)
+	}
+	slot := &o.nodes[x]
+	if n := slot.Load(); n != nil {
+		return n, nil
 	}
 	node := o.lat.Node(nodeID)
-	v, _ := o.nodes.LoadOrStore(nodeID, &probeNode{key: probecache.Key(node.Label, node.CopyMask, o.keywords)})
-	return v.(*probeNode)
+	slot.CompareAndSwap(nil, &probeNode{key: probecache.Key(node.Label, node.CopyMask, o.keywords)})
+	return slot.Load(), nil
 }
 
 // IsAlive implements Oracle.
 //
 //kws:hotpath
 func (o *oracle) IsAlive(nodeID int) (bool, error) {
-	n := o.node(nodeID)
+	n, err := o.node(nodeID)
+	if err != nil {
+		return false, err
+	}
 	suspect := false
 	if o.cache != nil {
 		alive, outcome := o.cache.Lookup(n.key)

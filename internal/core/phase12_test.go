@@ -24,7 +24,6 @@ import (
 type refPhase12 struct {
 	surviving []int
 	mtnIDs    []int
-	mtnLevels map[int]int
 }
 
 func refPhase12Of(lat *lattice.Lattice, tables [][]string) refPhase12 {
@@ -65,7 +64,6 @@ func refPhase12Of(lat *lattice.Lattice, tables [][]string) refPhase12 {
 		}
 		return true
 	}
-	ref.mtnLevels = make(map[int]int)
 	for _, id := range ref.surviving {
 		if !total(id) {
 			continue
@@ -78,15 +76,21 @@ func refPhase12Of(lat *lattice.Lattice, tables [][]string) refPhase12 {
 		}
 		if minimal {
 			ref.mtnIDs = append(ref.mtnIDs, id)
-			ref.mtnLevels[lat.Node(id).Level]++
 		}
 	}
 	return ref
 }
 
+// refSub is a sublattice with one slice per adjacency row.
+type refSub struct {
+	nodeID, level, mtns                  []int
+	children, parents, desc, asc, owners [][]int32
+	maxLevel                             int
+}
+
 // refSublattice builds the sublattice arrays with per-node maps: sub indexes
 // in (level, label) order, desc/asc as map closures read back sorted.
-func refSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
+func refSublattice(lat *lattice.Lattice, mtnIDs []int) *refSub {
 	in := make(map[int]bool)
 	var stack []int
 	for _, id := range mtnIDs {
@@ -105,7 +109,7 @@ func refSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 			}
 		}
 	}
-	s := &sublattice{lat: lat}
+	s := &refSub{}
 	for id := range in {
 		s.nodeID = append(s.nodeID, id)
 	}
@@ -184,12 +188,57 @@ func refSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 	return s
 }
 
+// rows unpacks a CSR adjacency into one slice per row, nil for an empty one.
+func rows(c csr) [][]int32 {
+	out := make([][]int32, len(c.off)-1)
+	for i := range out {
+		if r := c.row(i); len(r) > 0 {
+			out[i] = r
+		}
+	}
+	return out
+}
+
+// checkSublattice compares a built sublattice with the reference.
+func checkSublattice(t *testing.T, kws []string, got *sublattice, want *refSub) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"nodeID", got.nodeID, want.nodeID},
+		{"level", got.level, want.level},
+		{"children", rows(got.children), want.children},
+		{"parents", rows(got.parents), want.parents},
+		{"desc", rows(got.desc), want.desc},
+		{"asc", rows(got.asc), want.asc},
+		{"mtns", got.mtns, want.mtns},
+		{"owners", rows(got.owners), want.owners},
+		{"maxLevel", got.maxLevel, want.maxLevel},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%v: sublattice %s differs from the reference\ngot:  %v\nwant: %v", kws, f.name, f.got, f.want)
+		}
+	}
+	for i, id := range want.nodeID {
+		if x, ok := got.index(id); !ok || x != i {
+			t.Fatalf("%v: index(%d) = %d, %v; want %d", kws, id, x, ok, i)
+		}
+	}
+	for _, id := range []int{-1, got.lat.Len()} {
+		if _, ok := got.index(id); ok {
+			t.Fatalf("%v: index(%d) reports a member", kws, id)
+		}
+	}
+}
+
 // checkAgainstDefinitions runs Phases 1-2 and the sublattice build for one
-// query and compares every result with the reference implementations. It
-// reports whether the query had MTNs.
+// query, uncached and through the per-binding cache, and compares every
+// result with the reference implementations. It reports whether the query
+// had MTNs.
 func checkAgainstDefinitions(t *testing.T, sys *System, kws []string) bool {
 	t.Helper()
-	ph, err := sys.phase12(kws)
+	ph, err := sys.phase12(kws, false)
 	if err != nil {
 		t.Fatalf("%v: phase12: %v", kws, err)
 	}
@@ -202,9 +251,10 @@ func checkAgainstDefinitions(t *testing.T, sys *System, kws []string) bool {
 	}
 	lat := sys.lat
 	ref := refPhase12Of(lat, tables)
+	pruned := lat.Prune(lat.Bind(tables))
 	var surviving []int
 	for id := 0; id < lat.Len(); id++ {
-		if ph.surviving.Has(id) {
+		if pruned.Has(id) {
 			surviving = append(surviving, id)
 		}
 	}
@@ -212,43 +262,31 @@ func checkAgainstDefinitions(t *testing.T, sys *System, kws []string) bool {
 		t.Fatalf("%v: %d survivors (PrunedNodes %d), reference has %d",
 			kws, len(surviving), ph.stats.PrunedNodes, len(ref.surviving))
 	}
-	if !reflect.DeepEqual(ph.mtnIDs, ref.mtnIDs) {
-		t.Fatalf("%v: MTNs %v, reference %v", kws, ph.mtnIDs, ref.mtnIDs)
+	if !reflect.DeepEqual(ph.mtnIDs, ref.mtnIDs) || ph.stats.MTNs != len(ref.mtnIDs) {
+		t.Fatalf("%v: MTNs %v (count %d), reference %v", kws, ph.mtnIDs, ph.stats.MTNs, ref.mtnIDs)
 	}
-	if !reflect.DeepEqual(ph.stats.MTNLevels, ref.mtnLevels) || ph.stats.MTNs != len(ref.mtnIDs) {
-		t.Fatalf("%v: MTNLevels %v (MTNs %d), reference %v",
-			kws, ph.stats.MTNLevels, ph.stats.MTNs, ref.mtnLevels)
+	cached, err := sys.phase12(kws, true)
+	if err != nil {
+		t.Fatalf("%v: cached phase12: %v", kws, err)
+	}
+	e := cached.entry
+	if e.pruned != len(ref.surviving) || !reflect.DeepEqual(e.mtnIDs, ref.mtnIDs) {
+		t.Fatalf("%v: cached entry has %d survivors and MTNs %v, reference %d and %v",
+			kws, e.pruned, e.mtnIDs, len(ref.surviving), ref.mtnIDs)
 	}
 	if len(ph.mtnIDs) == 0 {
+		if e.sub != nil {
+			t.Fatalf("%v: cached entry has a sublattice but no MTNs", kws)
+		}
 		return false
 	}
-	got, want := buildSublattice(lat, ph.mtnIDs), refSublattice(lat, ref.mtnIDs)
-	for _, f := range []struct {
-		name      string
-		got, want any
-	}{
-		{"nodeID", got.nodeID, want.nodeID},
-		{"level", got.level, want.level},
-		{"children", got.children, want.children},
-		{"parents", got.parents, want.parents},
-		{"desc", got.desc, want.desc},
-		{"asc", got.asc, want.asc},
-		{"mtns", got.mtns, want.mtns},
-		{"owners", got.owners, want.owners},
-		{"maxLevel", got.maxLevel, want.maxLevel},
-	} {
-		if !reflect.DeepEqual(f.got, f.want) {
-			t.Fatalf("%v: sublattice %s differs from the reference\ngot:  %v\nwant: %v", kws, f.name, f.got, f.want)
-		}
-	}
-	for i, id := range want.nodeID {
-		if x, ok := got.index(id); !ok || x != i {
-			t.Fatalf("%v: index(%d) = %d, %v; want %d", kws, id, x, ok, i)
-		}
-	}
-	for _, id := range []int{-1, lat.Len()} {
-		if _, ok := got.index(id); ok {
-			t.Fatalf("%v: index(%d) reports a member", kws, id)
+	want := refSublattice(lat, ref.mtnIDs)
+	checkSublattice(t, kws, buildSublattice(lat, ph.mtnIDs), want)
+	checkSublattice(t, kws, e.sub, want)
+	for x, id := range want.nodeID {
+		if got := e.info(x); got.NodeID != id || got.Level != want.level[x] || got.Tree != lat.Node(id).String() {
+			t.Fatalf("%v: entry describes sub node %d as %+v, want node %d at level %d, %q",
+				kws, x, got, id, want.level[x], lat.Node(id).String())
 		}
 	}
 	return true
@@ -343,12 +381,16 @@ func TestPhase12DefinitionsAfterLoad(t *testing.T) {
 	for _, q := range onlineCNQueries {
 		for _, kws := range subsets(q) {
 			checkAgainstDefinitions(t, sys, kws)
-			a, errA := gen.phase12(kws)
-			b, errB := sys.phase12(kws)
+			a, errA := gen.phase12(kws, false)
+			b, errB := sys.phase12(kws, false)
 			if errA != nil || errB != nil {
 				t.Fatalf("%v: phase12: %v, %v", kws, errA, errB)
 			}
-			if !reflect.DeepEqual(a.surviving, b.surviving) || !reflect.DeepEqual(a.mtnIDs, b.mtnIDs) {
+			if len(a.nonKeywords) > 0 {
+				continue
+			}
+			pa, pb := gen.lat.Prune(gen.lat.Bind(a.tables)), lat.Prune(lat.Bind(b.tables))
+			if !reflect.DeepEqual(pa, pb) || !reflect.DeepEqual(a.mtnIDs, b.mtnIDs) {
 				t.Fatalf("%v: loaded lattice prunes differently from the generated one", kws)
 			}
 		}

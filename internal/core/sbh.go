@@ -19,11 +19,11 @@ func (r *run) scoreBased(sd seed, pa float64) error {
 
 	gain := func(x int) float64 {
 		sumD := float64(r.W[x])
-		for _, d := range r.sub.desc[x] {
+		for _, d := range r.sub.desc.row(x) {
 			sumD += float64(r.W[d])
 		}
 		sumA := float64(r.W[x])
-		for _, a := range r.sub.asc[x] {
+		for _, a := range r.sub.asc.row(x) {
 			sumA += float64(r.W[a])
 		}
 		return pa*sumD + (1-pa)*sumA

@@ -60,7 +60,7 @@ func (sys *System) search(keywords []string, topK int) (results []SearchResult, 
 	if topK <= 0 {
 		return nil, nil, nil, fmt.Errorf("core: topK must be positive, got %d", topK)
 	}
-	ph, err := sys.phase12(keywords)
+	ph, err := sys.phase12(keywords, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -82,7 +82,8 @@ func (sys *System) search(keywords []string, topK int) (results []SearchResult, 
 		if len(rows) == 0 {
 			continue
 		}
-		info := sys.queryInfo(id)
+		x, _ := ph.entry.sub.index(id)
+		info := ph.entry.info(x)
 		textCols := sys.textColumnIndexes(sys.lat.Node(id))
 		for _, row := range rows {
 			top.offer(SearchResult{Query: info, Columns: cols, Tuple: row, Score: f.score(row, textCols, info.Level)})

@@ -44,6 +44,13 @@ func refKwTokens(keywords []string) []string {
 	return kwTokens
 }
 
+// refQueryInfo describes a node as the output step did before the
+// per-binding cache held its tree label.
+func refQueryInfo(sys *System, nodeID int) QueryInfo {
+	n := sys.lat.Node(nodeID)
+	return QueryInfo{NodeID: nodeID, Level: n.Level, Tree: n.String()}
+}
+
 // refSearch is Search's previous algorithm: fetch every candidate network
 // without consulting the verdict cache, collect every row, stable-sort, and
 // truncate to topK.
@@ -51,7 +58,7 @@ func refSearch(sys *System, keywords []string, topK int) ([]SearchResult, []stri
 	if topK <= 0 {
 		return nil, nil, fmt.Errorf("core: topK must be positive, got %d", topK)
 	}
-	ph, err := sys.phase12(keywords)
+	ph, err := sys.phase12(keywords, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,7 +78,7 @@ func refSearch(sys *System, keywords []string, topK int) ([]SearchResult, []stri
 		if err != nil {
 			return nil, nil, err
 		}
-		info := sys.queryInfo(id)
+		info := refQueryInfo(sys, id)
 		textCols := sys.textColumnIndexes(node)
 		for _, row := range res.Rows {
 			tf := 0
@@ -132,7 +139,7 @@ func refSearchPartial(sys *System, keywords []string, topK int) ([]SearchResult,
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			info := sys.queryInfo(p.NodeID)
+			info := refQueryInfo(sys, p.NodeID)
 			textCols := sys.textColumnIndexes(node)
 			for _, row := range res.Rows {
 				tf := 0

@@ -23,14 +23,16 @@ import (
 // through the classification rules: pinning a node alive implies its whole
 // sub-query tree alive (rule R1), pinning it dead kills its ancestors
 // (rule R2). They take precedence over both the memo and the database, which
-// makes the output *hypothetical* — exactly their point. After a real data
-// change call Reset to drop the memo (and let the engine rebuild its
-// inverted index).
+// makes the output *hypothetical* — exactly their point. The memo holds only
+// what the data said: a Run that finds the engine's data version moved since
+// the memo was learned drops it first, so a write between runs is always
+// seen. Reset drops it on demand.
 type Session struct {
 	sys      *System
 	keywords []string
 	pinned   map[int]bool // lattice node ID -> assumed aliveness
 	memo     map[int]bool // probe results learned in previous runs
+	version  uint64       // the engine's data version the memo was learned at
 	probes   int          // SQL probes across the session's lifetime
 }
 
@@ -70,8 +72,8 @@ func (s *Session) Pins() []int {
 	return out
 }
 
-// Reset drops the memoized probe results (call after editing the data) while
-// keeping the pins.
+// Reset drops the memoized probe results while keeping the pins. Run already
+// drops them after a write; Reset forces it.
 func (s *Session) Reset() { s.memo = make(map[int]bool) }
 
 // Probes reports the total SQL probes the session has executed.
@@ -79,6 +81,13 @@ func (s *Session) Probes() int { return s.probes }
 
 // Run executes phases 1-3 under the session's pins and memo.
 func (s *Session) Run(opts Options) (*Output, error) {
+	// Index attributes rows appended to storage directly to the version
+	// vector, so the version read next counts every write.
+	s.sys.eng.Index()
+	if v := s.sys.eng.DataVersion(); v != s.version {
+		s.Reset()
+		s.version = v
+	}
 	out, err := s.sys.debugWith(context.Background(), s.keywords, opts, s)
 	if err != nil {
 		return nil, err

@@ -155,6 +155,37 @@ func TestSessionResetAfterDataChange(t *testing.T) {
 	}
 }
 
+// TestSessionSeesWritesWithoutReset re-runs a session after an INSERT
+// without calling Reset: the memo learned before the write must not answer
+// for the data after it, so the session reports what a fresh Debug does.
+func TestSessionSeesWritesWithoutReset(t *testing.T) {
+	sys := productSystem(t)
+	kws := []string{"scented", "incense"}
+	sess, err := sys.NewSession(kws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(Options{Strategy: SBH}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Engine().Exec(
+		"INSERT INTO Item VALUES (6, 'cedar scented incense stick', 3, 3, 2, 2.49, 'slow burn')"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Run(Options{Strategy: SBH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Debug(kws, Options{Strategy: SBH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(canonical(got), canonical(want)) {
+		t.Errorf("session after a write reports %d answers, a fresh Debug %d\nsession: %v\nfresh:   %v",
+			len(got.Answers), len(want.Answers), canonical(got), canonical(want))
+	}
+}
+
 func TestSessionErrors(t *testing.T) {
 	sys := productSystem(t)
 	if _, err := sys.NewSession(nil); err == nil {

@@ -16,21 +16,26 @@ import (
 // (descendants within the sub-lattice are complete, because descendant sets
 // are downward closed; ancestors are restricted to the sub-lattice, which is
 // the scope MPAN maximality is defined over).
+//
+// A sublattice is immutable once built: the per-binding cache shares one
+// between every concurrent run of a binding. Its adjacency lists are CSR
+// pairs, so it is a handful of pointer-free arrays whatever its size.
 type sublattice struct {
 	lat    *lattice.Lattice
 	nodeID []int // sub index -> lattice node ID
 	level  []int // sub index -> lattice level
 
-	children [][]int32 // sub index -> child sub indexes
-	parents  [][]int32 // sub index -> parent sub indexes (within sub)
+	children csr // sub index -> child sub indexes
+	parents  csr // sub index -> parent sub indexes (within sub)
 
-	desc [][]int32 // strict descendants, sorted
-	asc  [][]int32 // strict ancestors within sub, sorted
+	desc csr // strict descendants, sorted
+	asc  csr // strict ancestors within sub, sorted: the transpose of desc
 
 	mtns []int // sub indexes of the MTNs, sorted
 
-	// owners[x] lists positions into mtns of the MTNs whose Desc+ contains x.
-	owners [][]int32
+	// owners row x lists, ascending, the positions into mtns of the MTNs
+	// whose Desc+ contains x: the transpose of the MTNs' Desc+ lists.
+	owners csr
 
 	maxLevel int
 
@@ -41,6 +46,19 @@ type sublattice struct {
 	members bitset
 	before  []int32
 }
+
+// csr is an adjacency in compressed sparse row form: row i is
+// to[off[i]:off[i+1]].
+type csr struct {
+	off []int32 // len rows+1
+	to  []int32
+}
+
+// row returns row i.
+func (c *csr) row(i int) []int32 { return c.to[c.off[i]:c.off[i+1]] }
+
+// bytes returns the size of the two arrays.
+func (c *csr) bytes() int { return 4 * (cap(c.off) + cap(c.to)) }
 
 // buildSublattice collects Desc+(m) for every MTN (given as lattice node IDs)
 // and precomputes the navigation arrays.
@@ -82,52 +100,53 @@ func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 	s.members.forEach(func(r int) { s.nodeID = append(s.nodeID, lat.AtRank(r)) })
 
 	s.level = make([]int, n)
-	s.children = make([][]int32, n)
-	s.parents = make([][]int32, n)
-	kids, pars := make([]int32, 0, links), make([]int32, 0, links)
+	s.children = csr{off: make([]int32, n+1), to: make([]int32, 0, links)}
+	s.parents = csr{off: make([]int32, n+1), to: make([]int32, 0, links)}
 	for i, id := range s.nodeID {
 		node := lat.Node(id)
 		s.level[i] = node.Level
 		s.maxLevel = max(s.maxLevel, node.Level)
-		from := len(kids)
 		for _, c := range node.Children {
 			ci, _ := s.index(c)
-			kids = append(kids, int32(ci))
+			s.children.to = append(s.children.to, int32(ci))
 		}
-		s.children[i] = window(kids, from)
-		from = len(pars)
+		s.children.off[i+1] = int32(len(s.children.to))
 		for _, p := range node.Parents {
 			if pi, ok := s.index(p); ok {
-				pars = append(pars, int32(pi))
+				s.parents.to = append(s.parents.to, int32(pi))
 			}
 		}
-		s.parents[i] = window(pars, from)
+		s.parents.off[i+1] = int32(len(s.parents.to))
 	}
 
 	// Strict descendants, bottom-up: desc(x) = U_c ({c} U desc(c)), gathered
 	// in a scratch bitset and read back in ascending order.
 	scratch := newBitset(n)
-	s.desc = make([][]int32, n)
+	var to []int32
+	s.desc.off = make([]int32, n+1)
 	for i := 0; i < n; i++ { // index order is level order
-		for _, c := range s.children[i] {
+		for _, c := range s.children.row(i) {
 			scratch.set(int(c))
-			for _, d := range s.desc[c] {
+			for _, d := range to[s.desc.off[c]:s.desc.off[c+1]] {
 				scratch.set(int(d))
 			}
 		}
-		s.desc[i] = scratch.drain()
+		to = scratch.drain(to)
+		s.desc.off[i+1] = int32(len(to))
 	}
-	// Strict ancestors, top-down.
-	s.asc = make([][]int32, n)
-	for i := n - 1; i >= 0; i-- {
-		for _, p := range s.parents[i] {
-			scratch.set(int(p))
-			for _, a := range s.asc[p] {
-				scratch.set(int(a))
+	// The lists outlive the build in the per-binding cache: keep no growth
+	// slack.
+	s.desc.to = append(make([]int32, 0, len(to)), to...)
+
+	// Strict ancestors are the transpose of desc: x is an ancestor of y iff
+	// y is a descendant of x.
+	s.asc = transpose(n, len(s.desc.to), func(emit func(row int, col int32)) {
+		for x := 0; x < n; x++ {
+			for _, y := range s.desc.row(x) {
+				emit(int(y), int32(x))
 			}
 		}
-		s.asc[i] = scratch.drain()
-	}
+	})
 
 	for _, id := range mtnIDs {
 		m, _ := s.index(id)
@@ -135,40 +154,37 @@ func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 	}
 	sort.Ints(s.mtns)
 
-	// Size every owners list, carve them from one array, then fill them in
-	// MTN order.
-	size := make([]int, n)
 	total := 0
 	for _, m := range s.mtns {
-		size[m]++
-		for _, d := range s.desc[m] {
-			size[d]++
-		}
-		total += 1 + len(s.desc[m])
+		total += 1 + len(s.desc.row(m))
 	}
-	s.owners = make([][]int32, n)
-	all := make([]int32, total)
-	for x, k := range size {
-		if k > 0 {
-			s.owners[x], all = all[:0:k], all[k:]
+	s.owners = transpose(n, total, func(emit func(row int, col int32)) {
+		for mi, m := range s.mtns {
+			emit(m, int32(mi))
+			for _, d := range s.desc.row(m) {
+				emit(int(d), int32(mi))
+			}
 		}
-	}
-	for mi, m := range s.mtns {
-		s.owners[m] = append(s.owners[m], int32(mi))
-		for _, d := range s.desc[m] {
-			s.owners[d] = append(s.owners[d], int32(mi))
-		}
-	}
+	})
 	return s
 }
 
-// window returns buf[from:] with its capacity cut to its length, so later
-// appends to buf never write into it, or nil when it is empty.
-func window(buf []int32, from int) []int32 {
-	if from == len(buf) {
-		return nil
+// transpose builds an n-row CSR holding the total (row, col) pairs that gen
+// emits, in emission order within each row. gen runs twice: once to size
+// the rows, once to fill them.
+func transpose(n, total int, gen func(emit func(row int, col int32))) csr {
+	c := csr{off: make([]int32, n+1), to: make([]int32, total)}
+	gen(func(row int, _ int32) { c.off[row+1]++ })
+	for i := 0; i < n; i++ {
+		c.off[i+1] += c.off[i]
 	}
-	return buf[from:len(buf):len(buf)]
+	next := make([]int32, n)
+	copy(next, c.off)
+	gen(func(row int, col int32) {
+		c.to[next[row]] = col
+		next[row]++
+	})
+	return c
 }
 
 // index returns the sub index of lattice node id and whether the node is in
@@ -194,10 +210,18 @@ func (s *sublattice) node(i int) *lattice.Node { return s.lat.Node(s.nodeID[i]) 
 func (s *sublattice) descendantStats() (total, unique int) {
 	seen := newBitset(s.len())
 	for _, m := range s.mtns {
-		total += len(s.desc[m])
-		for _, d := range s.desc[m] {
+		total += len(s.desc.row(m))
+		for _, d := range s.desc.row(m) {
 			seen.set(int(d))
 		}
 	}
 	return total, seen.count()
+}
+
+// bytes returns the sublattice's size: its arrays plus the struct.
+func (s *sublattice) bytes() int {
+	const sublatticeHeader = 16 * 24 // the struct: slice headers and scalars
+	return sublatticeHeader + 8*(cap(s.nodeID)+cap(s.level)+cap(s.mtns)+cap(s.members)) +
+		4*cap(s.before) + s.children.bytes() + s.parents.bytes() + s.desc.bytes() +
+		s.asc.bytes() + s.owners.bytes()
 }

@@ -88,7 +88,7 @@ func newRun(sub *sublattice, oracle Oracle, positions []int) *run {
 		r.active.set(mi)
 		m := sub.mtns[mi]
 		r.mp[mi] = newBitset(sub.len())
-		for _, d := range sub.desc[m] {
+		for _, d := range sub.desc.row(m) {
 			r.mp[mi].set(int(d))
 		}
 	}
@@ -105,7 +105,7 @@ func (r *run) enableSearchSpaces() {
 		s := newBitset(r.sub.len())
 		s.set(m)
 		r.W[m]++
-		for _, d := range r.sub.desc[m] {
+		for _, d := range r.sub.desc.row(m) {
 			s.set(int(d))
 			r.W[d]++
 		}
@@ -139,32 +139,32 @@ func (r *run) classify(x int, isAlive, inferred bool) {
 	}
 	if isAlive {
 		r.status[x] = stAlive
-		for _, mi := range r.sub.owners[x] {
+		for _, mi := range r.sub.owners.row(x) {
 			if !r.active.has(int(mi)) {
 				continue
 			}
 			// x stays a candidate MPAN; its strict descendants cannot be
 			// maximal, and the whole Desc+(x) needs no further probing.
-			for _, d := range r.sub.desc[x] {
+			for _, d := range r.sub.desc.row(x) {
 				r.mp[mi].clear(int(d))
 				r.removeFromS(int(mi), int(d))
 			}
 			r.removeFromS(int(mi), x)
 		}
-		for _, d := range r.sub.desc[x] {
+		for _, d := range r.sub.desc.row(x) {
 			r.classify(int(d), true, true)
 		}
 		return
 	}
 	r.status[x] = stDead
-	for _, mi := range r.sub.owners[x] {
+	for _, mi := range r.sub.owners.row(x) {
 		if !r.active.has(int(mi)) {
 			continue
 		}
 		r.mp[mi].clear(x)
 		r.removeFromS(int(mi), x)
 	}
-	for _, a := range r.sub.asc[x] {
+	for _, a := range r.sub.asc.row(x) {
 		r.classify(int(a), false, true)
 	}
 }
@@ -245,7 +245,7 @@ func (r *run) region() bitset {
 	r.active.forEach(func(mi int) {
 		m := r.sub.mtns[mi]
 		reg.set(m)
-		for _, d := range r.sub.desc[m] {
+		for _, d := range r.sub.desc.row(m) {
 			reg.set(int(d))
 		}
 	})
@@ -254,7 +254,7 @@ func (r *run) region() bitset {
 
 // isActiveMTN reports whether sub node x is one of the run's active MTNs.
 func (r *run) isActiveMTN(x int) bool {
-	for _, mi := range r.sub.owners[x] {
+	for _, mi := range r.sub.owners.row(x) {
 		if r.active.has(int(mi)) && r.sub.mtns[mi] == x {
 			return true
 		}
@@ -275,7 +275,7 @@ func (r *run) bottomUp(sd seed) error {
 		if r.isActiveMTN(x) {
 			return
 		}
-		for _, p := range r.sub.parents[x] {
+		for _, p := range r.sub.parents.row(x) {
 			pi := int(p)
 			if reg.has(pi) && !queued.has(pi) {
 				queued.set(pi)
@@ -328,7 +328,7 @@ func (r *run) topDown(sd seed) error {
 		}
 		for _, x := range buckets[level] {
 			if r.status[x] == stDead {
-				for _, c := range r.sub.children[x] {
+				for _, c := range r.sub.children.row(x) {
 					enqueue(int(c))
 				}
 			}
@@ -396,7 +396,7 @@ func (r *run) result() (traverseResult, error) {
 // inRegionOf reports whether sub node x belongs to MTN position mi's region
 // (the MTN and its descendant closure).
 func (r *run) inRegionOf(mi, x int) bool {
-	for _, o := range r.sub.owners[x] {
+	for _, o := range r.sub.owners.row(x) {
 		if int(o) == mi {
 			return true
 		}
@@ -430,7 +430,7 @@ func (r *run) partialResult() traverseResult {
 					incomplete = true
 					return
 				}
-				for _, a := range r.sub.asc[p] {
+				for _, a := range r.sub.asc.row(p) {
 					if r.status[a] == stUnknown && r.inRegionOf(mi, int(a)) {
 						incomplete = true
 						return

@@ -151,10 +151,11 @@ func (p *Prepared) ExecContext(ctx context.Context, cands *CandidateCache) (*Res
 	return p.ExecFlight(ctx, cands, flight.FromContext(ctx), -1, "")
 }
 
-// ExecFlight is ExecContext with probe provenance: plan reuse/replan and
-// retry events are recorded against the caller's probe identity (lattice
-// node and probe-cache key). fl may be nil; node -1 marks an event not tied
-// to a lattice node.
+// ExecFlight is ExecContext with probe provenance: replan and retry events
+// are recorded against the caller's probe identity (lattice node and
+// probe-cache key); an execution that reuses its compiled plan records
+// nothing here. fl may be nil; node -1 marks an event not tied to a lattice
+// node.
 func (p *Prepared) ExecFlight(ctx context.Context, cands *CandidateCache, fl *flight.Log, node int, probe string) (*Result, error) {
 	pol := p.e.retryPolicy()
 	delay := pol.BaseDelay
@@ -207,7 +208,6 @@ func (p *Prepared) execOnce(ctx context.Context, cands *CandidateCache, fl *flig
 	}
 	start := time.Now()
 	if cp := p.plan.Load(); cp != nil && !p.e.vv.Stale(cp.stamp) {
-		fl.Emit(flight.PlanReuse, node, probe, false, 0, "")
 		return p.e.runPlan(ctx, p.bq, cp.steps, start)
 	} else if cp != nil {
 		fl.Emit(flight.Replan, node, probe, false, 0, "stale")
@@ -239,21 +239,6 @@ type CandidateCache struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
-
-	// fl records candidate-set provenance for the run. It is set once by
-	// the run's owner before any probe executes and read-only afterwards;
-	// a nil log records nothing. The cache carries it because the engine's
-	// planning layer has no other per-run state to hang provenance on.
-	fl *flight.Log
-}
-
-// SetFlight attaches the run's flight log. Call before the first execution
-// against this cache; the field is not synchronized against in-flight
-// probes.
-func (c *CandidateCache) SetFlight(fl *flight.Log) {
-	if c != nil {
-		c.fl = fl
-	}
 }
 
 // candEntry is one computed candidate set. stamp, groups, and set are
@@ -353,11 +338,9 @@ func (c *CandidateCache) get(e *Engine, key string, fp candFootprint, compute fu
 		if computed {
 			c.misses.Add(1)
 			mCandSetMisses.Inc()
-			c.fl.Emit(flight.CandSetMiss, -1, key, false, 0, "")
 		} else {
 			c.hits.Add(1)
 			mCandSetHits.Inc()
-			c.fl.Emit(flight.CandSetHit, -1, key, false, 0, "")
 		}
 		if !e.candStale(en) {
 			return en

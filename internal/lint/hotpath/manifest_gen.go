@@ -13,6 +13,7 @@ package hotpath
 var Manifest = []string{
 	"kwsdbg/internal/bitset.(*Bitmap).And",
 	"kwsdbg/internal/bitset.(*Bitmap).Contains",
+	"kwsdbg/internal/core.(*bindingCache).get",
 	"kwsdbg/internal/core.(*oracle).IsAlive",
 	"kwsdbg/internal/core/bitprobe.(*Evaluator).Probe",
 	"kwsdbg/internal/core/bitprobe.(*Evaluator).evaluate",

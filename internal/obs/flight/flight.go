@@ -1,8 +1,8 @@
 // Package flight is the probe-provenance flight recorder: an always-on,
 // fixed-size ring buffer of structured probe-lifecycle events emitted from
 // every hot-path decision point (scheduler admission, budget charges, probe
-// and candidate-set cache lookups, plan reuse/replan, SQL execution, retries,
-// verdict commits, load shedding).
+// cache lookups, replans, SQL execution, retries, verdict commits, load
+// shedding).
 //
 // The paper's framing — explain *why* a system produced no answer — applies
 // to the debugger itself: a slow or cache-cold run is a non-answer nobody can
@@ -50,19 +50,13 @@ const (
 	// ProbeCacheMiss: the probe cache could not answer; Cause is the miss
 	// class ("cold", "stale", "expired").
 	ProbeCacheMiss
-	// CandSetHit: the per-run candidate-set cache reused a keyword
-	// candidate set during planning. Probe holds the set signature.
-	CandSetHit
-	// CandSetMiss: the candidate set had to be computed.
-	CandSetMiss
-	// PlanReuse: a prepared probe executed its compiled plan as-is.
-	PlanReuse
 	// Replan: a prepared probe recompiled its plan (first use, or a write
 	// or epoch bump staled its footprint; Cause distinguishes "cold" from
 	// "stale").
 	Replan
 	// SQLExec: a probe reached the execution layer; Dur is the measured
-	// latency and Alive the verdict it produced.
+	// latency and Alive the verdict it produced. On the prepared path an
+	// SQLExec with no Replan before it reused its compiled plan.
 	SQLExec
 	// Retry: a transient execution failure was retried; Cause is the
 	// error text.
@@ -102,9 +96,6 @@ var kindNames = [numKinds]string{
 	BudgetCharged:  "budget_charged",
 	ProbeCacheHit:  "probecache_hit",
 	ProbeCacheMiss: "probecache_miss",
-	CandSetHit:     "candset_hit",
-	CandSetMiss:    "candset_miss",
-	PlanReuse:      "plan_reuse",
 	Replan:         "replan",
 	SQLExec:        "sql_exec",
 	Retry:          "retry",
@@ -149,13 +140,12 @@ type Event struct {
 	// Kind says what happened.
 	Kind Kind
 	// Node is the lattice node ID the event concerns, -1 when the event is
-	// not tied to a node (candidate sets, shedding).
+	// not tied to a node (shedding, text-path engine events).
 	Node int32
 	// Alive carries the verdict for SQLExec / Verdict / ProbeCacheHit.
 	Alive bool
 	// Probe is the cross-request probe-cache key (canonical label plus
-	// keyword bindings) for probe events, or the candidate-set signature
-	// for CandSet events.
+	// keyword bindings) for probe events.
 	Probe string
 	// Cause qualifies the event: miss class, retry error, exhaustion
 	// reason, remaining budget.
@@ -332,7 +322,10 @@ func (l *Log) Emit(k Kind, node int, probe string, alive bool, dur time.Duration
 	}
 	l.rec.mu.Lock()
 	seq, ev := l.rec.nextLocked()
-	*ev = Event{Seq: seq, Req: l.req, Kind: k, Node: int32(node), Alive: alive, Probe: probe, Cause: cause, Dur: dur}
+	// Field by field: a composite literal would be built aside and copied
+	// into the slot whole, through the write barrier's bulk move.
+	ev.Seq, ev.Req, ev.Kind, ev.Node = seq, l.req, k, int32(node)
+	ev.Alive, ev.Probe, ev.Cause, ev.Dur = alive, probe, cause, dur
 	l.count++
 	l.kinds[k]++
 	if l.capture {

@@ -22,11 +22,8 @@ var KindRegistry = []RegisteredKind{
 	{BudgetCharged, "budget_charged", "the governor charged one probe against the budget; Dur is unused, Cause carries the remaining budget when limited."},
 	{ProbeCacheHit, "probecache_hit", "the cross-request probe cache answered the probe."},
 	{ProbeCacheMiss, "probecache_miss", "the probe cache could not answer; Cause is the miss class (\"cold\", \"stale\", \"expired\")."},
-	{CandSetHit, "candset_hit", "the per-run candidate-set cache reused a keyword candidate set during planning. Probe holds the set signature."},
-	{CandSetMiss, "candset_miss", "the candidate set had to be computed."},
-	{PlanReuse, "plan_reuse", "a prepared probe executed its compiled plan as-is."},
 	{Replan, "replan", "a prepared probe recompiled its plan (first use, or a write or epoch bump staled its footprint; Cause distinguishes \"cold\" from \"stale\")."},
-	{SQLExec, "sql_exec", "a probe reached the execution layer; Dur is the measured latency and Alive the verdict it produced."},
+	{SQLExec, "sql_exec", "a probe reached the execution layer; Dur is the measured latency and Alive the verdict it produced. On the prepared path an SQLExec with no Replan before it reused its compiled plan."},
 	{Retry, "retry", "a transient execution failure was retried; Cause is the error text."},
 	{Verdict, "verdict", "the scheduler committed the probe's classification in serial order."},
 	{Shed, "shed", "the server refused the request at admission (queue full)."},

@@ -19,6 +19,7 @@ type RegisteredMetric struct {
 
 // Registered lists every metric family in the module, sorted by name.
 var Registered = []RegisteredMetric{
+	{Name: "kwsdbg_binding_cache_total", Type: "counter", Labels: []string{"result"}, Help: "Per-binding cache lookups (pruning, MTNs, sublattice and tree labels of a keyword binding), by result.", Package: "kwsdbg/internal/core"},
 	{Name: "kwsdbg_bitset_candset_total", Type: "counter", Labels: []string{"kind"}, Help: "Candidate bitmap events, by kind (build, rebuild, churn).", Package: "kwsdbg/internal/core/bitprobe"},
 	{Name: "kwsdbg_bitset_fallback_total", Type: "counter", Labels: []string{"cause"}, Help: "Probes declined to the prepared-SQL path, by cause.", Package: "kwsdbg/internal/core/bitprobe"},
 	{Name: "kwsdbg_bitset_plans_total", Type: "counter", Labels: nil, Help: "Probe join trees compiled into bitset plans.", Package: "kwsdbg/internal/core/bitprobe"},

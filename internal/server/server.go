@@ -622,6 +622,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body["plan_cache"] = plans
+	bc := s.sys.BindingCacheStats()
+	body["binding_cache"] = map[string]any{
+		"entries":   bc.Entries,
+		"bytes":     bc.Bytes,
+		"hits":      bc.Hits,
+		"misses":    bc.Misses,
+		"evictions": bc.Evictions,
+	}
 	s.writeJSON(w, http.StatusOK, body)
 }
 

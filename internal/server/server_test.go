@@ -344,6 +344,36 @@ func TestHealthProbeCacheStats(t *testing.T) {
 	}
 }
 
+// TestHealthBindingCacheStats checks /healthz reports the per-binding cache:
+// a query's first /debug misses and fills it, a repeat and a /search over
+// the same keywords hit it.
+func TestHealthBindingCacheStats(t *testing.T) {
+	s := testServer(t)
+	binding := func() map[string]any {
+		t.Helper()
+		_, body := get(t, s, "/healthz")
+		bc, ok := body["binding_cache"].(map[string]any)
+		if !ok {
+			t.Fatalf("no binding_cache in %v", body)
+		}
+		for _, key := range []string{"entries", "bytes", "hits", "misses", "evictions"} {
+			if _, present := bc[key]; !present {
+				t.Fatalf("binding_cache missing %q: %v", key, bc)
+			}
+		}
+		return bc
+	}
+	before := binding()
+	get(t, s, "/debug?q=saffron+scented+candle&strategy=BUWR")
+	get(t, s, "/debug?q=saffron+scented+candle&strategy=SBH")
+	get(t, s, "/search?q=saffron+scented+candle")
+	after := binding()
+	delta := func(key string) float64 { return after[key].(float64) - before[key].(float64) }
+	if delta("entries") != 1 || delta("misses") != 1 || delta("hits") < 2 || after["bytes"].(float64) <= 0 {
+		t.Errorf("binding_cache went from %v to %v; want one entry filled by one miss, then hits", before, after)
+	}
+}
+
 // TestAdmissionShedding saturates the admission semaphore and checks the
 // overload path: 429, a Retry-After hint, and the shed counter moving. Once
 // the slot frees, the same request must be admitted again.

@@ -45,16 +45,15 @@ test:
 	$(GO) test ./...
 
 # The observability layer (with the flight recorder: one mutex over the ring
-# and every attached log), the server middleware, the core pipeline (with
-# its bitset probe engine), the engine (including the plan cache under
-# concurrent Prepare/Select/Insert), the probe cache, storage (serialized
-# writers against snapshot readers), the version vector (atomic multi-name
-# bumps against concurrent stamps), the bitmap containers, and the lattice
-# (nodes labeled and linked on worker goroutines, then flattened into the
-# arrays concurrent Debug calls read) are the concurrency-sensitive
-# packages; run them under the race detector.
+# and every attached log), the server middleware, the core pipeline, the
+# engine (including the plan cache under concurrent Prepare/Select/Insert),
+# the probe cache, storage (serialized writers against snapshot readers),
+# the version vector (atomic multi-name bumps against concurrent stamps),
+# and the lattice (nodes labeled and linked on worker goroutines, then
+# flattened into the arrays concurrent Debug calls read) are the
+# concurrency-sensitive packages; run them under the race detector.
 race:
-	$(GO) test -race ./internal/obs ./internal/obs/flight ./internal/server ./internal/core ./internal/core/bitprobe ./internal/bitset ./internal/engine ./internal/probecache ./internal/storage ./internal/vervec ./internal/lattice
+	$(GO) test -race ./internal/obs ./internal/obs/flight ./internal/server ./internal/core ./internal/engine ./internal/probecache ./internal/storage ./internal/vervec ./internal/lattice
 
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a
@@ -109,8 +108,7 @@ chaos:
 # Concurrent INSERT storms against in-flight warm debug runs, under the race
 # detector: writers serialize in storage, readers see consistent prefixes,
 # and at quiesce the repaired warm output must be byte-identical to a cold
-# run at every worker count — on the prepared path and on the bitset path
-# (suspect -> re-probe -> repair through bitmap semi-joins). One storm makes
+# run at every worker count (suspect -> re-probe -> repair). One storm makes
 # query keywords bind new relations, so readers build new per-binding cache
 # entries while others read the old ones; at quiesce every output must equal
 # a fresh System's. In the engine, INSERTs extend the inverted index while
@@ -118,7 +116,7 @@ chaos:
 # fresh build. Repeated because the interleavings that matter are
 # scheduling-dependent.
 chaos-writes:
-	$(GO) test -race -count=3 -run 'ChaosWriteStorm|ChaosBitsetWriteStorm|ChaosBindingStorm|RepairAcrossWorkerCounts|IndexWriteStorm' ./internal/core ./internal/engine
+	$(GO) test -race -count=3 -run 'ChaosWriteStorm|ChaosBindingStorm|RepairAcrossWorkerCounts|IndexWriteStorm' ./internal/core ./internal/engine
 
 # The repository's one benchmark is kwsbench (named in BENCHMARK.json): four
 # level-5 workloads served over HTTP through the real server stack, with

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	roaring "kwsdbg/internal/bitset"
 	"kwsdbg/internal/dblife"
 	"kwsdbg/internal/lint/hotpath"
 	"kwsdbg/internal/obs/flight"
@@ -34,21 +33,6 @@ func TestHotpathAllocBudgets(t *testing.T) {
 	kws := []string{"saffron", "scented", "candle"}
 	ctx := context.Background()
 
-	// The bitset harnesses need a node the bitset engine covers (node 0 is
-	// the unanchored root, which always falls back to SQL).
-	probeNode := -1
-	for i := 0; i < sys.lat.Len(); i++ {
-		node := sys.lat.Node(i)
-		key := probecache.Key(node.Label, node.CopyMask, kws)
-		if _, ok, _ := sys.bits.Probe(node, kws, key); ok {
-			probeNode = i
-			break
-		}
-	}
-	if probeNode < 0 {
-		t.Fatal("no bitset-coverable node in the product lattice")
-	}
-
 	// warmIsAlive measures one oracle's warm IsAlive on node after a cold
 	// probe has executed (and stored the verdict).
 	warmIsAlive := func(t *testing.T, o *oracle, node int) float64 {
@@ -61,19 +45,13 @@ func TestHotpathAllocBudgets(t *testing.T) {
 			}
 		})
 	}
-	// steps are the two hot steps of (*oracle).IsAlive, each under the
-	// manifest name of the oracle type it replaced: a prepared probe the
-	// verdict cache answers, and a bitset probe the evaluator's memo
-	// answers. Both keep their own row so a regression names its step.
+	// steps are the hot steps of (*oracle).IsAlive, each under the manifest
+	// name of the oracle type it replaced, so a regression names its step:
+	// a prepared probe the verdict cache answers.
 	steps := []struct {
 		name string
 		run  func(t *testing.T) float64
 	}{
-		{"kwsdbg/internal/core.(*bitsetOracle).IsAlive", func(t *testing.T) float64 {
-			o := sys.newOracle(ctx, buildSublattice(sys.lat, []int{probeNode}), kws, nil)
-			o.bits = sys.bits
-			return warmIsAlive(t, o, probeNode)
-		}},
 		{"kwsdbg/internal/core.(*preparedOracle).IsAlive", func(t *testing.T) float64 {
 			o := sys.newOracle(ctx, buildSublattice(sys.lat, []int{0}), kws, nil)
 			cache := probecache.New(probecache.Config{})
@@ -84,28 +62,6 @@ func TestHotpathAllocBudgets(t *testing.T) {
 	}
 
 	harness := map[string]budgetEntry{
-		"kwsdbg/internal/bitset.(*Bitmap).Contains": {budget: 0, run: func(t *testing.T) float64 {
-			b := roaring.FromSorted([]uint32{1, 5, 9, 70000})
-			return testing.AllocsPerRun(1000, func() {
-				if !b.Contains(70000) || b.Contains(6) {
-					t.Fatal("wrong membership")
-				}
-			})
-		}},
-		// And materializes a result bitmap; the budget covers the result
-		// header and its key/container slices, with container storage coming
-		// from the pool (Release returns it).
-		"kwsdbg/internal/bitset.(*Bitmap).And": {budget: 8, run: func(t *testing.T) float64 {
-			a := roaring.FromSorted([]uint32{1, 2, 3, 100, 70000, 70001})
-			b := roaring.FromSorted([]uint32{2, 100, 200, 70001})
-			return testing.AllocsPerRun(200, func() {
-				c := a.And(b)
-				if c.Cardinality() != 3 {
-					t.Fatal("wrong intersection")
-				}
-				c.Release()
-			})
-		}},
 		// The per-binding cache lookup every Debug, Search and ReturnNothing
 		// call makes, on a key built as phase12 builds it.
 		"kwsdbg/internal/core.(*bindingCache).get": {budget: 0, run: func(t *testing.T) float64 {
@@ -123,8 +79,10 @@ func TestHotpathAllocBudgets(t *testing.T) {
 				}
 			})
 		}},
-		// The single probe pipeline, warm on its two hot steps (see steps
-		// below). The entry's cost is the worse of the two.
+		// The probe pipeline, warm on its hot steps (see steps above): a
+		// cold probe executes and stores its verdict, and every later probe
+		// of the node is a verdict-cache hit. The entry's cost is the worst
+		// step's.
 		"kwsdbg/internal/core.(*oracle).IsAlive": {budget: 0, run: func(t *testing.T) float64 {
 			worst := 0.0
 			for _, s := range steps {
@@ -132,21 +90,6 @@ func TestHotpathAllocBudgets(t *testing.T) {
 			}
 			return worst
 		}},
-		"kwsdbg/internal/core/bitprobe.(*Evaluator).Probe": {budget: 0, run: func(t *testing.T) float64 {
-			node := sys.lat.Node(probeNode)
-			key := probecache.Key(node.Label, node.CopyMask, kws)
-			if _, ok, cause := sys.bits.Probe(node, kws, key); !ok {
-				t.Fatalf("probe declined: %s", cause)
-			}
-			return testing.AllocsPerRun(1000, func() {
-				if _, ok, _ := sys.bits.Probe(node, kws, key); !ok {
-					t.Fatal("warm probe declined")
-				}
-			})
-		}},
-		"kwsdbg/internal/core/bitprobe.(*Evaluator).evaluate": {
-			coveredBy: "kwsdbg/internal/core/bitprobe.(*Evaluator).Probe",
-		},
 		// The join kernel and its membership test: their receivers are
 		// unexported, so the engine's package-local harness is the budget
 		// (TestEnumerateAllocFree runs a compiled three-way join whose
@@ -267,8 +210,8 @@ func TestHotpathAllocBudgets(t *testing.T) {
 // TestWarmDebugAllocBudget pins what a warm debug run allocates: SBH over
 // DBLife Q1-Q10 at level 5 with a flight log attached, every binding served
 // by the per-binding cache and every probe by the verdict cache — the shape
-// of a warm /debug request. The budget is the measured count (781 per run
-// on go1.24; 1,609 before the per-binding cache) plus 5 %.
+// of a warm /debug request. The budget is the measured count (633 per run
+// on go1.24) plus 5 %.
 func TestWarmDebugAllocBudget(t *testing.T) {
 	base := dblifeSystem(t, 5)
 	sys, err := NewSystem(base.eng, base.lat)
@@ -289,7 +232,7 @@ func TestWarmDebugAllocBudget(t *testing.T) {
 	sweep() // fills the binding, verdict and handle caches
 	perCall := testing.AllocsPerRun(20, sweep) / float64(len(queries))
 	t.Logf("warm debug run: %.1f allocations", perCall)
-	const budget = 820
+	const budget = 665
 	if perCall > budget {
 		t.Errorf("a warm debug run allocates %.1f times, budget %d", perCall, budget)
 	}

@@ -136,42 +136,6 @@ func BenchmarkDebugWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkBitsetProbe compares a full Debug call on the prepared path
-// against the bitset path, cold (bitset plan/bitmap/memo caches purged every
-// iteration) and warm (steady state: every probe is a stamped-memo read).
-// The verdict cache is bypassed so every probe actually executes; the
-// DBLife per-probe floor is TestBitsetWarmSpeedup in the root package.
-func BenchmarkBitsetProbe(b *testing.B) {
-	sys := benchSystem(b)
-	kws := []string{"saffron", "scented", "candle"}
-	b.Run("prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Debug(kws, Options{Strategy: RE, BypassCache: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bitset-cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sys.PurgeBitsetCaches()
-			if _, err := sys.Debug(kws, Options{Strategy: RE, BypassCache: true, BitsetProbes: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bitset-warm", func(b *testing.B) {
-		if _, err := sys.Debug(kws, Options{Strategy: RE, BypassCache: true, BitsetProbes: true}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Debug(kws, Options{Strategy: RE, BypassCache: true, BitsetProbes: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkProbeCacheWarm measures a Debug call when every verdict is served
 // from the cross-request probe cache, against the same call bypassing it.
 func BenchmarkProbeCacheWarm(b *testing.B) {

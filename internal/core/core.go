@@ -8,16 +8,17 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"database/sql"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"kwsdbg/internal/clock"
-	"kwsdbg/internal/core/bitprobe"
 	"kwsdbg/internal/engine"
 	"kwsdbg/internal/lattice"
 	"kwsdbg/internal/obs/flight"
@@ -81,12 +82,6 @@ type System struct {
 	// needs flushing on INSERT.
 	prepared *engine.PreparedCache
 
-	// bits is the bitset probe engine: cross-request compiled join-tree
-	// plans, candidate bitmaps, and stamped verdict memos. Like prepared,
-	// entries self-revalidate against the engine's version vector, so the
-	// evaluator never needs flushing on INSERT.
-	bits *bitprobe.Evaluator
-
 	// bindings caches Phases 1b-2 per keyword binding: the pruned-node
 	// count, the MTNs, their sublattice and its tree labels (bindcache.go).
 	bindings *bindingCache
@@ -101,7 +96,6 @@ func NewSystem(eng *engine.Engine, lat *lattice.Lattice) (*System, error) {
 	sys := &System{
 		eng: eng, lat: lat, db: sqldriver.OpenDB(eng),
 		prepared: engine.NewPreparedCache(engine.DefaultPlanCacheSize, "prepared"),
-		bits:     bitprobe.New(eng),
 		bindings: newBindingCache(bindingCacheBytes),
 	}
 	// An open sql.DB is held by its connection goroutine, and through it the
@@ -167,10 +161,6 @@ func (sys *System) PurgePlanCaches() {
 	sys.eng.PlanCache().Purge()
 }
 
-// PurgeBitsetCaches drops the bitset engine's compiled plans, verdict memos,
-// and candidate bitmaps; benchmarks use it to measure the cold bitset path.
-func (sys *System) PurgeBitsetCaches() { sys.bits.Purge() }
-
 // BindingCacheStats snapshots the per-binding cache of Phases 1b-2, for
 // health endpoints.
 func (sys *System) BindingCacheStats() BindingCacheStats { return sys.bindings.stats() }
@@ -198,7 +188,7 @@ type Stats struct {
 	SQLExecuted int
 	// SQLTime is wall time spent servicing the probes the cache did not
 	// answer, on every probe step: rendering or handle resolution (compile
-	// included), a declined bitset attempt, and execution.
+	// included) and execution.
 	SQLTime      time.Duration
 	TraverseTime time.Duration
 	Inferred     int // nodes classified without executing SQL
@@ -223,13 +213,6 @@ type Stats struct {
 	// verdicts this run stored back for them.
 	Suspects int
 	Repaired int
-
-	// Bitset-path accounting, execution-dependent like the blocks above:
-	// BitsetHits counts probes answered by bitmap semi-joins without SQL,
-	// BitsetFallbacks probes the bitset engine declined to the prepared
-	// path. Both are zero unless Options.BitsetProbes was set.
-	BitsetHits      int
-	BitsetFallbacks int
 }
 
 // SQLIssued is the number of probes that actually reached the database:
@@ -327,9 +310,7 @@ type Options struct {
 	Workers int
 	// BypassCache disables the System's cross-request verdict cache for
 	// this run: no lookups, no stores, so every probe runs its evaluation
-	// step. On the bitset step the evaluator's own per-plan verdict memo
-	// still answers repeat probes over unchanged tables (its verdicts are
-	// stamped, never stale); PurgeBitsetCaches drops it for cold costs.
+	// step.
 	BypassCache bool
 	// TextProbes forces Phase 3 probes through the rendered-SQL +
 	// database/sql text path instead of compiled engine handles. The two
@@ -338,12 +319,6 @@ type Options struct {
 	// implementation, for benchmark comparison, and for backends reachable
 	// only through a database/sql driver.
 	TextProbes bool
-	// BitsetProbes routes Phase 3 probes through the bitset engine: bitmap
-	// semi-joins over inverted-index candidate sets, falling back to the
-	// prepared path per probe for shapes the engine cannot cover. Output is
-	// byte-identical to the prepared path (property-tested at several
-	// worker counts). Mutually exclusive with TextProbes.
-	BitsetProbes bool
 	// Deadline bounds the wall time Phase 3 may spend probing; zero means
 	// unlimited. Unlike cancelling the DebugContext context — which aborts
 	// the run with an error — an expired Deadline degrades gracefully: the
@@ -399,9 +374,6 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	if opts.Pa < 0 || opts.Pa >= 1 {
 		return nil, fmt.Errorf("core: pa must be in [0, 1), got %v", opts.Pa)
 	}
-	if opts.TextProbes && opts.BitsetProbes {
-		return nil, fmt.Errorf("core: TextProbes and BitsetProbes are mutually exclusive")
-	}
 	ph, err := sys.phase12(keywords, true)
 	if err != nil {
 		return nil, err
@@ -453,15 +425,12 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	defer fl.Flush()
 	gov.fl = fl
 
-	// The probe oracle: compiled engine handles by default, bitmap
-	// semi-joins or rendered SQL through database/sql when the caller asks.
-	// Every step shares the verdict cache and produces identical Output.
+	// The probe oracle: compiled engine handles by default, rendered SQL
+	// through database/sql when the caller asks. Both steps share the
+	// verdict cache and produce identical Output.
 	base := sys.newOracle(probeCtx, sub, keywords, fl)
-	switch {
-	case opts.TextProbes:
+	if opts.TextProbes {
 		base.db = sys.db
-	case opts.BitsetProbes:
-		base.bits = sys.bits
 	}
 	if cache := sys.ProbeCache(); cache != nil && !opts.BypassCache {
 		// Sync the cache's version view before the first probe could read a
@@ -512,11 +481,11 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		}
 		// Present the most specific explanations first: an MPAN covering
 		// more of the query (higher level) is usually the actionable one.
-		sort.SliceStable(na.MPANs, func(i, j int) bool {
-			if na.MPANs[i].Level != na.MPANs[j].Level {
-				return na.MPANs[i].Level > na.MPANs[j].Level
+		slices.SortStableFunc(na.MPANs, func(a, b QueryInfo) int {
+			if c := cmp.Compare(b.Level, a.Level); c != 0 {
+				return c
 			}
-			return na.MPANs[i].Tree < na.MPANs[j].Tree
+			return cmp.Compare(a.Tree, b.Tree)
 		})
 		out.NonAnswers = append(out.NonAnswers, na)
 	}

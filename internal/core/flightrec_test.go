@@ -83,14 +83,13 @@ func TestEventOrderPerProbe(t *testing.T) {
 	// BUWR at workers=8 drives the dispatch/commit scheduler: probes race in
 	// the pool, verdicts commit in serial order. Each pending node is probed
 	// exactly once, so each node's chain must be admit < exec < verdict on
-	// every probe step; a bitset hit is that step's execution.
+	// both probe steps.
 	for _, step := range []struct {
 		name string
 		opts core.Options
 	}{
 		{"text", core.Options{TextProbes: true}},
 		{"prepared", core.Options{}},
-		{"bitset", core.Options{BitsetProbes: true}},
 	} {
 		t.Run(step.name, func(t *testing.T) {
 			sys := buildSystem(t)
@@ -126,7 +125,7 @@ func checkProbeOrder(t *testing.T, events []flight.Event) {
 			if c.admit == 0 {
 				c.admit = ev.Seq
 			}
-		case flight.SQLExec, flight.BitsetHit, flight.ProbeCacheHit:
+		case flight.SQLExec, flight.ProbeCacheHit:
 			if c.exec == 0 {
 				c.exec = ev.Seq
 			}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"kwsdbg/internal/clock"
-	"kwsdbg/internal/core/bitprobe"
 	"kwsdbg/internal/engine"
 	"kwsdbg/internal/invidx"
 	"kwsdbg/internal/lattice"
@@ -58,15 +57,12 @@ func nodeFootprint(lat *lattice.Lattice, nodeID int, keywords []string) probecac
 
 // oracle is the probe pipeline of one debugging run. Every probe takes the
 // same sequence — verdict-cache lookup, evaluation, store, repair — and only
-// the evaluation step differs, chosen by which fields are set:
+// the evaluation step differs, chosen by whether db is set:
 //
 //   - db != nil (Options.TextProbes): render the node's "SELECT 1 ... LIMIT 1"
 //     and run it through database/sql, as the paper's implementation did
-//     through JDBC — the reference the other steps are property-tested
+//     through JDBC — the reference the prepared step is property-tested
 //     against;
-//   - bits != nil (Options.BitsetProbes): answer with bitmap semi-joins,
-//     falling back to the prepared handle for shapes the bitset engine
-//     declines;
 //   - otherwise (the default): execute the node's compiled engine.Prepared
 //     handle, shared across requests through the System's handle cache and
 //     revalidated against the data version on every execution.
@@ -81,7 +77,6 @@ type oracle struct {
 	// cands shares indexed candidate row sets across this run's prepared
 	// executions.
 	cands *engine.CandidateCache
-	bits  *bitprobe.Evaluator
 	db    *sql.DB
 
 	// cache, when non-nil, is the cross-request aliveness cache; verdicts
@@ -100,28 +95,25 @@ type oracle struct {
 	// on the node's first probe.
 	nodes []atomic.Pointer[probeNode]
 
-	executed        atomic.Int64
-	cacheHits       atomic.Int64
-	compiled        atomic.Int64
-	sqlNanos        atomic.Int64
-	suspects        atomic.Int64
-	repaired        atomic.Int64
-	bitsetHits      atomic.Int64
-	bitsetFallbacks atomic.Int64
+	executed  atomic.Int64
+	cacheHits atomic.Int64
+	compiled  atomic.Int64
+	sqlNanos  atomic.Int64
+	suspects  atomic.Int64
+	repaired  atomic.Int64
 }
 
 // probeNode is the run's memo for one node: its probe identity — canonical
-// label plus keyword binding, shared by the verdict cache, the handle cache,
-// the bitset plans and every flight event — and its resolved prepared
-// handle.
+// label plus keyword binding, shared by the verdict cache, the handle cache
+// and every flight event — and its resolved prepared handle.
 type probeNode struct {
 	key    string
 	handle atomic.Pointer[engine.Prepared]
 }
 
 // newOracle builds a run's oracle over the run's sublattice, on the
-// prepared step with no verdict cache; callers set db or bits to pick
-// another step. fl may be nil.
+// prepared step with no verdict cache; callers set db to pick the text
+// step. fl may be nil.
 func (sys *System) newOracle(ctx context.Context, sub *sublattice, keywords []string, fl *flight.Log) *oracle {
 	return &oracle{
 		ctx: ctx, lat: sys.lat, sub: sub, keywords: keywords, fl: fl,
@@ -176,17 +168,17 @@ func (o *oracle) IsAlive(nodeID int) (bool, error) {
 		}
 	}
 	// One timer spans the whole evaluation — rendering, handle resolution or
-	// compile, a declined bitset attempt, execution — so SQLTime is "time
-	// spent servicing probes" on every step.
+	// compile, execution — so SQLTime is "time spent servicing probes" on
+	// both steps.
 	start := clock.Now()
-	alive, kind, err := o.evaluate(nodeID, n)
+	alive, err := o.evaluate(nodeID, n)
 	if err != nil {
 		return false, err
 	}
 	o.executed.Add(1)
 	dur := clock.Since(start)
 	o.sqlNanos.Add(int64(dur))
-	o.fl.Emit(kind, nodeID, n.key, alive, dur, "")
+	o.fl.Emit(flight.SQLExec, nodeID, n.key, alive, dur, "")
 	if o.cache != nil {
 		o.cache.PutFP(n.key, alive, nodeFootprint(o.lat, nodeID, o.keywords), o.view)
 		if suspect {
@@ -197,38 +189,21 @@ func (o *oracle) IsAlive(nodeID int) (bool, error) {
 	return alive, nil
 }
 
-// evaluate answers the probe on the oracle's step and names the flight kind
-// that records it: BitsetHit when bitmap semi-joins served it, SQLExec when
-// it reached the engine.
-func (o *oracle) evaluate(nodeID int, n *probeNode) (alive bool, kind flight.Kind, err error) {
-	switch {
-	case o.db != nil:
-		alive, err = o.query(nodeID)
-		return alive, flight.SQLExec, err
-	case o.bits != nil:
-		// The prepared step observes cancellation through the engine; the
-		// bitset engine never enters it, so check here to keep deadline and
-		// cancellation behavior equivalent.
-		if err := o.ctx.Err(); err != nil {
-			return false, 0, fmt.Errorf("core: probe node %d: %w", nodeID, err)
-		}
-		alive, ok, cause := o.bits.Probe(o.lat.Node(nodeID), o.keywords, n.key)
-		if ok {
-			o.bitsetHits.Add(1)
-			return alive, flight.BitsetHit, nil
-		}
-		o.bitsetFallbacks.Add(1)
-		o.fl.Emit(flight.BitsetFallback, nodeID, n.key, false, 0, cause)
+// evaluate answers the probe on the oracle's step: the rendered SQL through
+// database/sql when db is set, the node's prepared handle otherwise.
+func (o *oracle) evaluate(nodeID int, n *probeNode) (bool, error) {
+	if o.db != nil {
+		return o.query(nodeID)
 	}
 	h, err := o.handle(nodeID, n)
 	if err != nil {
-		return false, 0, err
+		return false, err
 	}
 	res, err := h.ExecFlight(o.ctx, o.cands, o.fl, nodeID, n.key)
 	if err != nil {
-		return false, 0, fmt.Errorf("core: probe node %d: %w", nodeID, err)
+		return false, fmt.Errorf("core: probe node %d: %w", nodeID, err)
 	}
-	return len(res.Rows) > 0, flight.SQLExec, nil
+	return len(res.Rows) > 0, nil
 }
 
 // handle resolves the node's Prepared handle: the run's memo, then the
@@ -291,8 +266,6 @@ func (o *oracle) fill(st *Stats) {
 	st.PlanCompiles = int(o.compiled.Load())
 	st.Suspects = int(o.suspects.Load())
 	st.Repaired = int(o.repaired.Load())
-	st.BitsetHits = int(o.bitsetHits.Load())
-	st.BitsetFallbacks = int(o.bitsetFallbacks.Load())
 	ch, cm := o.cands.Stats()
 	st.CandSetHits, st.CandSetMisses = int(ch), int(cm)
 }

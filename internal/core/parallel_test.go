@@ -33,10 +33,6 @@ func normalized(out *Output) Output {
 	// between runs, never on the query.
 	n.Stats.Suspects = 0
 	n.Stats.Repaired = 0
-	// Bitset-path accounting depends on the chosen probe path and its warm
-	// state, never on the query's answer set.
-	n.Stats.BitsetHits = 0
-	n.Stats.BitsetFallbacks = 0
 	return n
 }
 

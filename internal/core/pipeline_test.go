@@ -18,8 +18,6 @@ var probeStages = map[flight.Kind]bool{
 	flight.ProbeCacheMiss: true,
 	flight.Suspect:        true,
 	flight.SQLExec:        true,
-	flight.BitsetHit:      true,
-	flight.BitsetFallback: true,
 	flight.Repair:         true,
 }
 
@@ -44,51 +42,44 @@ func probeSequences(fl *flight.Log) map[int32]string {
 	return out
 }
 
-// TestProbePipelineContract pins the verdict-cache sequence every probe
-// step shares — lookup, then evaluate, then store and repair — for the text,
-// prepared, and bitset steps across the four cache outcomes. RE probes the
-// same node set on every run, so each scenario sees every probe exactly
-// once; the flight events of each probe must follow one of the scenario's
-// sequences, and the run's Stats must agree with the event counts.
+// TestProbePipelineContract pins the verdict-cache sequence both probe
+// steps share — lookup, then evaluate, then store and repair — for the text
+// and prepared steps across the four cache outcomes. RE probes the same node
+// set on every run, so each scenario sees every probe exactly once; the
+// flight events of each probe must follow one of the scenario's sequences,
+// and the run's Stats must agree with the event counts.
 func TestProbePipelineContract(t *testing.T) {
 	kws := []string{"saffron", "scented", "candle"}
 	steps := []struct {
 		name string
 		opts Options
-		// exec lists the evaluation stages a probe may take on this step.
-		exec []string
 	}{
-		{"text", Options{TextProbes: true}, []string{"sql_exec"}},
-		{"prepared", Options{}, []string{"sql_exec"}},
-		{"bitset", Options{BitsetProbes: true}, []string{"bitset_hit", "bitset_fallback sql_exec"}},
+		{"text", Options{TextProbes: true}},
+		{"prepared", Options{}},
 	}
 	scenarios := []struct {
 		name string
 		// write runs before the scenario's Debug call.
 		write string
-		// seqs builds the scenario's permitted per-probe sequences from one
-		// evaluation stage; the last defines the scenario and must occur.
-		seqs func(exec string) []string
+		// seqs are the scenario's permitted per-probe sequences; the last
+		// defines the scenario and must occur.
+		seqs []string
 	}{
-		{name: "miss", seqs: func(exec string) []string { return []string{"probecache_miss " + exec} }},
-		{name: "hit", seqs: func(string) []string { return []string{"probecache_hit"} }},
+		{name: "miss", seqs: []string{"probecache_miss sql_exec"}},
+		{name: "hit", seqs: []string{"probecache_hit"}},
 		{
 			// A PType row matching no keyword intersects the footprint of
 			// every dead verdict over PType without resurrecting any.
 			name:  "suspect-confirmed",
 			write: "INSERT INTO PType VALUES (4, 'soap')",
-			seqs: func(exec string) []string {
-				return []string{"probecache_hit", "suspect " + exec + " repair:confirmed"}
-			},
+			seqs:  []string{"probecache_hit", "suspect sql_exec repair:confirmed"},
 		},
 		{
 			// The canonical Example 1 fix: a saffron scented candle makes
 			// some dead verdicts alive.
 			name:  "suspect-flipped",
 			write: "INSERT INTO Item VALUES (5, 'saffron scented candle', 2, 4, 4, 9.5, 'new stock')",
-			seqs: func(exec string) []string {
-				return []string{"probecache_hit", "suspect " + exec + " repair:confirmed", "suspect " + exec + " repair:flipped"}
-			},
+			seqs:  []string{"probecache_hit", "suspect sql_exec repair:confirmed", "suspect sql_exec repair:flipped"},
 		},
 	}
 
@@ -111,30 +102,24 @@ func TestProbePipelineContract(t *testing.T) {
 					t.Fatal(err)
 				}
 				allowed := map[string]bool{}
-				var defining []string
-				for _, exec := range step.exec {
-					seqs := sc.seqs(exec)
-					for _, s := range seqs {
-						allowed[s] = true
-					}
-					defining = append(defining, seqs[len(seqs)-1])
+				for _, s := range sc.seqs {
+					allowed[s] = true
 				}
+				defining := sc.seqs[len(sc.seqs)-1]
 				seqs := probeSequences(fl)
 				counts := map[string]int{}
 				sawDefining := false
 				for node, s := range seqs {
 					if !allowed[s] {
-						t.Errorf("node %d: pipeline events %q, want one of %v", node, s, allowed)
+						t.Errorf("node %d: pipeline events %q, want one of %v", node, s, sc.seqs)
 					}
-					for _, d := range defining {
-						sawDefining = sawDefining || s == d
-					}
+					sawDefining = sawDefining || s == defining
 					for _, k := range strings.Fields(s) {
 						counts[strings.SplitN(k, ":", 2)[0]]++
 					}
 				}
 				if !sawDefining {
-					t.Errorf("no probe followed %v; the scenario did not exercise its path", defining)
+					t.Errorf("no probe followed %q; the scenario did not exercise its path", defining)
 				}
 				if probed >= 0 && len(seqs) != probed {
 					t.Errorf("RE probed %d nodes, earlier scenarios %d", len(seqs), probed)
@@ -150,9 +135,7 @@ func TestProbePipelineContract(t *testing.T) {
 					{"CacheHits", st.CacheHits, counts["probecache_hit"]},
 					{"Suspects", st.Suspects, counts["suspect"]},
 					{"Repaired", st.Repaired, counts["repair"]},
-					{"BitsetHits", st.BitsetHits, counts["bitset_hit"]},
-					{"BitsetFallbacks", st.BitsetFallbacks, counts["bitset_fallback"]},
-					{"SQLIssued", st.SQLIssued(), counts["sql_exec"] + counts["bitset_hit"]},
+					{"SQLIssued", st.SQLIssued(), counts["sql_exec"]},
 				}
 				for _, w := range want {
 					if w.got != w.want {

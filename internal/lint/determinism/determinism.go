@@ -36,7 +36,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock/randomness reads and map-iteration-order leaks " +
 		"in the output-affecting packages (core, lattice, report, sqltext, obs, " +
-		"probecache, invidx, bitset, bitprobe)",
+		"probecache, invidx, vervec, storage)",
 	Run: run,
 }
 
@@ -49,23 +49,21 @@ var Analyzer = &analysis.Analyzer{
 // the oracle's already-measured SQL latency). probecache is scoped because
 // verdict expiry decides probe outcomes: its TTL deadline must come through
 // the clock seam, so tests (and the byte-identity property suite) can pin it.
-// invidx is scoped because candidate sets feed the bitset probe path
-// directly: its lookup timing must go through the clock seam and its posting
-// lists must never inherit map order. bitset and core/bitprobe are scoped
-// because they *are* a probe path — their verdicts must be a pure function
-// of the data, with no clock reads and no map iteration at all on the hot
-// path. vervec is scoped because version stamps decide verdict staleness,
-// and storage because snapshot contents and index posting lists feed every
-// probe. engine and server are deliberately out of scope: their time.Now /
-// timer reads are service-edge measurements (retry backoff, admission
-// deadlines, HTTP latency) — wall-clock there is the feature, not a leak.
+// invidx is scoped because its posting lists feed the engine's candidate
+// lists, which decide what every prepared probe scans: its lookup timing
+// must go through the clock seam and its posting lists must never inherit
+// map order. vervec is scoped because version stamps decide verdict
+// staleness, and storage because snapshot contents and index posting lists
+// feed every probe. engine and server are deliberately out of scope: their
+// time.Now / timer reads are service-edge measurements (retry backoff,
+// admission deadlines, HTTP latency) — wall-clock there is the feature, not
+// a leak.
 var Scope = func(pkgPath string) bool {
 	switch pkgPath {
 	case "kwsdbg/internal/core", "kwsdbg/internal/lattice",
 		"kwsdbg/internal/report", "kwsdbg/internal/sqltext",
 		"kwsdbg/internal/obs", "kwsdbg/internal/obs/flight",
 		"kwsdbg/internal/probecache", "kwsdbg/internal/invidx",
-		"kwsdbg/internal/bitset", "kwsdbg/internal/core/bitprobe",
 		"kwsdbg/internal/vervec", "kwsdbg/internal/storage":
 		return true
 	}

@@ -4,7 +4,7 @@
 // PR 8 found CounterVec.With burning ~1.5µs per warm probe — by manual
 // profiling, after the regression shipped. The contract is now explicit: a
 // function whose doc comment carries the `//kws:hotpath` directive (oracle
-// IsAlive, bitprobe Probe, flight Log.Emit, probecache Get, bitset And) is
+// IsAlive, flight Log.Emit, probecache Get, the engine's join kernel) is
 // on the per-probe path and must stay allocation-free. Inside such a
 // function this analyzer forbids
 //
@@ -12,7 +12,7 @@
 //     return is exempt — the error path is cold by definition),
 //   - any reference to reflect,
 //   - resolving a metric child through *Vec.With (pre-resolve it at
-//     construction, the way obs/flight and bitprobe do),
+//     construction, the way obs/flight and probecache do),
 //   - building strings inside loops (+= / s = s + x allocates per
 //     iteration; loop membership comes from the cfg engine's back-edge
 //     analysis),

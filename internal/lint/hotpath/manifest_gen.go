@@ -11,12 +11,8 @@ package hotpath
 // Manifest lists every //kws:hotpath function, "importpath.Func" or
 // "importpath.(*Recv).Method", sorted.
 var Manifest = []string{
-	"kwsdbg/internal/bitset.(*Bitmap).And",
-	"kwsdbg/internal/bitset.(*Bitmap).Contains",
 	"kwsdbg/internal/core.(*bindingCache).get",
 	"kwsdbg/internal/core.(*oracle).IsAlive",
-	"kwsdbg/internal/core/bitprobe.(*Evaluator).Probe",
-	"kwsdbg/internal/core/bitprobe.(*Evaluator).evaluate",
 	"kwsdbg/internal/engine.(*PreparedCache).Get",
 	"kwsdbg/internal/engine.(*execState).enumerate",
 	"kwsdbg/internal/engine.(*rowSet).has",

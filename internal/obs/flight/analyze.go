@@ -36,13 +36,7 @@ type ProbeStat struct {
 	// many of this probe's re-executions restored a verdict for one.
 	Suspects int
 	Repairs  int
-	// BitsetHits counts probes answered by bitmap semi-joins (no SQL);
-	// BitsetFallbacks counts attempts the bitset engine declined to SQL.
-	BitsetHits      int
-	BitsetFallbacks int
-	// SQLTime is the summed measured latency of the node's execution events
-	// — SQLExec and BitsetHit both, so cross-path diffs attribute the full
-	// probe-time delta.
+	// SQLTime is the summed measured latency of the node's SQLExec events.
 	SQLTime time.Duration
 	// Alive is the last committed verdict; meaningful when Verdicts > 0.
 	Alive bool
@@ -69,8 +63,7 @@ type Analysis struct {
 	// ledger's summary record (zero without one).
 	CandSetHits   int
 	CandSetMisses int
-	// TotalSQL is the summed latency of all execution events (SQLExec and
-	// BitsetHit).
+	// TotalSQL is the summed latency of all SQLExec events.
 	TotalSQL time.Duration
 	// Exhausted is the governor's trip cause, "" if the run completed.
 	Exhausted string
@@ -134,19 +127,14 @@ func Analyze(led *Ledger) *Analysis {
 			ps.Suspects++
 		case Repair:
 			ps.Repairs++
-		case BitsetHit:
-			ps.BitsetHits++
-			ps.SQLTime += ev.Dur
-			a.TotalSQL += ev.Dur
-		case BitsetFallback:
-			ps.BitsetFallbacks++
 		case KindUnknown, BudgetCharged, Shed, Exhausted:
 			// Run-level kinds were consumed by the first switch; KindUnknown
 			// (kinds this build does not know, among them the retired
-			// candset_hit, candset_miss and plan_reuse) and BudgetCharged
-			// carry no per-probe statistic. Listed so the eventkind analyzer
-			// proves this switch exhaustive: a new Kind fails lint here until
-			// its per-probe handling is decided.
+			// candset_hit, candset_miss, plan_reuse, bitset_hit and
+			// bitset_fallback) and BudgetCharged carry no per-probe
+			// statistic. Listed so the eventkind analyzer proves this switch
+			// exhaustive: a new Kind fails lint here until its per-probe
+			// handling is decided.
 		}
 	}
 	return a
@@ -214,7 +202,7 @@ func eventDetail(ev Event) string {
 	if ev.Cause != "" {
 		fmt.Fprintf(&sb, " cause=%s", ev.Cause)
 	}
-	if ev.Kind == SQLExec || ev.Kind == BitsetHit {
+	if ev.Kind == SQLExec {
 		fmt.Fprintf(&sb, " dur=%v alive=%t", ev.Dur, ev.Alive)
 	}
 	if ev.Kind == Verdict || ev.Kind == ProbeCacheHit || ev.Kind == Repair {
@@ -252,9 +240,6 @@ type DiffEntry struct {
 	// a write suspected their cached dead verdict and B re-proved it. Their
 	// SQL time is correctness spend, not a cache regression.
 	NewlyRepaired bool
-	// NewlyBitset marks probes that B answered on the bitset path more than
-	// A did — the causal attribution for a bitset-vs-SQL speedup.
-	NewlyBitset bool
 }
 
 // Delta is the probe's SQL-time change (B minus A).
@@ -263,7 +248,7 @@ func (e *DiffEntry) Delta() time.Duration { return e.BSQL - e.ASQL }
 // changed reports whether the entry is worth listing.
 func (e *DiffEntry) changed() bool {
 	return e.OnlyIn != "" || e.NewlyMissed || e.NewlyReplanned || e.NewlyRetried ||
-		e.NewlyRepaired || e.NewlyBitset || e.ASQL != e.BSQL
+		e.NewlyRepaired || e.ASQL != e.BSQL
 }
 
 // DiffResult is the causal comparison of two runs of the same query.
@@ -283,14 +268,9 @@ type DiffResult struct {
 	NewlyReplanned int
 	NewlyRetried   int
 	NewlyRepaired  int
-	// NewlyBitset counts probes B answered on the bitset path more than A.
-	NewlyBitset int
 	// RepairedSQL is the part of Explained spent re-proving suspected
 	// verdicts — expected spend under write churn, not a regression.
 	RepairedSQL time.Duration
-	// BitsetSQL is the part of Explained attributable to newly-bitset
-	// probes — typically negative: the bitmap-semi-join speedup.
-	BitsetSQL time.Duration
 }
 
 // Diff matches the two runs' probes by identity (probe key, falling back to
@@ -321,7 +301,6 @@ func Diff(a, b *Analysis) *DiffResult {
 			e.NewlyReplanned = pb.Replans > pa.Replans
 			e.NewlyRetried = pb.Retries > pa.Retries
 			e.NewlyRepaired = pb.Repairs > pa.Repairs
-			e.NewlyBitset = pb.BitsetHits > pa.BitsetHits
 		}
 		d.add(e)
 	}
@@ -338,7 +317,6 @@ func Diff(a, b *Analysis) *DiffResult {
 			NewlyReplanned: pb.Replans > 0,
 			NewlyRetried:   pb.Retries > 0,
 			NewlyRepaired:  pb.Repairs > 0,
-			NewlyBitset:    pb.BitsetHits > 0,
 		})
 	}
 
@@ -369,12 +347,8 @@ func (d *DiffResult) add(e DiffEntry) {
 		d.NewlyRepaired++
 		d.RepairedSQL += e.Delta()
 	}
-	if e.NewlyBitset {
-		d.NewlyBitset++
-		d.BitsetSQL += e.Delta()
-	}
 	if e.NewlyMissed || e.NewlyReplanned || e.NewlyRetried || e.NewlyRepaired ||
-		e.NewlyBitset || e.OnlyIn == "b" {
+		e.OnlyIn == "b" {
 		d.Explained += e.Delta()
 	}
 	d.Entries = append(d.Entries, e)
@@ -412,10 +386,6 @@ func (d *DiffResult) RenderDiff(w io.Writer, aLabel, bLabel string, top int) {
 		fmt.Fprintf(w, "verdict repairs: %d probes re-proved after writes suspected their cached verdicts (%v of the delta is repair spend, not regression)\n",
 			d.NewlyRepaired, signedDur(d.RepairedSQL))
 	}
-	if d.NewlyBitset > 0 {
-		fmt.Fprintf(w, "bitset path: %d probes newly answered by bitmap semi-joins (%v of the delta is bitset attribution)\n",
-			d.NewlyBitset, signedDur(d.BitsetSQL))
-	}
 	n := 0
 	for i := range d.Entries {
 		e := &d.Entries[i]
@@ -436,9 +406,6 @@ func (d *DiffResult) RenderDiff(w io.Writer, aLabel, bLabel string, top int) {
 		}
 		if e.NewlyRepaired {
 			flags = append(flags, "repaired")
-		}
-		if e.NewlyBitset {
-			flags = append(flags, "bitset")
 		}
 		if e.OnlyIn != "" {
 			flags = append(flags, "only-in-"+e.OnlyIn)

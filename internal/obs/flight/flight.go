@@ -77,15 +77,6 @@ const (
 	// repaired classification stored back; Alive carries the new verdict
 	// and Cause is "confirmed" (still dead) or "flipped" (now alive).
 	Repair
-	// BitsetHit: the bitset engine answered the probe with bitmap
-	// semi-joins — no SQL executed. Dur is the measured latency (memo hits
-	// land near zero) and Alive the verdict.
-	BitsetHit
-	// BitsetFallback: the bitset engine declined the probe and it fell back
-	// to the prepared-SQL path; Cause names the uncoverable shape
-	// ("unanchored", "cyclic", "disconnected", "no_table",
-	// "no_text_columns", "join_type", "candset_churn").
-	BitsetFallback
 
 	numKinds
 )
@@ -104,8 +95,6 @@ var kindNames = [numKinds]string{
 	Exhausted:      "exhausted",
 	Suspect:        "suspect",
 	Repair:         "repair",
-	BitsetHit:      "bitset_hit",
-	BitsetFallback: "bitset_fallback",
 }
 
 // String returns the stable wire name of the kind (used in ledgers, the

@@ -257,47 +257,59 @@ func TestWriteLedgerFileSanitizesStem(t *testing.T) {
 }
 
 // TestReadLedgerRetiredKinds loads a ledger written before the candset_hit,
-// candset_miss and plan_reuse kinds were retired: their events load as
-// KindUnknown and join no statistic, the run's candidate-set counts come
-// from the summary record, and the probe chain around them analyzes as
-// usual.
+// candset_miss, plan_reuse, bitset_hit and bitset_fallback kinds were
+// retired: their events load as KindUnknown and join no statistic, the run's
+// candidate-set counts come from the summary record, and the probe chains
+// around them analyze as usual. An old bitset_hit's Dur no longer counts in
+// TotalSQL: only SQLExec events carry execution time.
 func TestReadLedgerRetiredKinds(t *testing.T) {
 	raw := strings.Join([]string{
 		`{"v":1,"type":"event","seq":1,"req":"old","kind":"admit","node":4}`,
 		`{"v":1,"type":"event","seq":2,"req":"old","kind":"candset_miss","node":-1,"probe":"Item\u0000s;scented"}`,
 		`{"v":1,"type":"event","seq":3,"req":"old","kind":"candset_hit","node":-1,"probe":"Item\u0000s;scented"}`,
 		`{"v":1,"type":"event","seq":4,"req":"old","kind":"plan_reuse","node":4,"probe":"key4"}`,
-		`{"v":1,"type":"event","seq":5,"req":"old","kind":"sql_exec","node":4,"probe":"key4","alive":true,"dur_ns":2000}`,
-		`{"v":1,"type":"event","seq":6,"req":"old","kind":"verdict","node":4,"alive":true}`,
-		`{"v":1,"type":"summary","summary":{"req":"old","workers":1,"data_version":3,"map_ms":0,"prune_ms":0,"mtn_ms":0,"traverse_ms":0,"probes":1,"cache_hits":0,"sql_issued":1,"sql_ms":0.002,"candset_hits":1,"candset_misses":1,"answers":1,"non_answers":0,"events":6}}`,
+		`{"v":1,"type":"event","seq":5,"req":"old","kind":"bitset_fallback","node":4,"probe":"key4","cause":"unanchored"}`,
+		`{"v":1,"type":"event","seq":6,"req":"old","kind":"sql_exec","node":4,"probe":"key4","alive":true,"dur_ns":2000}`,
+		`{"v":1,"type":"event","seq":7,"req":"old","kind":"verdict","node":4,"alive":true}`,
+		`{"v":1,"type":"event","seq":8,"req":"old","kind":"admit","node":7}`,
+		`{"v":1,"type":"event","seq":9,"req":"old","kind":"bitset_hit","node":7,"probe":"key7","alive":false,"dur_ns":500}`,
+		`{"v":1,"type":"event","seq":10,"req":"old","kind":"verdict","node":7,"alive":false}`,
+		`{"v":1,"type":"summary","summary":{"req":"old","workers":1,"data_version":3,"map_ms":0,"prune_ms":0,"mtn_ms":0,"traverse_ms":0,"probes":2,"cache_hits":0,"sql_issued":2,"sql_ms":0.0025,"candset_hits":1,"candset_misses":1,"answers":1,"non_answers":1,"events":10}}`,
 	}, "\n")
 	led, err := ReadLedger(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(led.Events) != 6 {
-		t.Fatalf("read %d events, want 6", len(led.Events))
+	if len(led.Events) != 10 {
+		t.Fatalf("read %d events, want 10", len(led.Events))
 	}
-	for _, i := range []int{1, 2, 3} {
+	for _, i := range []int{1, 2, 3, 4, 8} {
 		if led.Events[i].Kind != KindUnknown {
 			t.Errorf("retired kind at seq %d parsed as %v, want KindUnknown", led.Events[i].Seq, led.Events[i].Kind)
 		}
 	}
 	a := Analyze(led)
-	if a.KindCounts[KindUnknown] != 3 || a.CandSetHits != 1 || a.CandSetMisses != 1 {
-		t.Errorf("unknown=%d candset hits/misses %d/%d, want 3 and 1/1 from the summary",
+	if a.KindCounts[KindUnknown] != 5 || a.CandSetHits != 1 || a.CandSetMisses != 1 {
+		t.Errorf("unknown=%d candset hits/misses %d/%d, want 5 and 1/1 from the summary",
 			a.KindCounts[KindUnknown], a.CandSetHits, a.CandSetMisses)
 	}
-	if len(a.Probes) != 1 {
-		t.Fatalf("grouped %d probes, want 1", len(a.Probes))
+	if a.TotalSQL != 2*time.Microsecond {
+		t.Errorf("TotalSQL = %v, want 2µs from the one sql_exec", a.TotalSQL)
+	}
+	if len(a.Probes) != 2 {
+		t.Fatalf("grouped %d probes, want 2", len(a.Probes))
 	}
 	if p := a.Probes[0]; p.Identity() != "key4" || p.Admits != 1 || p.SQLExecs != 1 || p.Verdicts != 1 ||
 		p.Replans != 0 || p.SQLTime != 2*time.Microsecond || !p.Alive {
 		t.Errorf("node 4 chain wrong: %+v", p)
 	}
+	if p := a.Probes[1]; p.Identity() != "key7" || p.Admits != 1 || p.SQLExecs != 0 || p.Verdicts != 1 ||
+		p.SQLTime != 0 || p.Alive {
+		t.Errorf("node 7 chain wrong: %+v", p)
+	}
 	var buf bytes.Buffer
 	a.RenderSummary(&buf)
-	for _, want := range []string{"run old", "candset_hits=1 candset_misses=1", "unknown=3", "sql_exec=1"} {
+	for _, want := range []string{"run old", "candset_hits=1 candset_misses=1", "unknown=5", "sql_exec=1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, buf.String())
 		}

@@ -30,6 +30,4 @@ var KindRegistry = []RegisteredKind{
 	{Exhausted, "exhausted", "the governor tripped; Cause is \"probe_budget\" or \"deadline\"."},
 	{Suspect, "suspect", "a cached dead verdict was downgraded to suspect because a write intersected its table footprint; the probe re-executes instead of trusting the verdict. Cause is the miss class (\"suspect\")."},
 	{Repair, "repair", "a suspect verdict was re-proved by a fresh probe and its repaired classification stored back; Alive carries the new verdict and Cause is \"confirmed\" (still dead) or \"flipped\" (now alive)."},
-	{BitsetHit, "bitset_hit", "the bitset engine answered the probe with bitmap semi-joins — no SQL executed. Dur is the measured latency (memo hits land near zero) and Alive the verdict."},
-	{BitsetFallback, "bitset_fallback", "the bitset engine declined the probe and it fell back to the prepared-SQL path; Cause names the uncoverable shape (\"unanchored\", \"cyclic\", \"disconnected\", \"no_table\", \"no_text_columns\", \"join_type\", \"candset_churn\")."},
 }

@@ -20,10 +20,6 @@ type RegisteredMetric struct {
 // Registered lists every metric family in the module, sorted by name.
 var Registered = []RegisteredMetric{
 	{Name: "kwsdbg_binding_cache_total", Type: "counter", Labels: []string{"result"}, Help: "Per-binding cache lookups (pruning, MTNs, sublattice and tree labels of a keyword binding), by result.", Package: "kwsdbg/internal/core"},
-	{Name: "kwsdbg_bitset_candset_total", Type: "counter", Labels: []string{"kind"}, Help: "Candidate bitmap events, by kind (build, rebuild, churn).", Package: "kwsdbg/internal/core/bitprobe"},
-	{Name: "kwsdbg_bitset_fallback_total", Type: "counter", Labels: []string{"cause"}, Help: "Probes declined to the prepared-SQL path, by cause.", Package: "kwsdbg/internal/core/bitprobe"},
-	{Name: "kwsdbg_bitset_plans_total", Type: "counter", Labels: nil, Help: "Probe join trees compiled into bitset plans.", Package: "kwsdbg/internal/core/bitprobe"},
-	{Name: "kwsdbg_bitset_probes_total", Type: "counter", Labels: []string{"outcome"}, Help: "Probes served on the bitset path, by outcome (memo_hit, computed).", Package: "kwsdbg/internal/core/bitprobe"},
 	{Name: "kwsdbg_candset_hits_total", Type: "counter", Labels: nil, Help: "Candidate-set lookups served from a run's shared cache.", Package: "kwsdbg/internal/engine"},
 	{Name: "kwsdbg_candset_misses_total", Type: "counter", Labels: nil, Help: "Candidate-set lookups that computed the row set from the index.", Package: "kwsdbg/internal/engine"},
 	{Name: "kwsdbg_candset_stale_total", Type: "counter", Labels: nil, Help: "Candidate-set entries discarded because the data version advanced.", Package: "kwsdbg/internal/engine"},

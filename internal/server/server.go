@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	GET  /debug?q=saffron+scented+candle[&strategy=SBH][&sql=1][&trace=1][&workers=4][&cache=0][&deadline_ms=500][&budget=200][&probe_path=prepared|text|bitset][&ledger=1]
+//	GET  /debug?q=saffron+scented+candle[&strategy=SBH][&sql=1][&trace=1][&workers=4][&cache=0][&deadline_ms=500][&budget=200][&probe_path=prepared|text][&ledger=1]
 //	GET  /debug/runs
 //	GET  /debug/flight[?req=000042]
 //	GET  /search?q=red+candle[&k=10]
@@ -339,18 +339,15 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// probe_path selects the Phase 3 execution path: compiled engine
-	// handles (the default), the rendered-SQL text path, or the bitset
-	// bitmap-semi-join path. The outputs are identical; the knob exists for
-	// benchmarking and debugging.
-	textProbes, bitsetProbes := false, false
+	// handles (the default) or the rendered-SQL text path. The outputs are
+	// identical; the knob exists for benchmarking and debugging.
+	textProbes := false
 	switch raw := params.Get("probe_path"); raw {
 	case "", "prepared":
 	case "text":
 		textProbes = true
-	case "bitset":
-		bitsetProbes = true
 	default:
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad probe_path parameter %q (want prepared, text, or bitset)", raw))
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad probe_path parameter %q (want prepared or text)", raw))
 		return
 	}
 	// ledger=1 additionally captures the run's full event stream and writes
@@ -375,13 +372,12 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	ctx = flight.NewContext(ctx, fl)
 	start := clock.Now()
 	out, err := s.sys.DebugContext(ctx, kws, core.Options{
-		Strategy:     strat,
-		Workers:      workers,
-		BypassCache:  params.Get("cache") == "0",
-		TextProbes:   textProbes,
-		BitsetProbes: bitsetProbes,
-		Deadline:     deadline,
-		ProbeBudget:  budget,
+		Strategy:    strat,
+		Workers:     workers,
+		BypassCache: params.Get("cache") == "0",
+		TextProbes:  textProbes,
+		Deadline:    deadline,
+		ProbeBudget: budget,
 	})
 	elapsed := clock.Since(start)
 	if err != nil {

@@ -113,6 +113,8 @@ func TestBadRequests(t *testing.T) {
 		{"/debug?q=", http.StatusBadRequest},
 		{"/debug?q=a+b+c+d", http.StatusUnprocessableEntity}, // too many keywords
 		{"/debug?q=x&strategy=NOPE", http.StatusBadRequest},
+		{"/debug?q=saffron+scented+candle&probe_path=bitset", http.StatusBadRequest}, // removed engine
+		{"/debug?q=saffron+scented+candle&probe_path=nope", http.StatusBadRequest},
 		{"/search", http.StatusBadRequest},
 		{"/search?q=x&k=0", http.StatusBadRequest},
 		{"/search?q=x&k=9999", http.StatusBadRequest},
@@ -274,6 +276,7 @@ func TestDebugWorkersAndCache(t *testing.T) {
 	}
 	for _, path := range []string{
 		"/debug?q=saffron+scented+candle&strategy=BUWR&workers=4&cache=0",
+		"/debug?q=saffron+scented+candle&strategy=BUWR&probe_path=text&cache=0",
 		"/debug?q=saffron+scented+candle&strategy=BUWR&workers=4",
 	} {
 		body, st := stats(path)

@@ -18,7 +18,7 @@
 //	> :pin 123 alive        # assume node 123's sub-query matched
 //	> :unpin 123
 //	> :pins                 # list assumptions
-//	> :reset                # drop memoized probe results after data edits
+//	> :reset                # re-index and re-probe everything after data edits
 //
 // The offline lattice can be cached across runs with -cache file.gob.
 package main
@@ -27,6 +27,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -126,7 +127,7 @@ func run(c config) error {
 		emit(out)
 		return nil
 	}
-	return interact(sys, strat, emit)
+	return interact(os.Stdin, sys, strat, emit)
 }
 
 // searchMode serves the end-user side of the KWS-S system: ranked joined
@@ -173,11 +174,12 @@ func searchMode(sys *core.System, c config) error {
 	}
 }
 
-// interact runs the REPL: keyword queries plus session what-if commands.
-func interact(sys *core.System, strat core.Strategy, emit func(*core.Output)) error {
+// interact runs the REPL over the lines of in: keyword queries plus session
+// what-if commands.
+func interact(in io.Reader, sys *core.System, strat core.Strategy, emit func(*core.Output)) error {
 	fmt.Println("enter keyword queries, one per line; :help for commands; ctrl-D to exit")
 	var sess *core.Session
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	for {
 		fmt.Print("> ")
 		if !sc.Scan() {
@@ -227,7 +229,7 @@ func command(sys *core.System, sess **core.Session, strat core.Strategy, line st
 		fmt.Println("  :pin <node> alive|dead   assume a sub-query's status and re-run")
 		fmt.Println("  :unpin <node>            drop an assumption and re-run")
 		fmt.Println("  :pins                    list assumptions")
-		fmt.Println("  :reset                   forget memoized probes (after data edits)")
+		fmt.Println("  :reset                   re-index and re-probe everything (after data edits)")
 		fmt.Println("  :explain <node>          show the engine's plan for a node's probe")
 		fmt.Println("  :search <keywords...>    end-user view: ranked joined tuples")
 		return nil
@@ -306,7 +308,6 @@ func command(sys *core.System, sess **core.Session, strat core.Strategy, line st
 		if *sess == nil {
 			return fmt.Errorf("no active query")
 		}
-		(*sess).Reset()
 		sys.Engine().InvalidateIndex()
 		return rerun()
 	default:

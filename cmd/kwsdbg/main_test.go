@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kwsdbg/internal/core"
@@ -72,5 +74,54 @@ func TestObtainLatticeCache(t *testing.T) {
 	c2 := config{maxJoins: 2, slots: 2, cachePath: cache}
 	if _, err := obtainLattice(eng, c2); err == nil {
 		t.Error("mismatched cache accepted")
+	}
+}
+
+// TestREPLSession drives the REPL over Figure 2 with BU: a query's first run
+// counts the probes Debug does, a pin re-runs with every verdict from the
+// session's verdict cache, and :reset re-probes.
+func TestREPLSession(t *testing.T) {
+	eng, err := loadDataset("figure2", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := obtainLattice(eng, config{maxJoins: 2, slots: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(eng, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Debug([]string{"saffron", "scented", "candle"}, core.Options{Strategy: core.BU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := -1
+	for _, na := range want.NonAnswers {
+		if na.Query.Tree == "Color#1-Item#2-PType#3" {
+			q1 = na.Query.NodeID
+		}
+	}
+	if q1 < 0 {
+		t.Fatalf("q1 not among the non-answers of %+v", want.NonAnswers)
+	}
+
+	var outs []*core.Output
+	in := strings.NewReader(fmt.Sprintf("saffron scented candle\n:pin %d alive\n:reset\n", q1))
+	if err := interact(in, sys, core.BU, func(out *core.Output) { outs = append(outs, out) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 3 {
+		t.Fatalf("REPL emitted %d outputs, want 3", len(outs))
+	}
+	if got := outs[0].Stats.SQLExecuted; got != want.Stats.SQLExecuted {
+		t.Errorf("first run counts %d probes, Debug %d", got, want.Stats.SQLExecuted)
+	}
+	if got := outs[1].Stats.SQLIssued(); got != 0 {
+		t.Errorf(":pin re-run issued %d probes, want 0", got)
+	}
+	if got := outs[2].Stats.SQLIssued(); got == 0 {
+		t.Error(":reset re-run issued no probes")
 	}
 }

@@ -124,6 +124,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  pinned %s alive: %d answers (was %d), %d extra probes\n",
-			target.Tree, len(whatIf.Answers), len(base.Answers), whatIf.Stats.SQLExecuted)
+			target.Tree, len(whatIf.Answers), len(base.Answers), whatIf.Stats.SQLIssued())
 	}
 }

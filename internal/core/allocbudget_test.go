@@ -143,15 +143,6 @@ func TestHotpathAllocBudgets(t *testing.T) {
 				l.Emit(flight.SQLExec, 1, "k", true, time.Millisecond, "")
 			})
 		}},
-		"kwsdbg/internal/probecache.(*Cache).Get": {budget: 0, run: func(t *testing.T) float64 {
-			c := probecache.New(probecache.Config{})
-			c.Put("k", true)
-			return testing.AllocsPerRun(1000, func() {
-				if alive, ok := c.Get("k"); !ok || !alive {
-					t.Fatal("expected cached hit")
-				}
-			})
-		}},
 		// The /debug report's per-entry writer: report imports core, so its
 		// package-local harness is the budget (TestQueryEntryAllocFree writes
 		// an entry, SQL included, into a slice with room).
@@ -160,7 +151,7 @@ func TestHotpathAllocBudgets(t *testing.T) {
 		},
 		"kwsdbg/internal/probecache.(*Cache).Lookup": {budget: 0, run: func(t *testing.T) float64 {
 			c := probecache.New(probecache.Config{})
-			c.Put("k", true)
+			c.PutFP("k", true, nodeFootprint(sys.lat, 0, kws), c.SyncVersions(sys.eng.Versions()))
 			return testing.AllocsPerRun(1000, func() {
 				if alive, outcome := c.Lookup("k"); outcome != probecache.Hit || !alive {
 					t.Fatal("expected cached hit")

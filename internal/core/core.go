@@ -125,18 +125,20 @@ func (sys *System) Engine() *engine.Engine { return sys.eng }
 func (sys *System) DB() *sql.DB { return sys.db }
 
 // SetProbeCache installs (or, with nil, removes) a cross-request aliveness
-// cache. Verdicts learned by one Debug, Search or SearchPartial call then
-// answer identical probes in later calls — different strategies, different
-// keyword queries binding the same sub-queries, repeated requests — without
-// executing SQL, and spare Search the fetch of a candidate network already
-// proved dead. Search stores the verdict each fetch's rows prove, under the
-// key Debug probes with. Each call syncs the cache to the engine's version
-// vector before its first lookup, so no verdict a write could have changed
-// is served: a dead verdict whose tables the write touched turns suspect and
-// is re-probed (or re-fetched), and an epoch bump drops every stamped
-// verdict (see package probecache). Probe *counts* (Stats.SQLExecuted) are
-// unaffected: a cache hit is a probe the strategy spent, just one the
-// database did not have to answer; the savings show up in Stats.CacheHits.
+// cache. Verdicts learned by one Debug, Search or SearchPartial call or
+// Session run then answer identical probes in later calls — different
+// strategies, different keyword queries binding the same sub-queries,
+// repeated requests — without executing SQL, and spare Search the fetch of a
+// candidate network already proved dead. A Session uses a private cache only
+// while none is installed. Search stores the verdict each fetch's rows
+// prove, under the key Debug probes with. Each call syncs the cache to the
+// engine's version vector before its first lookup, so no verdict a write
+// could have changed is served: a dead verdict whose tables the write
+// touched turns suspect and is re-probed (or re-fetched), and an epoch bump
+// drops every stamped verdict (see package probecache). Probe *counts*
+// (Stats.SQLExecuted) are unaffected: a cache hit is a probe the strategy
+// spent, just one the database did not have to answer; the savings show up
+// in Stats.CacheHits.
 func (sys *System) SetProbeCache(c *probecache.Cache) { sys.cache.Store(c) }
 
 // ProbeCache returns the installed cross-request cache, or nil.
@@ -308,9 +310,9 @@ type Options struct {
 	// setting because its probe order is inherently sequential. Values above
 	// 64 are clamped.
 	Workers int
-	// BypassCache disables the System's cross-request verdict cache for
-	// this run: no lookups, no stores, so every probe runs its evaluation
-	// step.
+	// BypassCache disables the verdict cache for this run (the System's,
+	// or a Session's private one): no lookups, no stores, so every probe
+	// runs its evaluation step.
 	BypassCache bool
 	// TextProbes forces Phase 3 probes through the rendered-SQL +
 	// database/sql text path instead of compiled engine handles. The two
@@ -342,22 +344,23 @@ type Options struct {
 
 // Debug runs phases 1-3 for a keyword query and explains every non-answer.
 func (sys *System) Debug(keywords []string, opts Options) (*Output, error) {
-	return sys.debugWith(context.Background(), keywords, opts, nil)
+	return sys.debugWith(context.Background(), keywords, opts, nil, sys.ProbeCache())
 }
 
 // DebugContext is Debug with cancellation: the context is checked before
 // every SQL probe, so a level-7 Return-Everything run can be abandoned
 // mid-traversal.
 func (sys *System) DebugContext(ctx context.Context, keywords []string, opts Options) (*Output, error) {
-	return sys.debugWith(ctx, keywords, opts, nil)
+	return sys.debugWith(ctx, keywords, opts, nil, sys.ProbeCache())
 }
 
-// debugWith is the shared pipeline behind Debug and Session.Run; sess, when
-// non-nil, layers the session's pins and memo over both the SQL oracle and
-// the base-level classification rule. It records each phase in the
-// Output's Stats and in the obs metrics; a traced response renders its phase
-// tree from those Stats (see report.Trace).
-func (sys *System) debugWith(ctx context.Context, keywords []string, opts Options, sess *Session) (out *Output, err error) {
+// debugWith is the shared pipeline behind Debug and Session.Run. pins, when
+// non-nil, are a session's hypothetical facts: they seed the traversal
+// before the base-level rule and are never probed. cache, when non-nil and
+// not bypassed, is the verdict cache the run reads and writes. It records
+// each phase in the Output's Stats and in the obs metrics; a traced
+// response renders its phase tree from those Stats (see report.Trace).
+func (sys *System) debugWith(ctx context.Context, keywords []string, opts Options, pins map[int]bool, cache *probecache.Cache) (out *Output, err error) {
 	defer func() {
 		status := "ok"
 		switch {
@@ -432,7 +435,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	if opts.TextProbes {
 		base.db = sys.db
 	}
-	if cache := sys.ProbeCache(); cache != nil && !opts.BypassCache {
+	if cache != nil && !opts.BypassCache {
 		// Sync the cache's version view before the first probe could read a
 		// verdict: writes that landed since the last run turn intersecting
 		// dead verdicts into suspects (re-probed and repaired) while disjoint
@@ -441,15 +444,10 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		base.view = cache.SyncVersions(sys.eng.Versions())
 		base.cache = cache
 	}
-	var oracle Oracle = base
-	sd := seed{baseAlive: sys.baseAliveFunc()}
-	if sess != nil {
-		oracle = &sessionOracle{inner: base, s: sess}
-		sd.pins = sess.pinned
-	}
+	sd := seed{baseAlive: sys.baseAliveFunc(), pins: pins}
 	workers := ClampWorkers(opts.Workers)
 	start := clock.Now()
-	res, inferred, err := sys.traverse(ctx, sub, oracle, sd, opts, workers, gov, fl)
+	res, inferred, err := sys.traverse(ctx, sub, base, sd, opts, workers, gov, fl)
 	if err == nil {
 		// A caller cancellation that lands after the last commit must not
 		// let the run masquerade as completed: check before any stats or

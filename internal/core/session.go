@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+
+	"kwsdbg/internal/probecache"
 )
 
 // Session supports the interactive debugging loop the paper's conclusion
@@ -12,8 +13,10 @@ import (
 // it is worth studying how to combine the search for MPANs with user
 // intervention"): repeated runs over one keyword query where
 //
-//   - probe results are memoized, so a re-run after narrowing the question
-//     costs no SQL for anything already learned, and
+//   - probe verdicts go through the verdict cache, so a re-run after
+//     narrowing the question costs no SQL for anything already learned, and
+//     a re-run after a write re-probes only the dead verdicts the write
+//     could have changed, and
 //   - the developer can pin aliveness facts ("assume this sub-query is
 //     alive — I just fixed the data" / "treat this branch as dead") and see
 //     the hypothetical answers, non-answers, and MPANs without touching the
@@ -22,18 +25,18 @@ import (
 // Pinned facts are injected as knowledge before any probing and propagate
 // through the classification rules: pinning a node alive implies its whole
 // sub-query tree alive (rule R1), pinning it dead kills its ancestors
-// (rule R2). They take precedence over both the memo and the database, which
-// makes the output *hypothetical* — exactly their point. The memo holds only
-// what the data said: a Run that finds the engine's data version moved since
-// the memo was learned drops it first, so a write between runs is always
-// seen. Reset drops it on demand.
+// (rule R2). They take precedence over the database, which makes the output
+// *hypothetical* — exactly their point. Pinned and inferred nodes are never
+// probed, so a pin never enters the verdict cache, which holds only what the
+// data said.
 type Session struct {
 	sys      *System
 	keywords []string
 	pinned   map[int]bool // lattice node ID -> assumed aliveness
-	memo     map[int]bool // probe results learned in previous runs
-	version  uint64       // the engine's data version the memo was learned at
-	probes   int          // SQL probes across the session's lifetime
+	// cache serves the session's runs when the System has no verdict cache
+	// installed.
+	cache  *probecache.Cache
+	issued int // probes that reached the database across the session's runs
 }
 
 // NewSession starts an interactive session for one keyword query.
@@ -49,7 +52,7 @@ func (sys *System) NewSession(keywords []string) (*Session, error) {
 		sys:      sys,
 		keywords: keywords,
 		pinned:   make(map[int]bool),
-		memo:     make(map[int]bool),
+		cache:    probecache.New(probecache.Config{}),
 	}, nil
 }
 
@@ -72,82 +75,22 @@ func (s *Session) Pins() []int {
 	return out
 }
 
-// Reset drops the memoized probe results while keeping the pins. Run already
-// drops them after a write; Reset forces it.
-func (s *Session) Reset() { s.memo = make(map[int]bool) }
+// Probes reports the probes that reached the database across the session's
+// runs: the sum of their Stats.SQLIssued.
+func (s *Session) Probes() int { return s.issued }
 
-// Probes reports the total SQL probes the session has executed.
-func (s *Session) Probes() int { return s.probes }
-
-// Run executes phases 1-3 under the session's pins and memo.
+// Run executes phases 1-3 under the session's pins. Its Stats count as
+// Debug's do: SQLExecuted is the strategy's probes, verdict-cache hits
+// included.
 func (s *Session) Run(opts Options) (*Output, error) {
-	// Index attributes rows appended to storage directly to the version
-	// vector, so the version read next counts every write.
-	s.sys.eng.Index()
-	if v := s.sys.eng.DataVersion(); v != s.version {
-		s.Reset()
-		s.version = v
+	cache := s.sys.ProbeCache()
+	if cache == nil {
+		cache = s.cache
 	}
-	out, err := s.sys.debugWith(context.Background(), s.keywords, opts, s)
+	out, err := s.sys.debugWith(context.Background(), s.keywords, opts, s.pinned, cache)
 	if err != nil {
 		return nil, err
 	}
-	s.probes += out.Stats.SQLExecuted
+	s.issued += out.Stats.SQLIssued()
 	return out, nil
-}
-
-// sessionOracle layers pins and the memo over the SQL oracle. Concurrent
-// probes of the same node (parallel BU/TD runs share descendants) are
-// single-flighted: one caller executes, the rest wait for its verdict. That
-// is not just an optimization — it keeps the probe count identical to the
-// serial run, where the first traversal pays for a shared node and every
-// later one hits the memo.
-type sessionOracle struct {
-	inner Oracle
-	s     *Session
-
-	mu       sync.Mutex
-	inflight map[int]*probeCall
-}
-
-// probeCall is one in-flight probe; done closes when alive/err are final.
-type probeCall struct {
-	done  chan struct{}
-	alive bool
-	err   error
-}
-
-// IsAlive implements Oracle.
-func (o *sessionOracle) IsAlive(nodeID int) (bool, error) {
-	// Pins are written only between runs; reading without the lock is safe.
-	if alive, ok := o.s.pinned[nodeID]; ok {
-		return alive, nil
-	}
-	o.mu.Lock()
-	if alive, ok := o.s.memo[nodeID]; ok {
-		o.mu.Unlock()
-		return alive, nil
-	}
-	if c, ok := o.inflight[nodeID]; ok {
-		o.mu.Unlock()
-		<-c.done
-		return c.alive, c.err
-	}
-	if o.inflight == nil {
-		o.inflight = make(map[int]*probeCall)
-	}
-	c := &probeCall{done: make(chan struct{})}
-	o.inflight[nodeID] = c
-	o.mu.Unlock()
-
-	c.alive, c.err = o.inner.IsAlive(nodeID)
-
-	o.mu.Lock()
-	if c.err == nil {
-		o.s.memo[nodeID] = c.alive
-	}
-	delete(o.inflight, nodeID)
-	o.mu.Unlock()
-	close(c.done)
-	return c.alive, c.err
 }

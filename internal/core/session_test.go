@@ -3,16 +3,19 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"kwsdbg/internal/probecache"
 )
 
-func TestSessionMemoSavesSQL(t *testing.T) {
+func TestSessionRerunIssuesNoSQL(t *testing.T) {
 	sys := productSystem(t)
 	sess, err := sys.NewSession([]string{"saffron", "scented", "candle"})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	// Seed the memo with RE, which probes every node the strategies can
-	// ever touch; afterwards any traversal order re-runs for free.
+	// Seed the verdict cache with RE, which probes every node the
+	// strategies can ever touch; afterwards no traversal order reaches the
+	// database.
 	first, err := sess.Run(Options{Strategy: RE})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -25,16 +28,142 @@ func TestSessionMemoSavesSQL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-run %v: %v", strat, err)
 		}
-		if again.Stats.SQLExecuted != 0 {
-			t.Errorf("%v re-run executed %d SQL probes, want 0", strat, again.Stats.SQLExecuted)
+		if again.Stats.SQLIssued() != 0 {
+			t.Errorf("%v re-run issued %d SQL probes, want 0", strat, again.Stats.SQLIssued())
 		}
 		if got, want := canonical(again), canonical(first); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v re-run diverged", strat)
 		}
 	}
-	if sess.Probes() != first.Stats.SQLExecuted {
-		t.Errorf("Probes() = %d, want %d", sess.Probes(), first.Stats.SQLExecuted)
+	if sess.Probes() != first.Stats.SQLIssued() {
+		t.Errorf("Probes() = %d, want %d", sess.Probes(), first.Stats.SQLIssued())
 	}
+}
+
+// TestSessionFirstRunCountsAsDebug pins the accounting contract: a session
+// run's Stats mean what Debug's mean, so a fresh session reports the probes
+// the strategy spends, shared descendants BU and TD probe again included.
+func TestSessionFirstRunCountsAsDebug(t *testing.T) {
+	sys := productSystem(t)
+	kws := []string{"saffron", "scented", "candle"}
+	for _, strat := range append(append([]Strategy{}, Strategies...), RE) {
+		want, err := sys.Debug(kws, Options{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sys.NewSession(kws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Run(Options{Strategy: strat})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		if got.Stats.SQLExecuted != want.Stats.SQLExecuted {
+			t.Errorf("%v: session's first run counts %d probes, Debug %d",
+				strat, got.Stats.SQLExecuted, want.Stats.SQLExecuted)
+		}
+		if sess.Probes() != got.Stats.SQLIssued() {
+			t.Errorf("%v: Probes() = %d, want the run's %d issued", strat, sess.Probes(), got.Stats.SQLIssued())
+		}
+	}
+}
+
+// TestSessionRerunAfterWriteProbesOnlySuspects lands an answer-preserving
+// INSERT between two runs of a session: the re-run sends the database only
+// the dead verdicts the write could have changed, repairs each of them, and
+// reports what a fresh Debug does.
+func TestSessionRerunAfterWriteProbesOnlySuspects(t *testing.T) {
+	kws := []string{"saffron", "scented", "candle"}
+	for _, strat := range []Strategy{SBH, BUWR, TDWR, BU, TD, RE} {
+		sys := productSystem(t)
+		sess, err := sys.NewSession(kws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := sess.Run(Options{Strategy: strat})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		if _, err := sys.Engine().Exec(
+			"INSERT INTO Item VALUES (5, 'lavender oil', 1, 3, 3, 2.5, 'plain')"); err != nil {
+			t.Fatal(err)
+		}
+		again, err := sess.Run(Options{Strategy: strat})
+		if err != nil {
+			t.Fatalf("%v re-run: %v", strat, err)
+		}
+		st := again.Stats
+		if st.Suspects == 0 {
+			t.Errorf("%v: a write into Item suspected no dead verdict", strat)
+		}
+		if st.SQLIssued() != st.Suspects || st.Repaired != st.Suspects {
+			t.Errorf("%v: re-run issued %d probes and repaired %d for %d suspects",
+				strat, st.SQLIssued(), st.Repaired, st.Suspects)
+		}
+		if sess.Probes() != first.Stats.SQLIssued()+st.SQLIssued() {
+			t.Errorf("%v: Probes() = %d, want %d", strat, sess.Probes(), first.Stats.SQLIssued()+st.SQLIssued())
+		}
+		fresh, err := sys.Debug(kws, Options{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := normalized(again), normalized(fresh); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: re-run after the write diverges from a fresh Debug\ngot:  %+v\nwant: %+v", strat, got, want)
+		}
+	}
+}
+
+// TestSessionPinsStayOutOfVerdictCache runs a session whose pins contradict
+// the data on a System with a verdict cache installed: the hypothetical
+// facts must never reach the shared store, so later Debug calls through the
+// cache still report what the data says.
+func TestSessionPinsStayOutOfVerdictCache(t *testing.T) {
+	sys := productSystem(t)
+	cache := probecache.New(probecache.Config{})
+	sys.SetProbeCache(cache)
+	kws := []string{"saffron", "scented", "candle"}
+	sess, err := sys.NewSession(kws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]bool{"Color#1-Item#2-PType#3": true, "Color#1": false}
+	for tree, alive := range pins {
+		sess.Pin(nodeByTree(t, sys, tree), alive)
+	}
+	if _, err := sess.Run(Options{Strategy: SBH}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.Debug(kws, Options{Strategy: SBH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Debug(kws, Options{Strategy: SBH, BypassCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normalized(got), normalized(want)) {
+		t.Errorf("Debug through the cache after a pinned session diverges from a bypassed run\ngot:  %+v\nwant: %+v",
+			normalized(got), normalized(want))
+	}
+	for _, id := range sess.Pins() {
+		n := sys.Lattice().Node(id)
+		if _, outcome := cache.Lookup(probecache.Key(n.Label, n.CopyMask, kws)); outcome != probecache.MissCold {
+			t.Errorf("pinned node %s: cache lookup %v, want MissCold", n, outcome)
+		}
+	}
+}
+
+// nodeByTree returns the ID of the lattice node rendered as tree.
+func nodeByTree(t *testing.T, sys *System, tree string) int {
+	t.Helper()
+	for id := 0; id < sys.Lattice().Len(); id++ {
+		if sys.Lattice().Node(id).String() == tree {
+			return id
+		}
+	}
+	t.Fatalf("no lattice node %s", tree)
+	return 0
 }
 
 func TestSessionPinWhatIf(t *testing.T) {
@@ -76,8 +205,8 @@ func TestSessionPinWhatIf(t *testing.T) {
 	if !foundAlive {
 		t.Errorf("pinned-alive q1 not reported as answer; answers = %v", trees(whatIf.Answers))
 	}
-	if whatIf.Stats.SQLExecuted != 0 {
-		t.Errorf("what-if run executed %d probes", whatIf.Stats.SQLExecuted)
+	if whatIf.Stats.SQLIssued() != 0 {
+		t.Errorf("what-if run issued %d probes", whatIf.Stats.SQLIssued())
 	}
 	// Unpin restores the real state.
 	sess.Unpin(q1.NodeID)
@@ -122,36 +251,6 @@ func TestSessionPinBaseNode(t *testing.T) {
 	}
 	if len(out.NonAnswers) == 0 {
 		t.Error("pinned-dead interpretation not reported as non-answer")
-	}
-}
-
-func TestSessionResetAfterDataChange(t *testing.T) {
-	sys := productSystem(t)
-	kws := []string{"scented", "incense"}
-	sess, err := sys.NewSession(kws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := sess.Run(Options{Strategy: SBH})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before.Answers) != 0 {
-		t.Fatalf("no scented incense expected; answers = %v", trees(before.Answers))
-	}
-	// The merchant starts stocking scented incense.
-	if _, err := sys.Engine().Exec(
-		"INSERT INTO Item VALUES (6, 'cedar scented incense stick', 3, 3, 2, 2.49, 'slow burn')"); err != nil {
-		t.Fatal(err)
-	}
-	// Without Reset the memo would keep reporting the stale result.
-	sess.Reset()
-	after, err := sess.Run(Options{Strategy: SBH})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Answers) == 0 {
-		t.Error("new inventory not visible after Reset")
 	}
 }
 

@@ -4,7 +4,7 @@
 // PR 8 found CounterVec.With burning ~1.5µs per warm probe — by manual
 // profiling, after the regression shipped. The contract is now explicit: a
 // function whose doc comment carries the `//kws:hotpath` directive (oracle
-// IsAlive, flight Log.Emit, probecache Get, the engine's join kernel) is
+// IsAlive, flight Log.Emit, probecache Lookup, the engine's join kernel) is
 // on the per-probe path and must stay allocation-free. Inside such a
 // function this analyzer forbids
 //

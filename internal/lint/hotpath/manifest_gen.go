@@ -19,7 +19,6 @@ var Manifest = []string{
 	"kwsdbg/internal/invidx.lookupMetrics.record",
 	"kwsdbg/internal/lattice.(*Lattice).Prune",
 	"kwsdbg/internal/obs/flight.(*Log).Emit",
-	"kwsdbg/internal/probecache.(*Cache).Get",
 	"kwsdbg/internal/probecache.(*Cache).Lookup",
 	"kwsdbg/internal/report.(*jsonWriter).query",
 }

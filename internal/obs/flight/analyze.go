@@ -231,8 +231,8 @@ type DiffEntry struct {
 	// both).
 	OnlyIn string
 	// NewlyMissed / NewlyReplanned / NewlyRetried mark probes that did more
-	// cache missing / replanning / retrying in B than in A — the causal
-	// suspects for B's extra SQL time.
+	// cache missing (or hit the cache less) / replanning / retrying in B
+	// than in A — the causal suspects for B's extra SQL time.
 	NewlyMissed    bool
 	NewlyReplanned bool
 	NewlyRetried   bool
@@ -297,10 +297,13 @@ func Diff(a, b *Analysis) *DiffResult {
 		} else {
 			e.BNode = pb.Node
 			e.BSQL = pb.SQLTime
-			e.NewlyMissed = pb.CacheMisses > pa.CacheMisses
+			e.NewlyRepaired = pb.Repairs > pa.Repairs
+			// A run with the cache bypassed records no misses, only lost
+			// hits; a hit lost to a repair is attributed to the repair.
+			e.NewlyMissed = pb.CacheMisses > pa.CacheMisses ||
+				(pb.CacheHits < pa.CacheHits && !e.NewlyRepaired)
 			e.NewlyReplanned = pb.Replans > pa.Replans
 			e.NewlyRetried = pb.Retries > pa.Retries
-			e.NewlyRepaired = pb.Repairs > pa.Repairs
 		}
 		d.add(e)
 	}

@@ -393,6 +393,46 @@ func TestDiffAttributesColdRun(t *testing.T) {
 	}
 }
 
+// TestDiffAttributesBypassedRun diffs a warm run against one with the cache
+// bypassed: B records no cache event at all, so a probe A answered from the
+// cache and B executed is newly missed by its lost hit. A hit B lost to a
+// repair stays attributed to the repair alone.
+func TestDiffAttributesBypassedRun(t *testing.T) {
+	warm := Analyze(&Ledger{Events: []Event{
+		{Seq: 1, Kind: Admit, Node: 4},
+		{Seq: 2, Kind: ProbeCacheHit, Node: 4, Probe: "key4", Alive: true},
+		{Seq: 3, Kind: Verdict, Node: 4, Alive: true},
+	}})
+	bypassed := Analyze(&Ledger{Events: []Event{
+		{Seq: 1, Kind: Admit, Node: 4},
+		{Seq: 2, Kind: SQLExec, Node: 4, Probe: "key4", Alive: true, Dur: 3 * time.Millisecond},
+		{Seq: 3, Kind: Verdict, Node: 4, Alive: true},
+	}})
+	d := Diff(warm, bypassed)
+	if d.SQLDelta != 3*time.Millisecond {
+		t.Fatalf("SQLDelta = %v, want 3ms", d.SQLDelta)
+	}
+	if d.Explained != d.SQLDelta {
+		t.Errorf("Explained = %v, want the full delta %v", d.Explained, d.SQLDelta)
+	}
+	if d.NewlyMissed != 1 {
+		t.Errorf("NewlyMissed = %d, want 1", d.NewlyMissed)
+	}
+
+	repaired := Analyze(&Ledger{Events: []Event{
+		{Seq: 1, Kind: Admit, Node: 4},
+		{Seq: 2, Kind: Suspect, Node: 4, Probe: "key4", Cause: "suspect"},
+		{Seq: 3, Kind: SQLExec, Node: 4, Probe: "key4", Alive: false, Dur: 2 * time.Millisecond},
+		{Seq: 4, Kind: Repair, Node: 4, Probe: "key4", Cause: "confirmed"},
+		{Seq: 5, Kind: Verdict, Node: 4, Alive: false},
+	}})
+	d = Diff(warm, repaired)
+	if d.NewlyMissed != 0 || d.NewlyRepaired != 1 || d.Explained != d.SQLDelta {
+		t.Errorf("repair diff: NewlyMissed %d, NewlyRepaired %d, Explained %v of %v; want 0, 1 and all",
+			d.NewlyMissed, d.NewlyRepaired, d.Explained, d.SQLDelta)
+	}
+}
+
 func TestRenderSummaryAndSlow(t *testing.T) {
 	led := &Ledger{
 		Events: []Event{

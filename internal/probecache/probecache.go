@@ -10,11 +10,11 @@
 // identical sub-queries with the same keywords share one verdict, even across
 // lattices of different depths.
 //
-// Entries are stamped against the engine's version vector (vervec): an entry
-// stored through PutFP records the tables and keyword terms of its join tree
-// with their write-counter values, and SyncVersions snapshots the live vector
-// once per debug run. A later lookup compares only the entry's own footprint
-// slice, so a write to a disjoint table invalidates nothing.
+// Entries are stamped against the engine's version vector (vervec): every
+// entry, stored through PutFP, records the tables and keyword terms of its
+// join tree with their write-counter values, and SyncVersions snapshots the
+// live vector once per debug run. A later lookup compares only the entry's
+// own footprint slice, so a write to a disjoint table invalidates nothing.
 //
 // Verdicts whose footprint a write *did* touch split by monotonicity: under
 // the paper's pruning rules R1/R2 an INSERT can only flip dead -> alive,
@@ -85,17 +85,16 @@ type entry struct {
 	// expires is the wall-clock deadline; zero time means no TTL.
 	expires time.Time
 
-	// Footprint stamp (PutFP entries; names is nil for Put entries, which
-	// only the TTL and the LRU retire). names[:ntab] are the join tree's
-	// table counters — the suspect trigger set — and names[ntab:] its
-	// keyword-term counters, recorded for provenance. vals are the view's
-	// counter values and epoch the view's epoch at store time.
+	// Footprint stamp: names[:ntab] are the join tree's table counters —
+	// the suspect trigger set — and names[ntab:] its keyword-term
+	// counters, recorded for provenance. vals are the view's counter values
+	// and epoch the view's epoch at store time.
 	names []string
 	ntab  int
 	vals  []uint64
 	epoch uint64
 	// suspect marks a dead verdict whose table slice advanced: kept for
-	// repair, reported as Suspect until a fresh Put lands or the TTL does.
+	// repair, reported as Suspect until a fresh PutFP lands or the TTL does.
 	suspect bool
 }
 
@@ -111,7 +110,8 @@ type Cache struct {
 	items map[string]*list.Element
 
 	// view is the version-vector snapshot footprint stamps are taken from
-	// and compared against; nil until the first SyncVersions. guarded by mu.
+	// and compared against; nil until the first SyncVersions, which every
+	// store follows. guarded by mu.
 	view *vervec.View
 
 	// hits and misses count lookups. guarded by mu.
@@ -174,8 +174,7 @@ func Key(label string, copyMask uint64, keywords []string) string {
 // SyncVersions snapshots the engine's version vector so later lookups
 // compare each entry's own footprint slice against it. Call it once per
 // debug run, before the first probe; the snapshot is skipped when the vector
-// has not moved since the last sync. Entries stored before the first
-// SyncVersions carry no stamp.
+// has not moved since the last sync.
 //
 // The returned view is the snapshot now current; the run passes it to PutFP
 // so its entries are stamped against the state *its* probes are guaranteed
@@ -183,9 +182,6 @@ func Key(label string, copyMask uint64, keywords []string) string {
 // unsound: a concurrent run could sync a newer view between this run's
 // probe and its store, vouching for a write the probe never read.
 func (c *Cache) SyncVersions(vv *vervec.Vector) *vervec.View {
-	if vv == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.view == nil || c.view.Seq != vv.Seq() {
@@ -245,21 +241,12 @@ func (o Outcome) Cause() string {
 	}
 }
 
-// Get returns the cached verdict for the key, if it is present, current, and
-// unexpired. Stale entries (older epoch or past TTL) are evicted on contact
-// and reported as misses.
-//
-//kws:hotpath
-func (c *Cache) Get(key string) (alive, ok bool) {
-	alive, outcome := c.Lookup(key)
-	return alive, outcome == Hit
-}
-
-// Lookup is Get with the miss cause: it distinguishes entries that never
-// existed from entries invalidated by an epoch bump or TTL expiry, and from
-// dead verdicts downgraded to suspect by a footprint-intersecting write.
-// Stale and expired entries are evicted on contact, exactly as in Get;
-// suspects are retained for repair.
+// Lookup returns the cached verdict for the key and the lookup's outcome: a
+// hit when the entry is present, current, and unexpired, otherwise the miss
+// cause. It distinguishes entries that never existed from entries
+// invalidated by an epoch bump or TTL expiry, and from dead verdicts
+// downgraded to suspect by a footprint-intersecting write. Stale and
+// expired entries are evicted on contact; suspects are retained for repair.
 //
 // The check order is deliberate: epoch, then TTL, then footprint. A suspect
 // whose TTL lapses is therefore an expired eviction (EvictionsStale), never
@@ -277,7 +264,7 @@ func (c *Cache) Lookup(key string) (alive bool, outcome Outcome) {
 		return false, MissCold
 	}
 	en := el.Value.(*entry)
-	if en.names != nil && c.view != nil && en.epoch != c.view.Epoch {
+	if en.epoch != c.view.Epoch {
 		// A non-monotone mutation (epoch bump) voids every footprint
 		// argument: alive and dead entries alike are plainly stale.
 		c.removeLocked(el, true)
@@ -294,7 +281,7 @@ func (c *Cache) Lookup(key string) (alive bool, outcome Outcome) {
 		mMisses.Inc()
 		return false, MissExpired
 	}
-	if en.names != nil && c.advancedLocked(en) {
+	if c.advancedLocked(en) {
 		if en.alive {
 			// Monotone repair argument, alive half (R1): an INSERT can
 			// only create bindings, so an alive verdict stays alive no
@@ -306,7 +293,7 @@ func (c *Cache) Lookup(key string) (alive bool, outcome Outcome) {
 		}
 		// Dead half (R2): the write may have given this tree its first
 		// binding. Downgrade to suspect — once — and make the caller
-		// re-probe; the entry stays for Put to repair.
+		// re-probe; the entry stays for PutFP to repair.
 		if !en.suspect {
 			en.suspect = true
 			c.suspects++
@@ -335,46 +322,29 @@ func (c *Cache) advancedLocked(en *entry) bool {
 	return false
 }
 
-// Put stores a verdict without a footprint, evicting the least recently used
-// entry when the cache is full. No write or epoch bump invalidates such an
-// entry, only the TTL and the LRU; the oracle stores through PutFP.
-func (c *Cache) Put(key string, alive bool) {
-	c.putStamped(key, alive, nil, nil)
-}
-
-// PutFP is Put with a footprint stamp: the verdict records its join tree's
-// tables and terms with their counter values from vw — the view the storing
-// run got from SyncVersions, i.e. a snapshot taken before any of its probes
-// read data — so later lookups compare only that slice of the version
-// vector. Storing over a suspect entry is a repair (the re-probe the
-// suspect asked for) and is counted as such. A nil vw (no SyncVersions ran)
-// stores the entry without a stamp, as Put does.
+// PutFP stores a verdict stamped with its footprint, evicting the least
+// recently used entry when the cache is full. The verdict records its join
+// tree's tables and terms with their counter values from vw, which must be
+// the view the storing run got from SyncVersions, i.e. a snapshot taken
+// before any of its probes read data, so later lookups compare only that
+// slice of the version vector. Storing over a suspect entry is a repair (the
+// re-probe the suspect asked for) and is counted as such.
 func (c *Cache) PutFP(key string, alive bool, fp Footprint, vw *vervec.View) {
-	c.putStamped(key, alive, &fp, vw)
-}
-
-func (c *Cache) putStamped(key string, alive bool, fp *Footprint, vw *vervec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var expires time.Time
 	if c.cfg.TTL > 0 {
 		expires = c.now().Add(c.cfg.TTL)
 	}
-	var names []string
-	var vals []uint64
-	var ntab int
-	var epoch uint64
-	if fp != nil && vw != nil {
-		ntab = len(fp.Tables)
-		names = make([]string, 0, ntab+len(fp.Terms))
-		names = append(names, fp.Tables...)
-		names = append(names, fp.Terms...)
-		vals = make([]uint64, len(names))
-		for i, n := range names {
-			vals[i] = vw.Counter(n)
-		}
-		epoch = vw.Epoch
+	ntab := len(fp.Tables)
+	names := make([]string, 0, ntab+len(fp.Terms))
+	names = append(names, fp.Tables...)
+	names = append(names, fp.Terms...)
+	vals := make([]uint64, len(names))
+	for i, n := range names {
+		vals[i] = vw.Counter(n)
 	}
+	epoch := vw.Epoch
 	if el, found := c.items[key]; found {
 		en := el.Value.(*entry)
 		if en.suspect {

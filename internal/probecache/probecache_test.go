@@ -9,18 +9,29 @@ import (
 	"kwsdbg/internal/vervec"
 )
 
-func TestGetPut(t *testing.T) {
+// put stores a verdict as the oracle does: stamped against a synced view.
+func put(c *Cache, key string, alive bool) {
+	c.PutFP(key, alive, fpItem(), c.SyncVersions(vervec.New()))
+}
+
+// get reports the verdict and whether the lookup hit.
+func get(c *Cache, key string) (alive, ok bool) {
+	alive, outcome := c.Lookup(key)
+	return alive, outcome == Hit
+}
+
+func TestLookupPut(t *testing.T) {
 	c := New(Config{MaxEntries: 4})
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", true)
-	c.Put("b", false)
-	if alive, ok := c.Get("a"); !ok || !alive {
-		t.Fatalf("Get(a) = %v, %v; want true, true", alive, ok)
+	put(c, "a", true)
+	put(c, "b", false)
+	if alive, ok := get(c, "a"); !ok || !alive {
+		t.Fatalf("get(a) = %v, %v; want true, true", alive, ok)
 	}
-	if alive, ok := c.Get("b"); !ok || alive {
-		t.Fatalf("Get(b) = %v, %v; want false, true", alive, ok)
+	if alive, ok := get(c, "b"); !ok || alive {
+		t.Fatalf("get(b) = %v, %v; want false, true", alive, ok)
 	}
 	st := c.Snapshot()
 	if st.Hits != 2 || st.Misses != 1 || st.Entries != 2 {
@@ -30,15 +41,15 @@ func TestGetPut(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := New(Config{MaxEntries: 2})
-	c.Put("a", true)
-	c.Put("b", true)
-	c.Get("a") // a is now most recently used
-	c.Put("c", true)
-	if _, ok := c.Get("b"); ok {
+	put(c, "a", true)
+	put(c, "b", true)
+	get(c, "a") // a is now most recently used
+	put(c, "c", true)
+	if _, ok := get(c, "b"); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := get(c, k); !ok {
 			t.Fatalf("%s should have survived", k)
 		}
 	}
@@ -49,13 +60,13 @@ func TestLRUEviction(t *testing.T) {
 
 func TestUpdateExisting(t *testing.T) {
 	c := New(Config{MaxEntries: 2})
-	c.Put("a", true)
-	c.Put("a", false)
+	put(c, "a", true)
+	put(c, "a", false)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d; want 1 (update, not duplicate)", c.Len())
 	}
-	if alive, ok := c.Get("a"); !ok || alive {
-		t.Fatalf("Get(a) = %v, %v; want updated false verdict", alive, ok)
+	if alive, ok := get(c, "a"); !ok || alive {
+		t.Fatalf("get(a) = %v, %v; want updated false verdict", alive, ok)
 	}
 }
 
@@ -63,13 +74,13 @@ func TestTTLExpiry(t *testing.T) {
 	c := New(Config{TTL: time.Minute})
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	c.Put("a", true)
+	put(c, "a", true)
 	now = now.Add(30 * time.Second)
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, "a"); !ok {
 		t.Fatal("entry expired before its TTL")
 	}
 	now = now.Add(31 * time.Second)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("entry survived past its TTL")
 	}
 	if c.Len() != 0 {
@@ -85,15 +96,15 @@ func TestTTLBoundary(t *testing.T) {
 	c := New(Config{TTL: time.Minute})
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	c.Put("a", true)
+	put(c, "a", true)
 
 	now = now.Add(time.Minute - time.Nanosecond) // one before the deadline
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, "a"); !ok {
 		t.Fatal("entry must hit strictly before its deadline")
 	}
 
 	now = now.Add(time.Nanosecond) // exactly the deadline
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("entry stored at expires == now must miss")
 	}
 	st := c.Snapshot()
@@ -115,7 +126,7 @@ func TestEvictionSplit(t *testing.T) {
 	c.PutFP("b", true, fpItem(), vw) // rotates a out: capacity
 	vv.BumpEpoch()
 	c.SyncVersions(vv)
-	c.Get("b") // stale on contact: stale
+	get(c, "b") // stale on contact: stale
 	st := c.Snapshot()
 	if st.EvictionsCapacity != 1 || st.EvictionsStale != 1 || st.Evictions != 2 {
 		t.Fatalf("stats = %+v; want 1 capacity + 1 stale = 2 evictions", st)
@@ -148,13 +159,13 @@ func TestKeyBindingSignature(t *testing.T) {
 
 func TestPurge(t *testing.T) {
 	c := New(Config{})
-	c.Put("a", true)
-	c.Put("b", true)
+	put(c, "a", true)
+	put(c, "b", true)
 	c.Purge()
 	if c.Len() != 0 {
 		t.Fatalf("Len after Purge = %d", c.Len())
 	}
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("hit after Purge")
 	}
 }

@@ -141,19 +141,6 @@ func TestSuspectTTLLapseIsStaleEviction(t *testing.T) {
 	}
 }
 
-// TestLegacyPutKeepsGenerationSemantics pins that a Put entry, which carries
-// no footprint, is not invalidated by writes to the version vector.
-func TestLegacyPutKeepsGenerationSemantics(t *testing.T) {
-	vv := vervec.New()
-	c := New(Config{})
-	c.Put("legacy", true) // no footprint, no view
-	vv.Bump(vervec.TableKey("Item"))
-	c.SyncVersions(vv)
-	if _, outcome := c.Lookup("legacy"); outcome != Hit {
-		t.Fatalf("legacy entry after vector-only write: %v, want Hit", outcome)
-	}
-}
-
 func TestFootprintTables(t *testing.T) {
 	vv := vervec.New()
 	c := New(Config{})

@@ -39,8 +39,12 @@ func Text(w io.Writer, out *core.Output, opts Options) error {
 		tw.printf("keywords not found anywhere in the data: %s\n", strings.Join(out.NonKeywords, ", "))
 		return tw.err
 	}
-	tw.printf("%d answer queries, %d non-answer queries (%d SQL probes, %v)\n",
-		len(out.Answers), len(out.NonAnswers), out.Stats.SQLExecuted, out.Stats.SQLTime)
+	fromCache := ""
+	if out.Stats.CacheHits > 0 {
+		fromCache = fmt.Sprintf(", %d from the verdict cache", out.Stats.CacheHits)
+	}
+	tw.printf("%d answer queries, %d non-answer queries (%d SQL probes%s, %v)\n",
+		len(out.Answers), len(out.NonAnswers), out.Stats.SQLExecuted, fromCache, out.Stats.SQLTime)
 	if out.Incomplete {
 		tw.printf("INCOMPLETE: %s exhausted; everything below is guaranteed, %d candidate networks left unclassified\n",
 			out.IncompleteReason, len(out.Unclassified))

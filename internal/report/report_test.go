@@ -50,6 +50,20 @@ func TestTextBasic(t *testing.T) {
 	}
 }
 
+// TestTextVerdictCacheHits renders a run some of whose probes the verdict
+// cache answered: the summary line says how many.
+func TestTextVerdictCacheHits(t *testing.T) {
+	_, out := exampleOutput(t)
+	out.Stats.SQLExecuted, out.Stats.CacheHits, out.Stats.SQLTime = 12, 12, 0
+	var sb strings.Builder
+	if err := Text(&sb, out, Options{}); err != nil {
+		t.Fatalf("Text: %v", err)
+	}
+	if want := "1 answer queries, 4 non-answer queries (12 SQL probes, 12 from the verdict cache, 0s)\n"; !strings.HasPrefix(sb.String(), want) {
+		t.Errorf("text does not start with %q:\n%s", want, sb.String())
+	}
+}
+
 func TestTextShowSQLAndPreview(t *testing.T) {
 	sys, out := exampleOutput(t)
 	var sb strings.Builder

@@ -58,9 +58,10 @@ race:
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a
 # harness for every annotated function and pins warm probe servicing, flight
-# logging, the per-binding cache lookup, the engine's join kernel and the
-# /debug report's entry writer at zero allocations, a warm Q1-Q10 debug run
-# at its measured count, and JSONOpts at one allocation per Q1-Q10 report.
+# logging, the per-binding cache lookup, Phase 3's commit path (run.classify),
+# the engine's join kernel and the /debug report's entry writer at zero
+# allocations, a warm Q1-Q10 debug run at its measured count, and JSONOpts at
+# one allocation per Q1-Q10 report.
 budget:
 	$(GO) test -run 'TestHotpathAllocBudgets|TestWarmDebugAllocBudget|TestLookupRecordAllocFree|TestEnumerateAllocFree|TestQueryEntryAllocFree|TestJSONOptsAllocs' ./internal/core ./internal/invidx ./internal/engine ./internal/report
 
@@ -77,6 +78,7 @@ FUZZ_TARGETS = \
 	FuzzContainsToken:./internal/engine \
 	FuzzParse:./internal/sqltext \
 	FuzzTokenHits:./internal/core \
+	FuzzTraversalMatchesReference:./internal/core \
 	FuzzJSONOpts:./internal/report
 
 fuzz:

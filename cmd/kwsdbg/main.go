@@ -12,7 +12,9 @@
 // In interactive mode each keyword query opens a session; what-if commands
 // let the developer pin hypothetical facts and re-run without touching the
 // database (the paper's "combine the search for MPANs with user
-// intervention"):
+// intervention"). Every session reads and writes one verdict cache for the
+// whole REPL, so retyping a query, or typing one that shares sub-queries
+// with an earlier line, reuses the verdicts already proved:
 //
 //	> saffron scented candle
 //	> :pin 123 alive        # assume node 123's sub-query matched
@@ -37,6 +39,7 @@ import (
 	"kwsdbg/internal/engine"
 	"kwsdbg/internal/figure2"
 	"kwsdbg/internal/lattice"
+	"kwsdbg/internal/probecache"
 	"kwsdbg/internal/report"
 )
 
@@ -175,8 +178,12 @@ func searchMode(sys *core.System, c config) error {
 }
 
 // interact runs the REPL over the lines of in: keyword queries plus session
-// what-if commands.
+// what-if commands. It installs a verdict cache on sys when none is
+// installed, so the sessions of successive lines share their verdicts.
 func interact(in io.Reader, sys *core.System, strat core.Strategy, emit func(*core.Output)) error {
+	if sys.ProbeCache() == nil {
+		sys.SetProbeCache(probecache.New(probecache.Config{}))
+	}
 	fmt.Println("enter keyword queries, one per line; :help for commands; ctrl-D to exit")
 	var sess *core.Session
 	sc := bufio.NewScanner(in)

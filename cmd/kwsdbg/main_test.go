@@ -79,7 +79,10 @@ func TestObtainLatticeCache(t *testing.T) {
 
 // TestREPLSession drives the REPL over Figure 2 with BU: a query's first run
 // counts the probes Debug does, a pin re-runs with every verdict from the
-// session's verdict cache, and :reset re-probes.
+// verdict cache, and :reset re-probes. The REPL's lines share one cache: the
+// query retyped after :reset re-probes only what the pinned re-run left
+// unproved, typed once more it issues no probe, and a query sharing
+// sub-queries with it issues fewer probes than it makes.
 func TestREPLSession(t *testing.T) {
 	eng, err := loadDataset("figure2", 0, 0)
 	if err != nil {
@@ -108,12 +111,13 @@ func TestREPLSession(t *testing.T) {
 	}
 
 	var outs []*core.Output
-	in := strings.NewReader(fmt.Sprintf("saffron scented candle\n:pin %d alive\n:reset\n", q1))
+	in := strings.NewReader(fmt.Sprintf("saffron scented candle\n:pin %d alive\n:reset\n"+
+		"saffron scented candle\nsaffron scented candle\nsaffron scented\n", q1))
 	if err := interact(in, sys, core.BU, func(out *core.Output) { outs = append(outs, out) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 3 {
-		t.Fatalf("REPL emitted %d outputs, want 3", len(outs))
+	if len(outs) != 6 {
+		t.Fatalf("REPL emitted %d outputs, want 6", len(outs))
 	}
 	if got := outs[0].Stats.SQLExecuted; got != want.Stats.SQLExecuted {
 		t.Errorf("first run counts %d probes, Debug %d", got, want.Stats.SQLExecuted)
@@ -123,5 +127,14 @@ func TestREPLSession(t *testing.T) {
 	}
 	if got := outs[2].Stats.SQLIssued(); got == 0 {
 		t.Error(":reset re-run issued no probes")
+	}
+	if got, first := outs[3].Stats.SQLIssued(), outs[0].Stats.SQLIssued(); got >= first {
+		t.Errorf("query retyped after :reset issued %d probes, its first run %d; the pinned re-run's verdicts went unused", got, first)
+	}
+	if got := outs[4].Stats.SQLIssued(); got != 0 {
+		t.Errorf("retyped query issued %d probes, want 0", got)
+	}
+	if st := outs[5].Stats; st.SQLIssued() >= st.SQLExecuted {
+		t.Errorf("saffron scented issued %d of %d probes; its shared sub-queries were already proved", st.SQLIssued(), st.SQLExecuted)
 	}
 }

@@ -27,7 +27,7 @@ type budgetEntry struct {
 // in annotated functions; this test walks the generated manifest and pins an
 // actual warm-path allocation count for every entry, so an annotation cannot
 // be added (or a hot path regressed) without this table noticing. Warm probe
-// servicing and flight logging are pinned at zero.
+// servicing, flight logging and the commit path are pinned at zero.
 func TestHotpathAllocBudgets(t *testing.T) {
 	sys := productSystem(t)
 	kws := []string{"saffron", "scented", "candle"}
@@ -116,6 +116,27 @@ func TestHotpathAllocBudgets(t *testing.T) {
 				}
 			})
 		}},
+		// Phase 3's commit path: one verdict and the R1/R2 pass it implies,
+		// on statuses reset between calls. An alive MTN settles its Desc+,
+		// a dead base node its ancestors.
+		"kwsdbg/internal/core.(*run).classify": {budget: 0, run: func(t *testing.T) float64 {
+			ph, err := sys.phase12(kws, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := buildSublattice(sys.lat, ph.mtnIDs)
+			r := newRun(sub, nil, []int{0})
+			m := sub.mtns[0]
+			if len(sub.desc.row(m)) == 0 || len(sub.asc.row(0)) == 0 {
+				t.Fatal("the harness needs an MTN with descendants and a base node with ancestors")
+			}
+			return testing.AllocsPerRun(1000, func() {
+				clear(r.status)
+				r.classify(m, true, false)
+				clear(r.status)
+				r.classify(0, false, false)
+			})
+		}},
 		// Phase 1's pruning kernel allocates its result set and nothing per
 		// node.
 		"kwsdbg/internal/lattice.(*Lattice).Prune": {budget: 1, run: func(t *testing.T) float64 {
@@ -201,7 +222,7 @@ func TestHotpathAllocBudgets(t *testing.T) {
 // TestWarmDebugAllocBudget pins what a warm debug run allocates: SBH over
 // DBLife Q1-Q10 at level 5 with a flight log attached, every binding served
 // by the per-binding cache and every probe by the verdict cache — the shape
-// of a warm /debug request. The budget is the measured count (633 per run
+// of a warm /debug request. The budget is the measured count (509.7 per run
 // on go1.24) plus 5 %.
 func TestWarmDebugAllocBudget(t *testing.T) {
 	base := dblifeSystem(t, 5)
@@ -223,7 +244,7 @@ func TestWarmDebugAllocBudget(t *testing.T) {
 	sweep() // fills the binding, verdict and handle caches
 	perCall := testing.AllocsPerRun(20, sweep) / float64(len(queries))
 	t.Logf("warm debug run: %.1f allocations", perCall)
-	const budget = 665
+	const budget = 536
 	if perCall > budget {
 		t.Errorf("a warm debug run allocates %.1f times, budget %d", perCall, budget)
 	}

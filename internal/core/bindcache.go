@@ -21,7 +21,7 @@ import (
 // write that makes a keyword bind a new table changes the key; and the
 // lattice never changes, so an entry never goes stale and nothing
 // invalidates it. Entries are immutable and shared by concurrent runs; what
-// a run learns (statuses, MPAN candidates, probe memos) stays in the run.
+// a run learns (node statuses, probe memos) stays in the run.
 
 // bindingCacheBytes bounds the cache. Entries are charged their computed
 // size. On the level-5 DBLife lattice the eight distinct Q1-Q10 bindings

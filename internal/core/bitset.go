@@ -20,16 +20,6 @@ func (b bitset) count() int {
 	return n
 }
 
-// empty reports whether no bit is set.
-func (b bitset) empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // drain appends the set bits to dst in ascending order and clears the set.
 func (b bitset) drain(dst []int32) []int32 {
 	for wi, w := range b {

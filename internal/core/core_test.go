@@ -295,14 +295,23 @@ func TestStrategyEquivalence(t *testing.T) {
 }
 
 // TestMPANSemantics checks Phase 3 against a from-scratch reference: probe
-// every node directly, then compute maximal alive descendants set-wise.
+// every node directly, then compute maximal alive descendants set-wise. It
+// runs every strategy on Figure 2's Example 1 query and on DBLife Q1-Q10 at
+// level 3.
 func TestMPANSemantics(t *testing.T) {
-	sys := productSystem(t)
-	kws := []string{"saffron", "scented", "candle"}
-	out, err := sys.Debug(kws, Options{Strategy: SBH})
-	if err != nil {
-		t.Fatalf("Debug: %v", err)
+	product := productSystem(t)
+	t.Run("figure2", func(t *testing.T) {
+		checkMPANSemantics(t, product, []string{"saffron", "scented", "candle"})
+	})
+	dbl := dblifeSystem(t, 3)
+	for _, q := range dblife.Workload() {
+		t.Run(q.ID, func(t *testing.T) { checkMPANSemantics(t, dbl, q.Keywords) })
 	}
+}
+
+// checkMPANSemantics runs kws under every strategy and checks each Output
+// against §2's definitions, evaluated node by node through the engine.
+func checkMPANSemantics(t *testing.T, sys *System, kws []string) {
 	lat := sys.Lattice()
 	// Reference aliveness: run every node's existence query directly.
 	aliveMemo := map[int]bool{}
@@ -331,45 +340,51 @@ func TestMPANSemantics(t *testing.T) {
 			}
 		}
 	}
-	for _, na := range out.NonAnswers {
-		m := na.Query.NodeID
-		if isAlive(m) {
-			t.Errorf("reported non-answer %s is alive", na.Query.Tree)
+	for _, strat := range allStrategies {
+		out, err := sys.Debug(kws, Options{Strategy: strat})
+		if err != nil {
+			t.Fatalf("%v: Debug: %v", strat, err)
 		}
-		desc := map[int]bool{}
-		descOf(m, desc)
-		var wantMPANs []string
-		for d := range desc {
-			if !isAlive(d) {
-				continue
+		for _, na := range out.NonAnswers {
+			m := na.Query.NodeID
+			if isAlive(m) {
+				t.Errorf("%v: reported non-answer %s is alive", strat, na.Query.Tree)
 			}
-			// Maximal: no alive strict ancestor within desc.
-			maximal := true
-			anc := map[int]bool{}
-			for e := range desc {
-				da := map[int]bool{}
-				descOf(e, da)
-				if da[d] {
-					anc[e] = true
+			desc := map[int]bool{}
+			descOf(m, desc)
+			var wantMPANs []string
+			for d := range desc {
+				if !isAlive(d) {
+					continue
+				}
+				// Maximal: no alive strict ancestor within desc.
+				maximal := true
+				anc := map[int]bool{}
+				for e := range desc {
+					da := map[int]bool{}
+					descOf(e, da)
+					if da[d] {
+						anc[e] = true
+					}
+				}
+				for a := range anc {
+					if isAlive(a) {
+						maximal = false
+					}
+				}
+				if maximal {
+					wantMPANs = append(wantMPANs, lat.Node(d).String())
 				}
 			}
-			for a := range anc {
-				if isAlive(a) {
-					maximal = false
-				}
-			}
-			if maximal {
-				wantMPANs = append(wantMPANs, lat.Node(d).String())
+			sort.Strings(wantMPANs)
+			if got := trees(na.MPANs); !reflect.DeepEqual(got, wantMPANs) {
+				t.Errorf("%v: MPANs(%s) = %v, want %v", strat, na.Query.Tree, got, wantMPANs)
 			}
 		}
-		sort.Strings(wantMPANs)
-		if got := trees(na.MPANs); !reflect.DeepEqual(got, wantMPANs) {
-			t.Errorf("MPANs(%s) = %v, want %v", na.Query.Tree, got, wantMPANs)
-		}
-	}
-	for _, a := range out.Answers {
-		if !isAlive(a.NodeID) {
-			t.Errorf("reported answer %s is dead", a.Tree)
+		for _, a := range out.Answers {
+			if !isAlive(a.NodeID) {
+				t.Errorf("%v: reported answer %s is dead", strat, a.Tree)
+			}
 		}
 	}
 }
@@ -503,12 +518,6 @@ func TestBitset(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{0, 63, 129}) {
 		t.Errorf("forEach = %v", got)
 	}
-	if b.empty() {
-		t.Error("empty() on non-empty set")
-	}
-	if !newBitset(10).empty() {
-		t.Error("fresh set not empty")
-	}
 }
 
 func TestSublatticeShape(t *testing.T) {
@@ -541,22 +550,20 @@ func TestSublatticeShape(t *testing.T) {
 			}
 		}
 	}
-	// Owners cover exactly Desc+ membership.
+	// regions[x] counts the MTNs whose Desc+ holds x.
 	for x := 0; x < sub.len(); x++ {
-		for _, mi := range sub.owners.row(x) {
-			m := sub.mtns[mi]
-			if m == x {
-				continue
-			}
-			found := false
+		want := 0
+		for _, m := range sub.mtns {
+			in := m == x
 			for _, d := range sub.desc.row(m) {
-				if int(d) == x {
-					found = true
-				}
+				in = in || int(d) == x
 			}
-			if !found {
-				t.Fatalf("owners(%d) wrongly includes MTN %d", x, m)
+			if in {
+				want++
 			}
+		}
+		if got := int(sub.regions[x]); got != want {
+			t.Fatalf("regions[%d] = %d, want %d", x, got, want)
 		}
 	}
 	total, unique := sub.descendantStats()

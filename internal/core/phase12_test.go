@@ -83,9 +83,10 @@ func refPhase12Of(lat *lattice.Lattice, tables [][]string) refPhase12 {
 
 // refSub is a sublattice with one slice per adjacency row.
 type refSub struct {
-	nodeID, level, mtns                  []int
-	children, parents, desc, asc, owners [][]int32
-	maxLevel                             int
+	nodeID, level, mtns          []int
+	children, parents, desc, asc [][]int32
+	regions                      []int32
+	maxLevel                     int
 }
 
 // refSublattice builds the sublattice arrays with per-node maps: sub indexes
@@ -178,11 +179,11 @@ func refSublattice(lat *lattice.Lattice, mtnIDs []int) *refSub {
 		s.mtns = append(s.mtns, subIdx[id])
 	}
 	sort.Ints(s.mtns)
-	s.owners = make([][]int32, n)
-	for mi, m := range s.mtns {
-		s.owners[m] = append(s.owners[m], int32(mi))
+	s.regions = make([]int32, n)
+	for _, m := range s.mtns {
+		s.regions[m]++
 		for _, d := range s.desc[m] {
-			s.owners[d] = append(s.owners[d], int32(mi))
+			s.regions[d]++
 		}
 	}
 	return s
@@ -213,7 +214,7 @@ func checkSublattice(t *testing.T, kws []string, got *sublattice, want *refSub) 
 		{"desc", rows(got.desc), want.desc},
 		{"asc", rows(got.asc), want.asc},
 		{"mtns", got.mtns, want.mtns},
-		{"owners", rows(got.owners), want.owners},
+		{"regions", got.regions, want.regions},
 		{"maxLevel", got.maxLevel, want.maxLevel},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {

@@ -6,39 +6,47 @@ package core
 //
 //	gain(x) = pa * sum_{y in Desc+(x)} W(y) + (1-pa) * sum_{y in Asc+(x)} W(y)
 //
-// where W(y) counts the active search spaces still containing y. Minimizing
-// the paper's expected-remaining-space score is equivalent to maximizing this
-// gain (the paper's Equation 1 rearranged over the current search spaces).
-// Because W only decreases as the run progresses, gains are monotonically
+// where W(y) counts the search spaces still containing y. Every MTN is
+// active under SBH, and an MTN's search space is its region Desc+(m) less
+// the nodes already classified, so W(y) is sub.regions[y] while y is
+// unknown and 0 once it is classified. Minimizing the paper's
+// expected-remaining-space score is equivalent to maximizing this gain (the
+// paper's Equation 1 rearranged over the current search spaces). Because W
+// only decreases as the run progresses, gains are monotonically
 // non-increasing, which makes the classic lazy-greedy evaluation exact: pop
 // the stale maximum, recompute its gain, and re-insert unless it still beats
 // the runner-up.
 func (r *run) scoreBased(sd seed, pa float64) error {
-	r.enableSearchSpaces()
 	r.init(sd)
 
-	gain := func(x int) float64 {
-		sumD := float64(r.W[x])
-		for _, d := range r.sub.desc.row(x) {
-			sumD += float64(r.W[d])
+	w := func(y int) float64 {
+		if r.status[y] != stUnknown {
+			return 0
 		}
-		sumA := float64(r.W[x])
+		return float64(r.sub.regions[y])
+	}
+	gain := func(x int) float64 {
+		sumD := w(x)
+		for _, d := range r.sub.desc.row(x) {
+			sumD += w(int(d))
+		}
+		sumA := w(x)
 		for _, a := range r.sub.asc.row(x) {
-			sumA += float64(r.W[a])
+			sumA += w(int(a))
 		}
 		return pa*sumD + (1-pa)*sumA
 	}
 
 	h := make(gainHeap, 0, r.sub.len())
 	for x := 0; x < r.sub.len(); x++ {
-		if r.status[x] == stUnknown && r.W[x] > 0 {
+		if r.status[x] == stUnknown {
 			h.push(gainItem{x: x, gain: gain(x)})
 		}
 	}
 	const eps = 1e-9
 	for len(h) > 0 {
 		top := h.pop()
-		if r.status[top.x] != stUnknown || r.W[top.x] == 0 {
+		if r.status[top.x] != stUnknown {
 			continue
 		}
 		g := gain(top.x)

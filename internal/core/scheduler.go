@@ -25,8 +25,9 @@ import (
 // the set of nodes a serial traversal would probe at level L is known the
 // moment level L begins — and a pool can probe them in any interleaving,
 // as long as the resulting classifications are *committed* in the serial
-// order. That replay is what keeps the MPAN candidate sets, the inferred
-// counts, and Stats.SQLExecuted exactly equal to the Workers=1 run.
+// order. That replay is what keeps the node statuses (and so the MPANs),
+// the inferred counts, and Stats.SQLExecuted exactly equal to the Workers=1
+// run.
 //
 // SBH is inherently sequential — every probe choice depends on all previous
 // verdicts through the search-space weights — so it ignores the worker
@@ -101,14 +102,14 @@ func (r *run) dispatch(xs []int) []probeOutcome {
 }
 
 // commit replays a batch's outcomes in slice order — the order the serial
-// traversal would have applied them — so classifications, MPAN candidate
-// sets, and inferred counts evolve identically to Workers=1. The first real
-// error in order is returned, matching where a serial run would have
-// stopped. Graceful-exhaustion outcomes are different: every verdict the
-// pool did land is still committed (they are true database answers, and
-// partialResult only reports what the committed set can guarantee), and the
-// exhaustion sentinel is returned at the end so the caller degrades to a
-// partial result instead of discarding the batch.
+// traversal would have applied them — so classifications and inferred
+// counts evolve identically to Workers=1. The first real error in order is
+// returned, matching where a serial run would have stopped.
+// Graceful-exhaustion outcomes are different: every verdict the pool did
+// land is still committed (they are true database answers, and result only
+// reports what the committed statuses guarantee), and the exhaustion
+// sentinel is returned at the end so the caller degrades to a partial
+// result instead of discarding the batch.
 func (r *run) commit(xs []int, outcomes []probeOutcome) error {
 	var exhausted error
 	for i, x := range xs {
@@ -165,10 +166,10 @@ func (r *run) resolveLevel(xs []int) error {
 
 // runMTNsParallel executes the independent single-MTN runs of the no-reuse
 // strategies (BU, TD) concurrently: each MTN gets a private run (private
-// statuses, private MPAN candidates — re-probing shared descendants is the
-// point of these baselines), the pool is bounded by workers, and results
-// merge in MTN order afterwards, so the accumulated Output and the summed
-// probe/inferred counts match the serial loop exactly.
+// statuses — re-probing shared descendants is the point of these
+// baselines), the pool is bounded by workers, and results merge in MTN order
+// afterwards, so the accumulated Output and the summed probe/inferred counts
+// match the serial loop exactly.
 func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, strategy Strategy, workers int, gov *governor, fl *flight.Log) (traverseResult, int, error) {
 	n := len(sub.mtns)
 	results := make([]traverseResult, n)
@@ -185,15 +186,11 @@ func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle 
 		} else {
 			err = r.topDown(sd)
 		}
-		if err == nil {
-			results[mi], err = r.result()
-		} else if errors.Is(err, errExhausted) {
-			// The shared governor ran dry mid-run: keep the guarantees this
-			// MTN's run established and let the remaining runs proceed — with
-			// no budget left they settle probe-free knowledge (base levels,
-			// pins) and report partial results of their own.
-			results[mi], err = r.partialResult(), nil
-		}
+		// When the shared governor runs dry mid-run, finish keeps the
+		// guarantees this MTN's run established and the remaining runs
+		// proceed: with no budget left they settle probe-free knowledge
+		// (base levels, pins) and report partial results of their own.
+		results[mi], err = r.finish(err)
 		inferredBy[mi] = r.inferred
 		errs[mi] = err
 		done[mi] = true

@@ -33,9 +33,9 @@ type sublattice struct {
 
 	mtns []int // sub indexes of the MTNs, sorted
 
-	// owners row x lists, ascending, the positions into mtns of the MTNs
-	// whose Desc+ contains x: the transpose of the MTNs' Desc+ lists.
-	owners csr
+	// regions[x] counts the MTNs whose Desc+ holds x: SBH's weight of x
+	// while x is unknown (sbh.go).
+	regions []int32
 
 	maxLevel int
 
@@ -154,18 +154,13 @@ func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 	}
 	sort.Ints(s.mtns)
 
-	total := 0
+	s.regions = make([]int32, n)
 	for _, m := range s.mtns {
-		total += 1 + len(s.desc.row(m))
-	}
-	s.owners = transpose(n, total, func(emit func(row int, col int32)) {
-		for mi, m := range s.mtns {
-			emit(m, int32(mi))
-			for _, d := range s.desc.row(m) {
-				emit(int(d), int32(mi))
-			}
+		s.regions[m]++
+		for _, d := range s.desc.row(m) {
+			s.regions[d]++
 		}
-	})
+	}
 	return s
 }
 
@@ -220,8 +215,8 @@ func (s *sublattice) descendantStats() (total, unique int) {
 
 // bytes returns the sublattice's size: its arrays plus the struct.
 func (s *sublattice) bytes() int {
-	const sublatticeHeader = 16 * 24 // the struct: slice headers and scalars
+	const sublatticeHeader = 15 * 24 // the struct: slice headers and scalars
 	return sublatticeHeader + 8*(cap(s.nodeID)+cap(s.level)+cap(s.mtns)+cap(s.members)) +
-		4*cap(s.before) + s.children.bytes() + s.parents.bytes() + s.desc.bytes() +
-		s.asc.bytes() + s.owners.bytes()
+		4*(cap(s.before)+cap(s.regions)) + s.children.bytes() + s.parents.bytes() +
+		s.desc.bytes() + s.asc.bytes()
 }

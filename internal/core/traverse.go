@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kwsdbg/internal/obs/flight"
@@ -33,10 +34,9 @@ type traverseResult struct {
 	partial    map[int]bool
 }
 
-// run carries the shared classification state of one traversal: node
-// statuses, the per-MTN candidate-MPAN sets (Algorithm 3's MP), and — for
-// the score-based heuristic — the per-MTN search spaces S and the membership
-// counters W.
+// run carries the classification state of one traversal: the node
+// statuses. The MPANs, the partial flags and SBH's weights are read off them
+// (result, scoreBased), so classify is the one place a status is set.
 type run struct {
 	sub    *sublattice
 	oracle Oracle
@@ -62,15 +62,6 @@ type run struct {
 
 	status   []status
 	inferred int // classifications that did not execute SQL
-
-	// mp[mi] is the candidate MPAN set of MTN position mi (nil when inactive).
-	mp []bitset
-
-	// S and W are only allocated by the score-based heuristic: S[mi] is the
-	// unresolved search space of MTN position mi and W[x] counts how many
-	// active search spaces still contain x.
-	S []bitset
-	W []int32
 }
 
 func newRun(sub *sublattice, oracle Oracle, positions []int) *run {
@@ -79,57 +70,24 @@ func newRun(sub *sublattice, oracle Oracle, positions []int) *run {
 		oracle:  oracle,
 		active:  newBitset(len(sub.mtns)),
 		status:  make([]status, sub.len()),
-		mp:      make([]bitset, len(sub.mtns)),
 		ctx:     context.Background(),
 		workers: 1,
 		gov:     newGovernor(context.Background(), context.Background(), 0),
 	}
 	for _, mi := range positions {
 		r.active.set(mi)
-		m := sub.mtns[mi]
-		r.mp[mi] = newBitset(sub.len())
-		for _, d := range sub.desc.row(m) {
-			r.mp[mi].set(int(d))
-		}
 	}
 	return r
 }
 
-// enableSearchSpaces allocates the SBH state (S and W) for the active MTNs.
-// Must be called before any classification.
-func (r *run) enableSearchSpaces() {
-	r.S = make([]bitset, len(r.sub.mtns))
-	r.W = make([]int32, r.sub.len())
-	r.active.forEach(func(mi int) {
-		m := r.sub.mtns[mi]
-		s := newBitset(r.sub.len())
-		s.set(m)
-		r.W[m]++
-		for _, d := range r.sub.desc.row(m) {
-			s.set(int(d))
-			r.W[d]++
-		}
-		r.S[mi] = s
-	})
-}
-
-// removeFromS drops x from MTN position mi's search space.
-func (r *run) removeFromS(mi, x int) {
-	if r.S == nil || r.S[mi] == nil {
-		return
-	}
-	if r.S[mi].has(x) {
-		r.S[mi].clear(x)
-		r.W[x]--
-	}
-}
-
 // classify records a node's aliveness and applies the paper's two node
-// classification rules: R1 (alive => all descendants alive) downward and
-// R2 (a node with a dead descendant is dead) upward, maintaining the MPAN
-// candidate sets and search spaces along the way. Re-classification of an
-// already-known node is a no-op; classifications triggered recursively are
-// the "inferred" ones that save SQL probes.
+// classification rules: R1 (alive => all descendants alive) over
+// desc.row(x), R2 (a node with a dead descendant is dead) over asc.row(x).
+// Both rows are closures, so one pass settles every node the rule implies.
+// Re-classification of an already-known node is a no-op; the nodes the pass
+// settles are the "inferred" ones that save SQL probes.
+//
+//kws:hotpath
 func (r *run) classify(x int, isAlive, inferred bool) {
 	if r.status[x] != stUnknown {
 		return
@@ -137,35 +95,16 @@ func (r *run) classify(x int, isAlive, inferred bool) {
 	if inferred {
 		r.inferred++
 	}
+	st, implied := stDead, r.sub.asc.row(x)
 	if isAlive {
-		r.status[x] = stAlive
-		for _, mi := range r.sub.owners.row(x) {
-			if !r.active.has(int(mi)) {
-				continue
-			}
-			// x stays a candidate MPAN; its strict descendants cannot be
-			// maximal, and the whole Desc+(x) needs no further probing.
-			for _, d := range r.sub.desc.row(x) {
-				r.mp[mi].clear(int(d))
-				r.removeFromS(int(mi), int(d))
-			}
-			r.removeFromS(int(mi), x)
-		}
-		for _, d := range r.sub.desc.row(x) {
-			r.classify(int(d), true, true)
-		}
-		return
+		st, implied = stAlive, r.sub.desc.row(x)
 	}
-	r.status[x] = stDead
-	for _, mi := range r.sub.owners.row(x) {
-		if !r.active.has(int(mi)) {
-			continue
+	r.status[x] = st
+	for _, y := range implied {
+		if r.status[y] == stUnknown {
+			r.status[y] = st
+			r.inferred++
 		}
-		r.mp[mi].clear(x)
-		r.removeFromS(int(mi), x)
-	}
-	for _, a := range r.sub.asc.row(x) {
-		r.classify(int(a), false, true)
 	}
 }
 
@@ -254,12 +193,8 @@ func (r *run) region() bitset {
 
 // isActiveMTN reports whether sub node x is one of the run's active MTNs.
 func (r *run) isActiveMTN(x int) bool {
-	for _, mi := range r.sub.owners.row(x) {
-		if r.active.has(int(mi)) && r.sub.mtns[mi] == x {
-			return true
-		}
-	}
-	return false
+	mi, ok := slices.BinarySearch(r.sub.mtns, x)
+	return ok && r.active.has(mi)
 }
 
 // bottomUp is Algorithm 3 (BUWR) restricted to the active MTNs; with a
@@ -370,86 +305,79 @@ func (r *run) returnEverything(sd seed) error {
 	return nil
 }
 
-// result assembles the strategy-independent outcome for the active MTNs.
-func (r *run) result() (traverseResult, error) {
+// result reads the outcome for the active MTNs off the node statuses (§2).
+// An alive MTN is an answer and an unknown one unresolved. A dead MTN is a
+// non-answer whose MPANs are its alive strict descendants whose parents
+// inside its region, Desc+(m), are all dead, in ascending sub index: an
+// alive ancestor in the region would make a parent alive by R1, so these
+// are exactly the maximal alive sub-queries. The MTN is partial when any
+// strict descendant is unknown, since an unknown node could still turn out
+// alive; a reported MPAN has only dead parents in the region, so no later
+// verdict can demote it (DESIGN §8).
+func (r *run) result() traverseResult {
 	res := traverseResult{mpans: make(map[int][]int)}
-	var err error
 	r.active.forEach(func(mi int) {
 		m := r.sub.mtns[mi]
 		switch r.status[m] {
 		case stAlive:
 			res.aliveMTNs = append(res.aliveMTNs, m)
-		case stDead:
-			res.deadMTNs = append(res.deadMTNs, m)
-			var ps []int
-			r.mp[mi].forEach(func(p int) { ps = append(ps, p) })
-			res.mpans[m] = ps
+		case stUnknown:
+			res.unresolved = append(res.unresolved, m)
 		default:
-			err = fmt.Errorf("core: MTN %s left unclassified", r.sub.node(m))
-		}
-	})
-	sort.Ints(res.aliveMTNs)
-	sort.Ints(res.deadMTNs)
-	return res, err
-}
-
-// inRegionOf reports whether sub node x belongs to MTN position mi's region
-// (the MTN and its descendant closure).
-func (r *run) inRegionOf(mi, x int) bool {
-	for _, o := range r.sub.owners.row(x) {
-		if int(o) == mi {
-			return true
-		}
-	}
-	return false
-}
-
-// partialResult assembles what an exhausted traversal can still guarantee.
-// Classified MTNs are reported normally; unclassified ones are listed as
-// unresolved. For a dead MTN, a candidate-MPAN x is reported only when it is
-// *guaranteed* maximal: x itself is classified alive and every strict
-// ancestor of x inside the MTN's region is classified too. (An alive
-// ancestor would already have removed x from the candidate set via rule R1,
-// so a classified ancestor is necessarily dead; an unknown one could still
-// turn out alive and demote x.) Anything excluded marks the MTN partial.
-// Every reported MPAN is therefore also an MPAN of the unbudgeted run — the
-// subset guarantee the degradation property test asserts.
-func (r *run) partialResult() traverseResult {
-	res := traverseResult{mpans: make(map[int][]int), partial: make(map[int]bool)}
-	r.active.forEach(func(mi int) {
-		m := r.sub.mtns[mi]
-		switch r.status[m] {
-		case stAlive:
-			res.aliveMTNs = append(res.aliveMTNs, m)
-		case stDead:
 			res.deadMTNs = append(res.deadMTNs, m)
+			desc := r.sub.desc.row(m)
 			var ps []int
-			incomplete := false
-			r.mp[mi].forEach(func(p int) {
-				if r.status[p] != stAlive {
-					incomplete = true
-					return
-				}
-				for _, a := range r.sub.asc.row(p) {
-					if r.status[a] == stUnknown && r.inRegionOf(mi, int(a)) {
-						incomplete = true
-						return
+			partial := false
+			for _, d := range desc {
+				switch r.status[d] {
+				case stUnknown:
+					partial = true
+				case stAlive:
+					if r.deadParents(int(d), desc) {
+						ps = append(ps, int(d))
 					}
 				}
-				ps = append(ps, p)
-			})
+			}
 			res.mpans[m] = ps
-			if incomplete {
+			if partial {
+				if res.partial == nil {
+					res.partial = make(map[int]bool)
+				}
 				res.partial[m] = true
 			}
-		default:
-			res.unresolved = append(res.unresolved, m)
 		}
 	})
-	sort.Ints(res.aliveMTNs)
-	sort.Ints(res.deadMTNs)
-	sort.Ints(res.unresolved)
 	return res
+}
+
+// deadParents reports whether every parent of x that lies in desc, a
+// sorted desc row, is dead. The MTN heading the row is dead itself, so the
+// row alone stands for its region.
+func (r *run) deadParents(x int, desc []int32) bool {
+	for _, p := range r.sub.parents.row(x) {
+		if r.status[p] == stDead {
+			continue
+		}
+		if _, in := slices.BinarySearch(desc, p); in {
+			return false
+		}
+	}
+	return true
+}
+
+// finish assembles a run's result once its traversal returns err. A run
+// cut short by exhaustion reports what its statuses guarantee, a completed
+// one must have classified every active MTN, and any other error is
+// returned.
+func (r *run) finish(err error) (traverseResult, error) {
+	if err != nil && !errors.Is(err, errExhausted) {
+		return traverseResult{}, err
+	}
+	res := r.result()
+	if n := len(res.unresolved); err == nil && n > 0 {
+		return traverseResult{}, fmt.Errorf("core: MTN %s left unclassified", r.sub.node(res.unresolved[n-1]))
+	}
+	return res, nil
 }
 
 // merge folds a single-MTN result into an accumulated one (for the
@@ -476,7 +404,7 @@ func (res *traverseResult) merge(one traverseResult) {
 // strategies and RE, across-MTN runs for the no-reuse baselines. SBH stays
 // serial regardless — its probe choices depend on every previous verdict.
 // Exhaustion of the governor's deadline or budget is not an error: the
-// traversal degrades to whatever partialResult can guarantee.
+// traversal degrades to whatever the statuses it settled guarantee.
 func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, opts Options, workers int, gov *governor, fl *flight.Log) (traverseResult, int, error) {
 	inferred := 0
 
@@ -498,24 +426,19 @@ func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle,
 			} else {
 				err = r.topDown(sd)
 			}
+			one, ferr := r.finish(err)
+			if ferr != nil {
+				return traverseResult{}, 0, ferr
+			}
+			inferred += r.inferred
 			if err != nil {
-				if !errors.Is(err, errExhausted) {
-					return traverseResult{}, 0, err
-				}
 				// Graceful exhaustion: keep what this MTN's run established
 				// and report the MTNs never reached as unresolved.
-				part := r.partialResult()
-				part.unresolved = append(part.unresolved, sub.mtns[mi+1:]...)
-				acc.merge(part)
-				inferred += r.inferred
+				one.unresolved = append(one.unresolved, sub.mtns[mi+1:]...)
+				acc.merge(one)
 				break
 			}
-			one, err := r.result()
-			if err != nil {
-				return traverseResult{}, 0, err
-			}
 			acc.merge(one)
-			inferred += r.inferred
 		}
 		sort.Ints(acc.aliveMTNs)
 		sort.Ints(acc.deadMTNs)
@@ -539,14 +462,11 @@ func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle,
 		default:
 			err = r.scoreBased(sd, opts.Pa)
 		}
+		res, err := r.finish(err)
 		if err != nil {
-			if !errors.Is(err, errExhausted) {
-				return traverseResult{}, 0, err
-			}
-			return r.partialResult(), r.inferred, nil
+			return traverseResult{}, 0, err
 		}
-		res, err := r.result()
-		return res, r.inferred, err
+		return res, r.inferred, nil
 
 	default:
 		return traverseResult{}, 0, fmt.Errorf("core: unknown strategy %v", opts.Strategy)

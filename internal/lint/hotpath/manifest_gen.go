@@ -13,6 +13,7 @@ package hotpath
 var Manifest = []string{
 	"kwsdbg/internal/core.(*bindingCache).get",
 	"kwsdbg/internal/core.(*oracle).IsAlive",
+	"kwsdbg/internal/core.(*run).classify",
 	"kwsdbg/internal/engine.(*PreparedCache).Get",
 	"kwsdbg/internal/engine.(*execState).enumerate",
 	"kwsdbg/internal/engine.(*rowSet).has",

@@ -26,7 +26,6 @@ func writeLedger(t *testing.T, dir, req string, warm bool) string {
 	sum := flight.RunSummary{Req: req, Keywords: []string{"a", "b"}, Strategy: "SBH"}
 	for node := int32(1); node <= 3; node++ {
 		key := "R{a}" + string(rune('0'+node))
-		emit(flight.Admit, node, "", false, 0, "")
 		if warm {
 			emit(flight.ProbeCacheHit, node, key, true, 0, "")
 			sum.CacheHits++
@@ -36,7 +35,6 @@ func writeLedger(t *testing.T, dir, req string, warm bool) string {
 			emit(flight.SQLExec, node, key, true, time.Duration(node)*time.Millisecond, "")
 			sum.SQLMS += float64(node)
 		}
-		emit(flight.Verdict, node, "", true, 0, "")
 		sum.Probes++
 	}
 	sum.Events = len(events)

@@ -345,8 +345,8 @@ const flightPath = "kwsdbg/internal/obs/flight"
 
 // kindEntry is one flight Kind constant with its wire name and doc line.
 type kindEntry struct {
-	Const string // Go constant name, e.g. "Admit"
-	Name  string // stable wire name from kindNames, e.g. "admit"
+	Const string // Go constant name, e.g. "SQLExec"
+	Name  string // stable wire name from kindNames, e.g. "sql_exec"
 	Doc   string // declaration comment, collapsed to one line
 }
 

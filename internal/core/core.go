@@ -305,10 +305,17 @@ type Options struct {
 	// Workers bounds the probe scheduler's concurrency: <= 1 (the default)
 	// probes serially, exactly as before; larger values probe independent
 	// lattice nodes — same-level batch members, or whole per-MTN runs for
-	// BU/TD — from that many goroutines. Any worker count produces the same
-	// Output and the same SQLExecuted as the serial run; SBH ignores the
-	// setting because its probe order is inherently sequential. Values above
-	// 64 are clamped.
+	// BU/TD — from that many goroutines. Without a ProbeBudget below the
+	// serial run's probe count, any worker count produces the same Output
+	// and the same SQLExecuted as the serial run. Under such a budget it
+	// does not: which probes land before the budget runs out depends on
+	// scheduling (BU and TD spend it across concurrent per-MTN runs), so
+	// only the partial-result guarantees hold — answers, non-answers and
+	// MPANs are subsets of the full run's and SQLExecuted stays within the
+	// budget — while the classified set varies from run to run (ROADMAP
+	// item 14). A Deadline is time-dependent at any worker count. SBH
+	// ignores the setting because its probe order is inherently
+	// sequential. Values above 64 are clamped.
 	Workers int
 	// BypassCache disables the verdict cache for this run (the System's,
 	// or a Session's private one): no lookups, no stores, so every probe
@@ -420,10 +427,11 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	gov := newGovernor(ctx, probeCtx, opts.ProbeBudget)
 
 	// The flight log is resolved from the context exactly once per run and
-	// handed to every hot-path participant as a field; probes never walk the
-	// context chain, so an unrecorded run pays one nil check per emission
-	// point and nothing else. The log's per-kind tallies reach the shared
-	// event counters once, when the run returns.
+	// handed to the oracle and the governor as a field; the traversal itself
+	// records nothing. Probes never walk the context chain, so an unrecorded
+	// run pays one nil check per emission point and nothing else. The log's
+	// per-kind tallies reach the shared event counters once, when the run
+	// returns.
 	fl := flight.FromContext(ctx)
 	defer fl.Flush()
 	gov.fl = fl
@@ -447,7 +455,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	sd := seed{baseAlive: sys.baseAliveFunc(), pins: pins}
 	workers := ClampWorkers(opts.Workers)
 	start := clock.Now()
-	res, inferred, err := sys.traverse(ctx, sub, base, sd, opts, workers, gov, fl)
+	res, inferred, err := sys.traverse(ctx, sub, base, sd, opts, workers, gov)
 	if err == nil {
 		// A caller cancellation that lands after the last commit must not
 		// let the run masquerade as completed: check before any stats or

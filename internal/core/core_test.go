@@ -603,7 +603,7 @@ func TestOracleErrorPropagates(t *testing.T) {
 	oracle := &failingOracle{}
 	for _, strat := range []Strategy{BU, TD, BUWR, TDWR, SBH, RE} {
 		gov := newGovernor(context.Background(), context.Background(), 0)
-		_, _, err := sys.traverse(context.Background(), sub, oracle, seed{baseAlive: sys.baseAliveFunc()}, Options{Strategy: strat, Pa: 0.5}, 1, gov, nil)
+		_, _, err := sys.traverse(context.Background(), sub, oracle, seed{baseAlive: sys.baseAliveFunc()}, Options{Strategy: strat, Pa: 0.5}, 1, gov)
 		if err == nil {
 			t.Errorf("%v swallowed the oracle error", strat)
 		}

@@ -5,10 +5,10 @@ package core_test
 //  1. Recording does not perturb the pipeline. A workers=8 run with the
 //     recorder on must render the byte-identical report of the same run with
 //     the recorder off — the recorder observes the run, it never steers it.
-//  2. The event stream is causally ordered per probe. For every probed node,
-//     the globally monotonic sequence numbers must show admission before
-//     execution before the committed verdict, no matter how the worker pool
-//     interleaved the probes.
+//  2. Each probe records one outcome event. For every probed node, the
+//     stream holds exactly one verdict-cache hit or execution, after any
+//     replan of the node's plan, no matter how the worker pool interleaved
+//     the probes, and the outcome events number Stats.SQLExecuted.
 //
 // These run in the ordinary suite and, more importantly, under `go test
 // -race`, where the recorder's mutex — over the ring, the log's counts and
@@ -82,8 +82,8 @@ func TestRecorderDoesNotPerturbOutput(t *testing.T) {
 func TestEventOrderPerProbe(t *testing.T) {
 	// BUWR at workers=8 drives the dispatch/commit scheduler: probes race in
 	// the pool, verdicts commit in serial order. Each pending node is probed
-	// exactly once, so each node's chain must be admit < exec < verdict on
-	// both probe steps.
+	// exactly once, so on both probe steps each probed node records exactly
+	// one outcome event, after its replan if it has one.
 	for _, step := range []struct {
 		name string
 		opts core.Options
@@ -97,20 +97,69 @@ func TestEventOrderPerProbe(t *testing.T) {
 			ctx := flight.NewContext(context.Background(), fl)
 			opts := step.opts
 			opts.Strategy, opts.Workers, opts.BypassCache = core.BUWR, 8, true
-			if _, err := sys.DebugContext(ctx, []string{"saffron", "scented", "candle"}, opts); err != nil {
+			out, err := sys.DebugContext(ctx, []string{"saffron", "scented", "candle"}, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			checkProbeOrder(t, fl.Events())
+			if n := checkProbeOrder(t, fl.Events()); n != out.Stats.SQLExecuted {
+				t.Errorf("%d outcome events, Stats.SQLExecuted = %d", n, out.Stats.SQLExecuted)
+			}
 		})
 	}
 }
 
-// checkProbeOrder requires every probed node's first admit, execution and
-// verdict events to appear in that order.
-func checkProbeOrder(t *testing.T, events []flight.Event) {
+// TestBudgetedRunEvents reads the real pipeline's event stream when a probe
+// budget runs out: the governor records the transition to exhaustion once,
+// however many probes it refuses after it, and every probe it let through
+// records one outcome event.
+func TestBudgetedRunEvents(t *testing.T) {
+	const budget = 3
+	sys := buildSystem(t)
+	for _, strat := range []core.Strategy{core.BUWR, core.RE, core.BU} {
+		for _, workers := range []int{1, 8} {
+			fl := flight.NewLog(flight.NewRecorder(1024), "budget", true)
+			ctx := flight.NewContext(context.Background(), fl)
+			out, err := sys.DebugContext(ctx, []string{"saffron", "scented", "candle"}, core.Options{
+				Strategy: strat, Workers: workers, BypassCache: true, ProbeBudget: budget,
+			})
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", strat, workers, err)
+			}
+			if !out.Incomplete {
+				t.Fatalf("%v workers=%d: budget %d did not run out", strat, workers, budget)
+			}
+			events := fl.Events()
+			var exhausted []flight.Event
+			for _, ev := range events {
+				if ev.Kind == flight.Exhausted {
+					exhausted = append(exhausted, ev)
+				}
+			}
+			if len(exhausted) != 1 || exhausted[0].Cause != core.ReasonProbeBudget {
+				t.Errorf("%v workers=%d: exhausted events %+v, want one with cause %q",
+					strat, workers, exhausted, core.ReasonProbeBudget)
+			}
+			n := checkProbeOrder(t, events)
+			if n != out.Stats.SQLExecuted || n > budget {
+				t.Errorf("%v workers=%d: %d outcome events, Stats.SQLExecuted = %d, budget %d",
+					strat, workers, n, out.Stats.SQLExecuted, budget)
+			}
+		}
+	}
+}
+
+// checkProbeOrder requires every probed node to record exactly one outcome
+// event (a verdict-cache hit or an execution, each carrying the verdict),
+// with any replan of its plan before its execution, and returns the number
+// of outcome events.
+func checkProbeOrder(t *testing.T, events []flight.Event) int {
 	t.Helper()
-	type chain struct{ admit, exec, verdict uint64 } // first seq of each stage
+	type chain struct {
+		outcomes     int
+		exec, replan uint64 // seq of the execution and of the last replan
+	}
 	chains := map[int32]*chain{}
+	total := 0
 	for _, ev := range events {
 		if ev.Node < 0 {
 			continue
@@ -121,31 +170,27 @@ func checkProbeOrder(t *testing.T, events []flight.Event) {
 			chains[ev.Node] = c
 		}
 		switch ev.Kind {
-		case flight.Admit:
-			if c.admit == 0 {
-				c.admit = ev.Seq
-			}
-		case flight.SQLExec, flight.ProbeCacheHit:
-			if c.exec == 0 {
-				c.exec = ev.Seq
-			}
-		case flight.Verdict:
-			if c.verdict == 0 {
-				c.verdict = ev.Seq
-			}
+		case flight.SQLExec:
+			c.exec = ev.Seq
+			c.outcomes++
+			total++
+		case flight.ProbeCacheHit:
+			c.outcomes++
+			total++
+		case flight.Replan:
+			c.replan = ev.Seq
 		}
 	}
 	if len(chains) == 0 {
 		t.Fatal("no per-node chains recorded")
 	}
 	for node, c := range chains {
-		if c.admit == 0 || c.exec == 0 || c.verdict == 0 {
-			t.Errorf("node %d: incomplete chain admit=%d exec=%d verdict=%d", node, c.admit, c.exec, c.verdict)
-			continue
+		if c.outcomes != 1 {
+			t.Errorf("node %d: %d outcome events, want 1", node, c.outcomes)
 		}
-		if !(c.admit < c.exec && c.exec < c.verdict) {
-			t.Errorf("node %d: order violated: admit=%d exec=%d verdict=%d (want admit < exec < verdict)",
-				node, c.admit, c.exec, c.verdict)
+		if c.replan != 0 && (c.exec == 0 || c.replan > c.exec) {
+			t.Errorf("node %d: replan #%d not before its sql_exec #%d", node, c.replan, c.exec)
 		}
 	}
+	return total
 }

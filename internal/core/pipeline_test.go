@@ -10,9 +10,8 @@ import (
 )
 
 // probeStages are the flight kinds the probe pipeline itself emits: the
-// verdict-cache outcome, the evaluation step, and the repair. Scheduler
-// events (admit, charge, verdict) and planner events are not part of the
-// contract below.
+// verdict-cache outcome, the evaluation step, and the repair. Planner events
+// are not part of the contract below.
 var probeStages = map[flight.Kind]bool{
 	flight.ProbeCacheHit:  true,
 	flight.ProbeCacheMiss: true,

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"kwsdbg/internal/obs/flight"
 )
 
 // This file is the Phase 3 probe scheduler: a bounded worker pool that
@@ -136,7 +134,6 @@ func (r *run) commit(xs []int, outcomes []probeOutcome) error {
 			}
 			return oc.err
 		}
-		r.fl.Emit(flight.Verdict, r.sub.nodeID[x], "", oc.alive, 0, "")
 		r.classify(x, oc.alive, false)
 	}
 	return exhausted
@@ -170,7 +167,7 @@ func (r *run) resolveLevel(xs []int) error {
 // baselines), the pool is bounded by workers, and results merge in MTN order
 // afterwards, so the accumulated Output and the summed probe/inferred counts
 // match the serial loop exactly.
-func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, strategy Strategy, workers int, gov *governor, fl *flight.Log) (traverseResult, int, error) {
+func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, strategy Strategy, workers int, gov *governor) (traverseResult, int, error) {
 	n := len(sub.mtns)
 	results := make([]traverseResult, n)
 	inferredBy := make([]int, n)
@@ -179,7 +176,7 @@ func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle 
 
 	runOne := func(mi int) {
 		r := newRun(sub, oracle, []int{mi})
-		r.ctx, r.workers, r.gov, r.fl = ctx, 1, gov, fl // parallel across MTNs, serial within
+		r.ctx, r.workers, r.gov = ctx, 1, gov // parallel across MTNs, serial within
 		var err error
 		if strategy == BU {
 			err = r.bottomUp(sd)

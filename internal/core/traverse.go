@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"kwsdbg/internal/obs/flight"
 )
 
 // status is the classification state of a sub-lattice node.
@@ -54,11 +52,6 @@ type run struct {
 	// share one governor, so budget and deadline are per-request, not
 	// per-MTN.
 	gov *governor
-
-	// fl records admissions, budget charges, and verdict commits; nil when
-	// the run is not recorded. The oracle and governor carry their own
-	// references, set by debugWith alongside this one.
-	fl *flight.Log
 
 	status   []status
 	inferred int // classifications that did not execute SQL
@@ -116,10 +109,6 @@ func (r *run) probe(x int) (bool, error) {
 	if err := r.gov.admit(); err != nil {
 		return false, err
 	}
-	r.fl.Emit(flight.Admit, r.sub.nodeID[x], "", false, 0, "")
-	if r.gov.limited {
-		r.fl.Emit(flight.BudgetCharged, r.sub.nodeID[x], "", false, 0, "")
-	}
 	alive, err := r.oracle.IsAlive(r.sub.nodeID[x])
 	if err != nil {
 		if gerr := r.gov.graceful(err); gerr != nil {
@@ -139,7 +128,6 @@ func (r *run) evaluate(x int) error {
 	if err != nil {
 		return err
 	}
-	r.fl.Emit(flight.Verdict, r.sub.nodeID[x], "", alive, 0, "")
 	r.classify(x, alive, false)
 	return nil
 }
@@ -299,7 +287,6 @@ func (r *run) returnEverything(sd seed) error {
 		if err != nil {
 			return err
 		}
-		r.fl.Emit(flight.Verdict, r.sub.nodeID[x], "", alive, 0, "")
 		r.classify(x, alive, false)
 	}
 	return nil
@@ -405,7 +392,7 @@ func (res *traverseResult) merge(one traverseResult) {
 // serial regardless — its probe choices depend on every previous verdict.
 // Exhaustion of the governor's deadline or budget is not an error: the
 // traversal degrades to whatever the statuses it settled guarantee.
-func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, opts Options, workers int, gov *governor, fl *flight.Log) (traverseResult, int, error) {
+func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, opts Options, workers int, gov *governor) (traverseResult, int, error) {
 	inferred := 0
 
 	switch opts.Strategy {
@@ -414,12 +401,12 @@ func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle,
 		// are re-probed for every MTN, which is exactly the redundancy the
 		// with-reuse variants eliminate.
 		if workers > 1 && len(sub.mtns) > 1 {
-			return sys.runMTNsParallel(ctx, sub, oracle, sd, opts.Strategy, workers, gov, fl)
+			return sys.runMTNsParallel(ctx, sub, oracle, sd, opts.Strategy, workers, gov)
 		}
 		acc := traverseResult{mpans: make(map[int][]int)}
 		for mi := range sub.mtns {
 			r := newRun(sub, oracle, []int{mi})
-			r.ctx, r.workers, r.gov, r.fl = ctx, workers, gov, fl
+			r.ctx, r.workers, r.gov = ctx, workers, gov
 			var err error
 			if opts.Strategy == BU {
 				err = r.bottomUp(sd)
@@ -450,7 +437,7 @@ func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle,
 			all[i] = i
 		}
 		r := newRun(sub, oracle, all)
-		r.ctx, r.workers, r.gov, r.fl = ctx, workers, gov, fl
+		r.ctx, r.workers, r.gov = ctx, workers, gov
 		var err error
 		switch opts.Strategy {
 		case BUWR:

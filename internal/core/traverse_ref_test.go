@@ -505,7 +505,7 @@ func (c *refCase) check(t *testing.T, pins map[int]bool, strat Strategy, budget,
 	label := fmt.Sprintf("%s %v budget=%d workers=%d pins=%v", c.name, strat, budget, workers, pins)
 
 	gotOracle := &truthOracle{sub: c.sub, alive: c.truth}
-	got, gotInferred, err := c.sys.traverse(ctx, c.sub, gotOracle, sd, Options{Strategy: strat, Pa: 0.5}, workers, newGovernor(ctx, ctx, budget), nil)
+	got, gotInferred, err := c.sys.traverse(ctx, c.sub, gotOracle, sd, Options{Strategy: strat, Pa: 0.5}, workers, newGovernor(ctx, ctx, budget))
 	if err != nil {
 		t.Fatalf("%s: traverse: %v", label, err)
 	}

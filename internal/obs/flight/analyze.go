@@ -25,20 +25,19 @@ type ProbeStat struct {
 	// Events is the node's chain in sequence order.
 	Events []Event
 
-	Admits      int
 	CacheHits   int
 	CacheMisses int
 	SQLExecs    int
 	Replans     int
 	Retries     int
-	Verdicts    int
 	// Suspects counts cached dead verdicts a write downgraded; Repairs how
 	// many of this probe's re-executions restored a verdict for one.
 	Suspects int
 	Repairs  int
 	// SQLTime is the summed measured latency of the node's SQLExec events.
 	SQLTime time.Duration
-	// Alive is the last committed verdict; meaningful when Verdicts > 0.
+	// Alive is the verdict of the node's last outcome event (ProbeCacheHit
+	// or SQLExec); meaningful when CacheHits+SQLExecs > 0.
 	Alive bool
 }
 
@@ -106,35 +105,32 @@ func Analyze(led *Ledger) *Analysis {
 			ps.Key = ev.Probe
 		}
 		switch ev.Kind {
-		case Admit:
-			ps.Admits++
 		case ProbeCacheHit:
 			ps.CacheHits++
+			ps.Alive = ev.Alive
 		case ProbeCacheMiss:
 			ps.CacheMisses++
 		case SQLExec:
 			ps.SQLExecs++
 			ps.SQLTime += ev.Dur
 			a.TotalSQL += ev.Dur
+			ps.Alive = ev.Alive
 		case Replan:
 			ps.Replans++
 		case Retry:
 			ps.Retries++
-		case Verdict:
-			ps.Verdicts++
-			ps.Alive = ev.Alive
 		case Suspect:
 			ps.Suspects++
 		case Repair:
 			ps.Repairs++
-		case KindUnknown, BudgetCharged, Shed, Exhausted:
+		case KindUnknown, Shed, Exhausted:
 			// Run-level kinds were consumed by the first switch; KindUnknown
 			// (kinds this build does not know, among them the retired
-			// candset_hit, candset_miss, plan_reuse, bitset_hit and
-			// bitset_fallback) and BudgetCharged carry no per-probe
-			// statistic. Listed so the eventkind analyzer proves this switch
-			// exhaustive: a new Kind fails lint here until its per-probe
-			// handling is decided.
+			// admit, budget_charged, verdict, candset_hit, candset_miss,
+			// plan_reuse, bitset_hit and bitset_fallback) carries no
+			// per-probe statistic. Listed so the eventkind analyzer proves
+			// this switch exhaustive: a new Kind fails lint here until its
+			// per-probe handling is decided.
 		}
 	}
 	return a
@@ -205,7 +201,7 @@ func eventDetail(ev Event) string {
 	if ev.Kind == SQLExec {
 		fmt.Fprintf(&sb, " dur=%v alive=%t", ev.Dur, ev.Alive)
 	}
-	if ev.Kind == Verdict || ev.Kind == ProbeCacheHit || ev.Kind == Repair {
+	if ev.Kind == ProbeCacheHit || ev.Kind == Repair {
 		fmt.Fprintf(&sb, " alive=%t", ev.Alive)
 	}
 	return sb.String()

@@ -1,8 +1,10 @@
 // Package flight is the probe-provenance flight recorder: an always-on,
 // fixed-size ring buffer of structured probe-lifecycle events emitted from
-// every hot-path decision point (scheduler admission, budget charges, probe
-// cache lookups, replans, SQL execution, retries, verdict commits, load
-// shedding).
+// every hot-path decision point (verdict-cache lookups, replans, SQL
+// execution, retries, verdict repairs, budget exhaustion, load shedding).
+// Each probe records one outcome event, a verdict-cache hit or an SQL
+// execution, and that event carries the probe's verdict; Phase 3's
+// traversal itself records nothing.
 //
 // The paper's framing — explain *why* a system produced no answer — applies
 // to the debugger itself: a slow or cache-cold run is a non-answer nobody can
@@ -40,11 +42,6 @@ const (
 	// KindUnknown marks an event whose kind this build does not know —
 	// only seen when loading a ledger from a different schema revision.
 	KindUnknown Kind = iota
-	// Admit: the scheduler admitted a probe past the governor.
-	Admit
-	// BudgetCharged: the governor charged one probe against the budget;
-	// Dur is unused, Cause carries the remaining budget when limited.
-	BudgetCharged
 	// ProbeCacheHit: the cross-request probe cache answered the probe.
 	ProbeCacheHit
 	// ProbeCacheMiss: the probe cache could not answer; Cause is the miss
@@ -61,9 +58,6 @@ const (
 	// Retry: a transient execution failure was retried; Cause is the
 	// error text.
 	Retry
-	// Verdict: the scheduler committed the probe's classification in
-	// serial order.
-	Verdict
 	// Shed: the server refused the request at admission (queue full).
 	Shed
 	// Exhausted: the governor tripped; Cause is "probe_budget" or
@@ -83,14 +77,11 @@ const (
 
 var kindNames = [numKinds]string{
 	KindUnknown:    "unknown",
-	Admit:          "admit",
-	BudgetCharged:  "budget_charged",
 	ProbeCacheHit:  "probecache_hit",
 	ProbeCacheMiss: "probecache_miss",
 	Replan:         "replan",
 	SQLExec:        "sql_exec",
 	Retry:          "retry",
-	Verdict:        "verdict",
 	Shed:           "shed",
 	Exhausted:      "exhausted",
 	Suspect:        "suspect",
@@ -117,39 +108,52 @@ func ParseKind(s string) Kind {
 	return KindUnknown
 }
 
+// MarshalText encodes the kind as its wire name, so JSON carries "kind" as a
+// string that stays greppable and survives enum renumbering.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a wire name; an unknown one yields KindUnknown, as
+// ParseKind does.
+func (k *Kind) UnmarshalText(b []byte) error {
+	*k = ParseKind(string(b))
+	return nil
+}
+
 // Event is one recorded probe-lifecycle fact. Events are plain values: the
 // ring's slots are the pool, and recording copies the struct into a slot
-// without allocating.
+// without allocating. Its JSON form is the one wire form of an event: ledger
+// lines, GET /debug/flight and 5xx bodies all encode it.
 type Event struct {
 	// Seq is the globally monotonic sequence number; it totally orders the
 	// interleaving of concurrent workers.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Req is the request ID the event belongs to ("" for unattributed runs).
-	Req string
+	Req string `json:"req,omitempty"`
 	// Kind says what happened.
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// Node is the lattice node ID the event concerns, -1 when the event is
 	// not tied to a node (shedding, text-path engine events).
-	Node int32
-	// Alive carries the verdict for SQLExec / Verdict / ProbeCacheHit.
-	Alive bool
+	Node int32 `json:"node"`
 	// Probe is the cross-request probe-cache key (canonical label plus
 	// keyword bindings) for probe events.
-	Probe string
-	// Cause qualifies the event: miss class, retry error, exhaustion
-	// reason, remaining budget.
-	Cause string
+	Probe string `json:"probe,omitempty"`
+	// Alive carries the verdict for the outcome events, ProbeCacheHit and
+	// SQLExec, and the repaired verdict for Repair.
+	Alive bool `json:"alive,omitempty"`
 	// Dur is the measured SQL latency for SQLExec events; zero otherwise.
 	// It is the run's only per-event timing and is reused from the
 	// oracle's existing measurement — the recorder itself never reads the
 	// clock.
-	Dur time.Duration
+	Dur time.Duration `json:"dur_ns,omitempty"`
+	// Cause qualifies the event: miss class, retry error, exhaustion
+	// reason, repair outcome.
+	Cause string `json:"cause,omitempty"`
 }
 
 // DefaultRingSize is the slot count used when a Recorder is built with
-// size <= 0. A warm debug request over DBLife at level 5 emits about 300
-// events, so 4096 slots hold roughly the last dozen such runs; ledgers, not
-// the ring, are the archive.
+// size <= 0. A warm debug request over DBLife at level 5 emits about 100
+// events, one per probe, so 4096 slots hold roughly the last 40 such runs;
+// ledgers, not the ring, are the archive.
 const DefaultRingSize = 4096
 
 // DefaultRunCap is how many recent run summaries a Recorder retains for
@@ -314,7 +318,7 @@ func (l *Log) Emit(k Kind, node int, probe string, alive bool, dur time.Duration
 	// Field by field: a composite literal would be built aside and copied
 	// into the slot whole, through the write barrier's bulk move.
 	ev.Seq, ev.Req, ev.Kind, ev.Node = seq, l.req, k, int32(node)
-	ev.Alive, ev.Probe, ev.Cause, ev.Dur = alive, probe, cause, dur
+	ev.Probe, ev.Alive, ev.Dur, ev.Cause = probe, alive, dur, cause
 	l.count++
 	l.kinds[k]++
 	if l.capture {

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -35,7 +36,7 @@ func TestNilLogIsSafeAndFree(t *testing.T) {
 	// The recording-off path must cost a nil check and nothing else: the
 	// acceptance criterion is zero allocations per event.
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.Emit(Admit, 1, "key", false, 0, "")
+		l.Emit(ProbeCacheHit, 1, "key", true, 0, "")
 	})
 	if allocs != 0 {
 		t.Errorf("nil Log.Emit allocates %v times per event, want 0", allocs)
@@ -57,7 +58,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 	rec := NewRecorder(4) // power of two already
 	l := NewLog(rec, "r", false)
 	for i := 0; i < 10; i++ {
-		l.Emit(Admit, i, "", false, 0, "")
+		l.Emit(ProbeCacheHit, i, "", false, 0, "")
 	}
 	evs := rec.Snapshot("")
 	if len(evs) != 4 {
@@ -93,7 +94,7 @@ func TestSnapshotEveryWrapOffset(t *testing.T) {
 		rec := NewRecorder(size)
 		l := NewLog(rec, "r", false)
 		for i := 0; i < total; i++ {
-			l.Emit(Admit, i, "", false, 0, "")
+			l.Emit(ProbeCacheHit, i, "", false, 0, "")
 		}
 		evs := rec.Snapshot("")
 		if want := min(total, size); len(evs) != want {
@@ -113,9 +114,9 @@ func TestSnapshotFiltersByRequest(t *testing.T) {
 	rec := NewRecorder(64)
 	a := NewLog(rec, "a", false)
 	b := NewLog(rec, "b", false)
-	a.Emit(Admit, 1, "", false, 0, "")
-	b.Emit(Admit, 2, "", false, 0, "")
-	a.Emit(Verdict, 1, "", true, 0, "")
+	a.Emit(ProbeCacheMiss, 1, "", false, 0, "")
+	b.Emit(ProbeCacheHit, 2, "", false, 0, "")
+	a.Emit(SQLExec, 1, "", true, 0, "")
 	got := rec.Snapshot("a")
 	if len(got) != 2 {
 		t.Fatalf("Snapshot(a) = %d events, want 2", len(got))
@@ -152,8 +153,8 @@ func TestCaptureSurvivesRingWrap(t *testing.T) {
 
 func TestCaptureOnlyLogSequences(t *testing.T) {
 	l := NewLog(nil, "solo", true)
-	l.Emit(Admit, 1, "", false, 0, "")
-	l.Emit(Verdict, 1, "", true, 0, "")
+	l.Emit(ProbeCacheMiss, 1, "", false, 0, "")
+	l.Emit(SQLExec, 1, "", true, 0, "")
 	evs := l.Events()
 	if len(evs) != 2 || evs[0].Seq != 1 || evs[1].Seq != 2 {
 		t.Fatalf("capture-only log misnumbered: %+v", evs)
@@ -179,13 +180,11 @@ func TestRunRingNewestFirstAndBounded(t *testing.T) {
 
 func TestLedgerRoundTrip(t *testing.T) {
 	events := []Event{
-		{Seq: 1, Req: "r", Kind: Admit, Node: 4},
 		{Seq: 2, Req: "r", Kind: ProbeCacheMiss, Node: 4, Probe: "J\x00k", Cause: "cold"},
 		{Seq: 3, Req: "r", Kind: SQLExec, Node: 4, Probe: "J\x00k", Alive: true, Dur: 42 * time.Microsecond},
-		{Seq: 4, Req: "r", Kind: Verdict, Node: 4, Alive: true},
 	}
 	sum := &RunSummary{Req: "r", Keywords: []string{"a", "b"}, Strategy: "SBH",
-		Workers: 1, Probes: 1, SQLIssued: 1, SQLMS: 0.042, Answers: 1, Events: 4}
+		Workers: 1, Probes: 1, SQLIssued: 1, SQLMS: 0.042, Answers: 1, Events: 2}
 	var buf bytes.Buffer
 	if err := WriteLedger(&buf, events, sum); err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 			t.Errorf("event %d = %+v, want %+v", i, ev, events[i])
 		}
 	}
-	if led.Summary == nil || led.Summary.Req != "r" || led.Summary.Events != 4 {
+	if led.Summary == nil || led.Summary.Req != "r" || led.Summary.Events != 2 {
 		t.Errorf("summary = %+v, want the written one", led.Summary)
 	}
 	if got := led.Summary.CacheHitRate(); got != 0 {
@@ -210,11 +209,47 @@ func TestLedgerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEventWireForm pins the one JSON form of an event, which ledger lines,
+// GET /debug/flight and 5xx bodies share: the kind travels as its wire name,
+// Dur as dur_ns, zero optional fields are omitted, and a ledger line is the
+// event inside its v/type envelope.
+func TestEventWireForm(t *testing.T) {
+	hit := Event{Seq: 3, Req: "r", Kind: SQLExec, Node: 4, Probe: "J\x00k", Alive: true, Dur: 42 * time.Microsecond}
+	trip := Event{Seq: 4, Kind: Exhausted, Node: -1, Cause: "probe_budget"}
+	const (
+		hitJSON  = `{"seq":3,"req":"r","kind":"sql_exec","node":4,"probe":"J\u0000k","alive":true,"dur_ns":42000}`
+		tripJSON = `{"seq":4,"kind":"exhausted","node":-1,"cause":"probe_budget"}`
+	)
+	got, err := json.Marshal([]Event{hit, trip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[" + hitJSON + "," + tripJSON + "]"; string(got) != want {
+		t.Errorf("events encode as\n%s\nwant\n%s", got, want)
+	}
+	var back []Event
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 2 || back[0] != hit || back[1] != trip {
+		t.Errorf("decoded %+v, want %+v and %+v", back, hit, trip)
+	}
+
+	var buf bytes.Buffer
+	if err := WriteLedger(&buf, []Event{hit, trip}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"v":1,"type":"event",` + hitJSON[1:] + "\n" + `{"v":1,"type":"event",` + tripJSON[1:] + "\n"
+	if buf.String() != want {
+		t.Errorf("ledger lines\n%s\nwant\n%s", buf.String(), want)
+	}
+}
+
 func TestReadLedgerTolerant(t *testing.T) {
 	raw := strings.Join([]string{
 		`{"v":2,"type":"event","seq":1,"kind":"quantum_probe","node":7}`,
 		`{"v":2,"type":"annotation","note":"future line type"}`,
-		`{"v":1,"type":"event","seq":2,"kind":"admit","node":7}`,
+		`{"v":1,"type":"event","seq":2,"kind":"sql_exec","node":7}`,
 		``,
 		`{"v":1,"type":"summary","summary":{"req":"x","workers":1,"data_version":0,"map_ms":0,"prune_ms":0,"mtn_ms":0,"traverse_ms":0,"probes":0,"cache_hits":0,"sql_issued":0,"sql_ms":0,"answers":0,"non_answers":0}}`,
 	}, "\n")
@@ -228,8 +263,8 @@ func TestReadLedgerTolerant(t *testing.T) {
 	if led.Events[0].Kind != KindUnknown {
 		t.Errorf("future kind parsed as %v, want KindUnknown", led.Events[0].Kind)
 	}
-	if led.Events[1].Kind != Admit {
-		t.Errorf("known kind parsed as %v, want Admit", led.Events[1].Kind)
+	if led.Events[1].Kind != SQLExec {
+		t.Errorf("known kind parsed as %v, want SQLExec", led.Events[1].Kind)
 	}
 	if led.Summary == nil || led.Summary.Req != "x" {
 		t.Errorf("summary = %+v, want req x", led.Summary)
@@ -256,41 +291,43 @@ func TestWriteLedgerFileSanitizesStem(t *testing.T) {
 	}
 }
 
-// TestReadLedgerRetiredKinds loads a ledger written before the candset_hit,
-// candset_miss, plan_reuse, bitset_hit and bitset_fallback kinds were
-// retired: their events load as KindUnknown and join no statistic, the run's
-// candidate-set counts come from the summary record, and the probe chains
-// around them analyze as usual. An old bitset_hit's Dur no longer counts in
-// TotalSQL: only SQLExec events carry execution time.
+// TestReadLedgerRetiredKinds loads a ledger written before the admit,
+// budget_charged, verdict, candset_hit, candset_miss, plan_reuse, bitset_hit
+// and bitset_fallback kinds were retired: their events load as KindUnknown
+// and join no statistic, a probe's verdict comes from its last outcome event
+// alone, the run's candidate-set counts come from the summary record, and
+// the probe chains around them analyze as usual. An old bitset_hit's Dur no
+// longer counts in TotalSQL: only SQLExec events carry execution time.
 func TestReadLedgerRetiredKinds(t *testing.T) {
 	raw := strings.Join([]string{
 		`{"v":1,"type":"event","seq":1,"req":"old","kind":"admit","node":4}`,
-		`{"v":1,"type":"event","seq":2,"req":"old","kind":"candset_miss","node":-1,"probe":"Item\u0000s;scented"}`,
-		`{"v":1,"type":"event","seq":3,"req":"old","kind":"candset_hit","node":-1,"probe":"Item\u0000s;scented"}`,
-		`{"v":1,"type":"event","seq":4,"req":"old","kind":"plan_reuse","node":4,"probe":"key4"}`,
-		`{"v":1,"type":"event","seq":5,"req":"old","kind":"bitset_fallback","node":4,"probe":"key4","cause":"unanchored"}`,
-		`{"v":1,"type":"event","seq":6,"req":"old","kind":"sql_exec","node":4,"probe":"key4","alive":true,"dur_ns":2000}`,
-		`{"v":1,"type":"event","seq":7,"req":"old","kind":"verdict","node":4,"alive":true}`,
-		`{"v":1,"type":"event","seq":8,"req":"old","kind":"admit","node":7}`,
-		`{"v":1,"type":"event","seq":9,"req":"old","kind":"bitset_hit","node":7,"probe":"key7","alive":false,"dur_ns":500}`,
-		`{"v":1,"type":"event","seq":10,"req":"old","kind":"verdict","node":7,"alive":false}`,
-		`{"v":1,"type":"summary","summary":{"req":"old","workers":1,"data_version":3,"map_ms":0,"prune_ms":0,"mtn_ms":0,"traverse_ms":0,"probes":2,"cache_hits":0,"sql_issued":2,"sql_ms":0.0025,"candset_hits":1,"candset_misses":1,"answers":1,"non_answers":1,"events":10}}`,
+		`{"v":1,"type":"event","seq":2,"req":"old","kind":"budget_charged","node":4}`,
+		`{"v":1,"type":"event","seq":3,"req":"old","kind":"candset_miss","node":-1,"probe":"Item\u0000s;scented"}`,
+		`{"v":1,"type":"event","seq":4,"req":"old","kind":"candset_hit","node":-1,"probe":"Item\u0000s;scented"}`,
+		`{"v":1,"type":"event","seq":5,"req":"old","kind":"plan_reuse","node":4,"probe":"key4"}`,
+		`{"v":1,"type":"event","seq":6,"req":"old","kind":"bitset_fallback","node":4,"probe":"key4","cause":"unanchored"}`,
+		`{"v":1,"type":"event","seq":7,"req":"old","kind":"sql_exec","node":4,"probe":"key4","alive":true,"dur_ns":2000}`,
+		`{"v":1,"type":"event","seq":8,"req":"old","kind":"verdict","node":4,"alive":true}`,
+		`{"v":1,"type":"event","seq":9,"req":"old","kind":"admit","node":7}`,
+		`{"v":1,"type":"event","seq":10,"req":"old","kind":"bitset_hit","node":7,"probe":"key7","alive":false,"dur_ns":500}`,
+		`{"v":1,"type":"event","seq":11,"req":"old","kind":"verdict","node":7,"alive":true}`,
+		`{"v":1,"type":"summary","summary":{"req":"old","workers":1,"data_version":3,"map_ms":0,"prune_ms":0,"mtn_ms":0,"traverse_ms":0,"probes":2,"cache_hits":0,"sql_issued":2,"sql_ms":0.0025,"candset_hits":1,"candset_misses":1,"answers":1,"non_answers":1,"events":11}}`,
 	}, "\n")
 	led, err := ReadLedger(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(led.Events) != 10 {
-		t.Fatalf("read %d events, want 10", len(led.Events))
+	if len(led.Events) != 11 {
+		t.Fatalf("read %d events, want 11", len(led.Events))
 	}
-	for _, i := range []int{1, 2, 3, 4, 8} {
-		if led.Events[i].Kind != KindUnknown {
-			t.Errorf("retired kind at seq %d parsed as %v, want KindUnknown", led.Events[i].Seq, led.Events[i].Kind)
+	for i, ev := range led.Events {
+		if i != 6 && ev.Kind != KindUnknown {
+			t.Errorf("retired kind at seq %d parsed as %v, want KindUnknown", ev.Seq, ev.Kind)
 		}
 	}
 	a := Analyze(led)
-	if a.KindCounts[KindUnknown] != 5 || a.CandSetHits != 1 || a.CandSetMisses != 1 {
-		t.Errorf("unknown=%d candset hits/misses %d/%d, want 5 and 1/1 from the summary",
+	if a.KindCounts[KindUnknown] != 10 || a.CandSetHits != 1 || a.CandSetMisses != 1 {
+		t.Errorf("unknown=%d candset hits/misses %d/%d, want 10 and 1/1 from the summary",
 			a.KindCounts[KindUnknown], a.CandSetHits, a.CandSetMisses)
 	}
 	if a.TotalSQL != 2*time.Microsecond {
@@ -299,17 +336,19 @@ func TestReadLedgerRetiredKinds(t *testing.T) {
 	if len(a.Probes) != 2 {
 		t.Fatalf("grouped %d probes, want 2", len(a.Probes))
 	}
-	if p := a.Probes[0]; p.Identity() != "key4" || p.Admits != 1 || p.SQLExecs != 1 || p.Verdicts != 1 ||
-		p.Replans != 0 || p.SQLTime != 2*time.Microsecond || !p.Alive {
+	if p := a.Probes[0]; p.Identity() != "key4" || p.SQLExecs != 1 || p.CacheHits != 0 ||
+		p.Replans != 0 || p.SQLTime != 2*time.Microsecond || !p.Alive || len(p.Events) != 6 {
 		t.Errorf("node 4 chain wrong: %+v", p)
 	}
-	if p := a.Probes[1]; p.Identity() != "key7" || p.Admits != 1 || p.SQLExecs != 0 || p.Verdicts != 1 ||
-		p.SQLTime != 0 || p.Alive {
+	// Node 7's old verdict event says alive, but no event of a kind this
+	// build knows carries a verdict for it.
+	if p := a.Probes[1]; p.Identity() != "key7" || p.SQLExecs != 0 || p.CacheHits != 0 ||
+		p.SQLTime != 0 || p.Alive || len(p.Events) != 3 {
 		t.Errorf("node 7 chain wrong: %+v", p)
 	}
 	var buf bytes.Buffer
 	a.RenderSummary(&buf)
-	for _, want := range []string{"run old", "candset_hits=1 candset_misses=1", "unknown=5", "sql_exec=1"} {
+	for _, want := range []string{"run old", "candset_hits=1 candset_misses=1", "unknown=10", "sql_exec=1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, buf.String())
 		}
@@ -318,13 +357,9 @@ func TestReadLedgerRetiredKinds(t *testing.T) {
 
 func TestAnalyzeGroupsChains(t *testing.T) {
 	led := &Ledger{Summary: &RunSummary{CandSetMisses: 1}, Events: []Event{
-		{Seq: 2, Kind: Admit, Node: 4},
 		{Seq: 3, Kind: ProbeCacheMiss, Node: 4, Probe: "key4", Cause: "cold"},
 		{Seq: 4, Kind: SQLExec, Node: 4, Probe: "key4", Alive: true, Dur: 10 * time.Millisecond},
-		{Seq: 5, Kind: Verdict, Node: 4, Alive: true},
-		{Seq: 6, Kind: Admit, Node: 9},
 		{Seq: 7, Kind: ProbeCacheHit, Node: 9, Probe: "key9", Alive: false},
-		{Seq: 8, Kind: Verdict, Node: 9, Alive: false},
 		{Seq: 9, Kind: Exhausted, Node: -1, Cause: "probe_budget"},
 	}}
 	a := Analyze(led)
@@ -352,19 +387,13 @@ func TestAnalyzeGroupsChains(t *testing.T) {
 // must attribute the entire SQL-time delta to the newly missed probes.
 func TestDiffAttributesColdRun(t *testing.T) {
 	warm := Analyze(&Ledger{Events: []Event{
-		{Seq: 1, Kind: Admit, Node: 4},
 		{Seq: 2, Kind: ProbeCacheHit, Node: 4, Probe: "key4", Alive: true},
-		{Seq: 3, Kind: Verdict, Node: 4, Alive: true},
 	}})
 	cold := Analyze(&Ledger{Events: []Event{
-		{Seq: 1, Kind: Admit, Node: 7}, // different node ID: matching is by key
-		{Seq: 2, Kind: ProbeCacheMiss, Node: 7, Probe: "key4", Cause: "cold"},
+		{Seq: 2, Kind: ProbeCacheMiss, Node: 7, Probe: "key4", Cause: "cold"}, // different node ID: matching is by key
 		{Seq: 3, Kind: SQLExec, Node: 7, Probe: "key4", Alive: true, Dur: 5 * time.Millisecond},
-		{Seq: 4, Kind: Verdict, Node: 7, Alive: true},
-		{Seq: 5, Kind: Admit, Node: 8},
 		{Seq: 6, Kind: ProbeCacheMiss, Node: 8, Probe: "key8", Cause: "cold"},
 		{Seq: 7, Kind: SQLExec, Node: 8, Probe: "key8", Alive: false, Dur: 2 * time.Millisecond},
-		{Seq: 8, Kind: Verdict, Node: 8, Alive: false},
 	}})
 	d := Diff(warm, cold)
 	if d.SQLDelta != 7*time.Millisecond {
@@ -399,14 +428,10 @@ func TestDiffAttributesColdRun(t *testing.T) {
 // repair stays attributed to the repair alone.
 func TestDiffAttributesBypassedRun(t *testing.T) {
 	warm := Analyze(&Ledger{Events: []Event{
-		{Seq: 1, Kind: Admit, Node: 4},
 		{Seq: 2, Kind: ProbeCacheHit, Node: 4, Probe: "key4", Alive: true},
-		{Seq: 3, Kind: Verdict, Node: 4, Alive: true},
 	}})
 	bypassed := Analyze(&Ledger{Events: []Event{
-		{Seq: 1, Kind: Admit, Node: 4},
 		{Seq: 2, Kind: SQLExec, Node: 4, Probe: "key4", Alive: true, Dur: 3 * time.Millisecond},
-		{Seq: 3, Kind: Verdict, Node: 4, Alive: true},
 	}})
 	d := Diff(warm, bypassed)
 	if d.SQLDelta != 3*time.Millisecond {
@@ -420,11 +445,9 @@ func TestDiffAttributesBypassedRun(t *testing.T) {
 	}
 
 	repaired := Analyze(&Ledger{Events: []Event{
-		{Seq: 1, Kind: Admit, Node: 4},
 		{Seq: 2, Kind: Suspect, Node: 4, Probe: "key4", Cause: "suspect"},
 		{Seq: 3, Kind: SQLExec, Node: 4, Probe: "key4", Alive: false, Dur: 2 * time.Millisecond},
 		{Seq: 4, Kind: Repair, Node: 4, Probe: "key4", Cause: "confirmed"},
-		{Seq: 5, Kind: Verdict, Node: 4, Alive: false},
 	}})
 	d = Diff(warm, repaired)
 	if d.NewlyMissed != 0 || d.NewlyRepaired != 1 || d.Explained != d.SQLDelta {
@@ -436,7 +459,7 @@ func TestDiffAttributesBypassedRun(t *testing.T) {
 func TestRenderSummaryAndSlow(t *testing.T) {
 	led := &Ledger{
 		Events: []Event{
-			{Seq: 1, Kind: Admit, Node: 4},
+			{Seq: 1, Kind: Replan, Node: 4, Probe: "key4", Cause: "cold"},
 			{Seq: 2, Kind: SQLExec, Node: 4, Probe: "key4", Alive: true, Dur: time.Millisecond},
 		},
 		Summary: &RunSummary{Req: "007", Keywords: []string{"x"}, Strategy: "SBH",
@@ -445,7 +468,7 @@ func TestRenderSummaryAndSlow(t *testing.T) {
 	var buf bytes.Buffer
 	a := Analyze(led)
 	a.RenderSummary(&buf)
-	for _, want := range []string{"run 007", "INCOMPLETE(deadline)", "admit=1", "sql_exec=1"} {
+	for _, want := range []string{"run 007", "INCOMPLETE(deadline)", "replan=1", "sql_exec=1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, buf.String())
 		}

@@ -18,14 +18,11 @@ type RegisteredKind struct {
 // KindRegistry lists every event kind, in enum order.
 var KindRegistry = []RegisteredKind{
 	{KindUnknown, "unknown", "KindUnknown marks an event whose kind this build does not know — only seen when loading a ledger from a different schema revision."},
-	{Admit, "admit", "the scheduler admitted a probe past the governor."},
-	{BudgetCharged, "budget_charged", "the governor charged one probe against the budget; Dur is unused, Cause carries the remaining budget when limited."},
 	{ProbeCacheHit, "probecache_hit", "the cross-request probe cache answered the probe."},
 	{ProbeCacheMiss, "probecache_miss", "the probe cache could not answer; Cause is the miss class (\"cold\", \"stale\", \"expired\")."},
 	{Replan, "replan", "a prepared probe recompiled its plan (first use, or a write or epoch bump staled its footprint; Cause distinguishes \"cold\" from \"stale\")."},
 	{SQLExec, "sql_exec", "a probe reached the execution layer; Dur is the measured latency and Alive the verdict it produced. On the prepared path an SQLExec with no Replan before it reused its compiled plan."},
 	{Retry, "retry", "a transient execution failure was retried; Cause is the error text."},
-	{Verdict, "verdict", "the scheduler committed the probe's classification in serial order."},
 	{Shed, "shed", "the server refused the request at admission (queue full)."},
 	{Exhausted, "exhausted", "the governor tripped; Cause is \"probe_budget\" or \"deadline\"."},
 	{Suspect, "suspect", "a cached dead verdict was downgraded to suspect because a write intersected its table footprint; the probe re-executes instead of trusting the verdict. Cause is the miss class (\"suspect\")."},

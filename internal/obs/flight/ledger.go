@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 )
 
 // LedgerVersion is the schema revision stamped on every ledger line. Readers
@@ -73,19 +72,12 @@ func (s *RunSummary) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(s.Probes)
 }
 
-// eventLine is the wire form of one event. Kind travels as its string name
-// so ledgers stay greppable and survive enum renumbering.
+// eventLine is one event's ledger line: the event's own JSON form inside
+// the line envelope.
 type eventLine struct {
-	V     int    `json:"v"`
-	Type  string `json:"type"`
-	Seq   uint64 `json:"seq"`
-	Req   string `json:"req,omitempty"`
-	Kind  string `json:"kind"`
-	Node  int32  `json:"node"`
-	Probe string `json:"probe,omitempty"`
-	Alive bool   `json:"alive,omitempty"`
-	DurNS int64  `json:"dur_ns,omitempty"`
-	Cause string `json:"cause,omitempty"`
+	V    int    `json:"v"`
+	Type string `json:"type"`
+	Event
 }
 
 // summaryLine closes the ledger.
@@ -100,14 +92,8 @@ type summaryLine struct {
 func WriteLedger(w io.Writer, events []Event, sum *RunSummary) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range events {
-		ev := &events[i]
-		line := eventLine{
-			V: LedgerVersion, Type: "event",
-			Seq: ev.Seq, Req: ev.Req, Kind: ev.Kind.String(), Node: ev.Node,
-			Probe: ev.Probe, Alive: ev.Alive, DurNS: int64(ev.Dur), Cause: ev.Cause,
-		}
-		if err := enc.Encode(line); err != nil {
+	for _, ev := range events {
+		if err := enc.Encode(eventLine{V: LedgerVersion, Type: "event", Event: ev}); err != nil {
 			return err
 		}
 	}
@@ -207,10 +193,7 @@ func ReadLedger(r io.Reader) (*Ledger, error) {
 			if err := json.Unmarshal(raw, &el); err != nil {
 				return nil, fmt.Errorf("ledger line %d: %w", lineNo, err)
 			}
-			led.Events = append(led.Events, Event{
-				Seq: el.Seq, Req: el.Req, Kind: ParseKind(el.Kind), Node: el.Node,
-				Probe: el.Probe, Alive: el.Alive, Dur: time.Duration(el.DurNS), Cause: el.Cause,
-			})
+			led.Events = append(led.Events, el.Event)
 		case "summary":
 			var sl summaryLine
 			if err := json.Unmarshal(raw, &sl); err != nil {

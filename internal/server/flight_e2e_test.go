@@ -1,12 +1,16 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"kwsdbg/internal/obs"
 	"kwsdbg/internal/obs/flight"
 	"kwsdbg/internal/probecache"
 )
@@ -141,5 +145,26 @@ func TestDebugRunsAndFlightEndpoints(t *testing.T) {
 	_, body = get(t, s, "/debug/flight?req=no-such-request")
 	if got := len(body["events"].([]any)); got != 0 {
 		t.Errorf("bogus request filter returned %d events, want 0", got)
+	}
+
+	// The dump and a 5xx body for the run's request both carry the ring's
+	// events in flight.Event's own JSON form, so they decode back exactly.
+	want := s.Recorder.Snapshot(reqID)
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/flight?req="+reqID, nil))
+	var dump struct {
+		Events []flight.Event `json:"events"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil || !reflect.DeepEqual(dump.Events, want) {
+		t.Errorf("/debug/flight?req=%s decodes to %+v (err %v), want the ring's %+v", reqID, dump.Events, err, want)
+	}
+	rec = httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/debug", nil)
+	s.writeError(rec, req.WithContext(obs.WithRequestID(req.Context(), reqID)), http.StatusInternalServerError, errors.New("boom"))
+	var failed struct {
+		Flight []flight.Event `json:"flight"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &failed); err != nil || !reflect.DeepEqual(failed.Flight, want) {
+		t.Errorf("5xx body's flight decodes to %+v (err %v), want the ring's %+v", failed.Flight, err, want)
 	}
 }

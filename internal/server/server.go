@@ -241,34 +241,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	// travels with the response.
 	if status >= 500 && s.Recorder != nil {
 		if evs := s.Recorder.Snapshot(obs.RequestID(r.Context())); len(evs) > 0 {
-			body["flight"] = flightJSON(evs)
+			body["flight"] = evs
 		}
 	}
 	s.writeJSON(w, status, body)
-}
-
-// flightEventJSON is the wire form of one flight event in /debug/flight and
-// 5xx bodies; it matches the ledger's event schema minus the envelope.
-type flightEventJSON struct {
-	Seq   uint64 `json:"seq"`
-	Req   string `json:"req,omitempty"`
-	Kind  string `json:"kind"`
-	Node  int32  `json:"node"`
-	Probe string `json:"probe,omitempty"`
-	Alive bool   `json:"alive,omitempty"`
-	DurNS int64  `json:"dur_ns,omitempty"`
-	Cause string `json:"cause,omitempty"`
-}
-
-func flightJSON(evs []flight.Event) []flightEventJSON {
-	out := make([]flightEventJSON, len(evs))
-	for i, ev := range evs {
-		out[i] = flightEventJSON{
-			Seq: ev.Seq, Req: ev.Req, Kind: ev.Kind.String(), Node: ev.Node,
-			Probe: ev.Probe, Alive: ev.Alive, DurNS: int64(ev.Dur), Cause: ev.Cause,
-		}
-	}
-	return out
 }
 
 // keywords parses the q parameter into keyword fields.
@@ -465,11 +441,11 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // handleFlight dumps the flight ring in sequence order, optionally filtered
 // to one request ID with ?req=.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	var evs []flight.Event
+	evs := []flight.Event{} // encodes as [], not null, without a recorder
 	if s.Recorder != nil {
 		evs = s.Recorder.Snapshot(r.URL.Query().Get("req"))
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"events": flightJSON(evs)})
+	s.writeJSON(w, http.StatusOK, map[string]any{"events": evs})
 }
 
 // searchResponse is the /search JSON schema. When the query has no exact

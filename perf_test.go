@@ -38,11 +38,11 @@ func perfSystem(t *testing.T) *core.System {
 // worker counts. The verdict cache is bypassed so every probe runs its full
 // lifecycle, the event-dense worst case.
 //
-// The recorder costs a few percent of a Debug call (about 13 events per
-// query — admit, sql_exec and verdict for each probe — each one lock of the
-// recorder's mutex), close to run-to-run noise, so each worker count runs
-// many short off/on workload sweeps in alternating order and keeps each
-// side's fastest. Interference only ever slows a sweep
+// The recorder costs a few percent of a Debug call: about 4.4 events per
+// query, one sql_exec for each probe, each one lock of the recorder's mutex,
+// plus the per-run log. That is close to run-to-run noise, so each worker
+// count runs many short off/on workload sweeps in alternating order and
+// keeps each side's fastest. Interference only ever slows a sweep
 // down, so the minima are the clean costs, sampled from the same warm epoch
 // of the process. A real slowdown shows in every attempt; scheduler jitter
 // does not.

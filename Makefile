@@ -36,8 +36,9 @@ vet:
 	fi
 
 # lint runs the repo's own analyzer suite (cmd/kwslint): determinism,
-# ctxflow, metricname, lockcheck, errwrap, and the CFG-based analyzers
-# lockflow, leakcheck, hotpath, eventkind. See DESIGN.md §10 and §14.
+# ctxflow, metricname, errwrap, and the CFG-based analyzers lockflow (lock
+# balance, guarded fields, lock order), leakcheck, hotpath, eventkind. See
+# DESIGN.md §10 and §14.
 lint:
 	$(GO) run ./cmd/kwslint ./...
 

@@ -1,15 +1,15 @@
 // Command kwslint is the repo's multichecker: it runs the internal/lint
 // analyzer suite over the module and fails the build on any diagnostic.
 //
-// The nine analyzers encode invariants that previously lived only in
+// The eight analyzers encode invariants that previously lived only in
 // reviewers' heads (see DESIGN.md §10 and §14):
 //
 //	determinism  no wall-clock/randomness or map-order leaks in output paths
 //	ctxflow      contexts are threaded, never dropped or re-minted
 //	metricname   every kwsdbg_* metric is well-formed and registered
-//	lockcheck    `guarded by mu` fields are only touched under their mutex
 //	errwrap      error chains survive wrapping; sentinels use errors.Is
-//	lockflow     CFG-based Lock/Unlock balance on every path; lock-order cycles
+//	lockflow     CFG-based Lock/Unlock balance on every path; `guarded by mu`
+//	             fields touched only where mu is held; lock-order cycles
 //	leakcheck    every `go` statement carries join or cancellation evidence
 //	hotpath      //kws:hotpath functions avoid allocation-prone constructs
 //	eventkind    flight Kind enum, kindNames, and registry stay in lockstep
@@ -24,13 +24,17 @@
 //
 //	//lint:ignore kwslint/<name> reason
 //
-// where the reason is mandatory (see internal/lint/ignore).
+// where the reason is mandatory (see internal/lint/ignore). A directive that
+// names a check outside the full suite suppresses nothing, so it is reported
+// under kwslint/directive, whatever -run selects.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,7 +47,6 @@ import (
 	"kwsdbg/internal/lint/ignore"
 	"kwsdbg/internal/lint/leakcheck"
 	"kwsdbg/internal/lint/loadpkg"
-	"kwsdbg/internal/lint/lockcheck"
 	"kwsdbg/internal/lint/lockflow"
 	"kwsdbg/internal/lint/metricname"
 )
@@ -56,24 +59,26 @@ var suite = []*analysis.Analyzer{
 	eventkind.Analyzer,
 	hotpath.Analyzer,
 	leakcheck.Analyzer,
-	lockcheck.Analyzer,
 	lockflow.Analyzer,
 	metricname.Analyzer,
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	fs := flag.NewFlagSet("kwslint", flag.ExitOnError)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kwslint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, a := range suite {
-			fmt.Printf("%-22s %s\n", a.Check(), a.Doc)
+			fmt.Fprintf(stdout, "%-22s %s\n", a.Check(), a.Doc)
 		}
 		return 0
 	}
@@ -88,7 +93,7 @@ func run(args []string) int {
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "kwslint: unknown analyzer %q (try -list)\n", name)
+				fmt.Fprintf(stderr, "kwslint: unknown analyzer %q (try -list)\n", name)
 				return 2
 			}
 			analyzers = append(analyzers, a)
@@ -101,12 +106,12 @@ func run(args []string) int {
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kwslint: %v\n", err)
+		fmt.Fprintf(stderr, "kwslint: %v\n", err)
 		return 2
 	}
 	set, err := loadpkg.Load(wd, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kwslint: %v\n", err)
+		fmt.Fprintf(stderr, "kwslint: %v\n", err)
 		return 2
 	}
 
@@ -114,6 +119,7 @@ func run(args []string) int {
 	for _, pkg := range set.Packages() {
 		dirs, malformed := ignore.Parse(pkg.Fset, pkg.Files)
 		diags = append(diags, malformed...)
+		diags = append(diags, unknownChecks(dirs)...)
 		for _, a := range analyzers {
 			pass := &analysis.Pass{
 				Analyzer:  a,
@@ -123,7 +129,7 @@ func run(args []string) int {
 				TypesInfo: pkg.TypesInfo,
 			}
 			if err := a.Run(pass); err != nil {
-				fmt.Fprintf(os.Stderr, "kwslint: %s on %s: %v\n", a.Name, pkg.ImportPath, err)
+				fmt.Fprintf(stderr, "kwslint: %s on %s: %v\n", a.Name, pkg.ImportPath, err)
 				return 2
 			}
 			diags = append(diags, ignore.Filter(pkg.Fset, dirs, pass.Diags)...)
@@ -150,13 +156,31 @@ func run(args []string) int {
 		if rel, err := relPath(wd, name); err == nil {
 			name = rel
 		}
-		fmt.Printf("%s:%d:%d: %s: %s\n", name, pos.Line, pos.Column, d.Check, d.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", name, pos.Line, pos.Column, d.Check, d.Message)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "kwslint: %d diagnostic(s)\n", len(diags))
+		fmt.Fprintf(stderr, "kwslint: %d diagnostic(s)\n", len(diags))
 		return 1
 	}
 	return 0
+}
+
+// unknownChecks reports each check a directive names that no analyzer of
+// the full suite reports under: such a waiver suppresses nothing.
+func unknownChecks(dirs []ignore.Directive) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
+	for _, d := range dirs {
+		for _, c := range d.Checks {
+			if !slices.ContainsFunc(suite, func(a *analysis.Analyzer) bool { return a.Check() == c }) {
+				out = append(out, analysis.Diagnostic{
+					Pos:     d.Pos,
+					Check:   ignore.DirectiveCheck,
+					Message: fmt.Sprintf("lint:ignore names %q, which no kwslint analyzer reports (see kwslint -list); it suppresses nothing", c),
+				})
+			}
+		}
+	}
+	return out
 }
 
 // relPath shortens filenames under the working directory.

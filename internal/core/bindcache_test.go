@@ -86,13 +86,14 @@ func TestBindingKeys(t *testing.T) {
 	}
 }
 
-// cacheCheck runs one query three ways on sys — a first run (fresh when the
+// cacheCheck runs one query three ways — a first run on sys (fresh when the
 // binding is new to sys), a second run the per-binding cache answers, and a
-// Filter run that builds its own entry — and requires the three outputs,
-// timings masked, to be equal. It returns the first run's output.
+// run on a new System over the same engine and lattice, which builds its own
+// entry — and requires the three outputs, timings masked, to be equal. It
+// returns the first run's output.
 func cacheCheck(t *testing.T, sys *System, kws []string, opts Options) *Output {
 	t.Helper()
-	run := func(opts Options) Output {
+	run := func(sys *System) Output {
 		t.Helper()
 		out, err := sys.Debug(kws, opts)
 		if err != nil {
@@ -100,21 +101,26 @@ func cacheCheck(t *testing.T, sys *System, kws []string, opts Options) *Output {
 		}
 		return normalized(out)
 	}
-	first := run(opts)
+	first := run(sys)
 	hits := sys.BindingCacheStats().Hits
-	hit := run(opts)
+	hit := run(sys)
 	if len(first.NonKeywords) == 0 && sys.BindingCacheStats().Hits != hits+1 {
 		t.Fatalf("%v: the second run did not hit the binding cache", kws)
 	}
-	filtered := opts
-	filtered.Filter = func(*lattice.Node) bool { return true }
-	fresh := run(filtered)
+	other, err := NewSystem(sys.eng, sys.lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := run(other)
+	if len(first.NonKeywords) == 0 && other.BindingCacheStats().Misses != 1 {
+		t.Fatalf("%v: the new System's run did not build its own entry", kws)
+	}
 	if !reflect.DeepEqual(hit, first) {
 		t.Fatalf("%v %v workers=%d: cache hit differs from the first run\nhit:   %+v\nfirst: %+v",
 			kws, opts.Strategy, opts.Workers, hit, first)
 	}
 	if !reflect.DeepEqual(fresh, first) {
-		t.Fatalf("%v %v workers=%d: a Filter run's fresh build differs from the first run\nfresh: %+v\nfirst: %+v",
+		t.Fatalf("%v %v workers=%d: a new System's fresh build differs from the first run\nfresh: %+v\nfirst: %+v",
 			kws, opts.Strategy, opts.Workers, fresh, first)
 	}
 	return &first

@@ -156,13 +156,6 @@ func (sys *System) SetPlanCacheSize(max int) {
 	sys.eng.PlanCache().Resize(max)
 }
 
-// PurgePlanCaches empties both plan caches without changing their bounds;
-// benchmarks use it to measure cold-path compile costs.
-func (sys *System) PurgePlanCaches() {
-	sys.prepared.Purge()
-	sys.eng.PlanCache().Purge()
-}
-
 // BindingCacheStats snapshots the per-binding cache of Phases 1b-2, for
 // health endpoints.
 func (sys *System) BindingCacheStats() BindingCacheStats { return sys.bindings.stats() }
@@ -305,15 +298,16 @@ type Options struct {
 	// Workers bounds the probe scheduler's concurrency: <= 1 (the default)
 	// probes serially, exactly as before; larger values probe independent
 	// lattice nodes — same-level batch members, or whole per-MTN runs for
-	// BU/TD — from that many goroutines. Without a ProbeBudget below the
-	// serial run's probe count, any worker count produces the same Output
-	// and the same SQLExecuted as the serial run. Under such a budget it
-	// does not: which probes land before the budget runs out depends on
-	// scheduling (BU and TD spend it across concurrent per-MTN runs), so
+	// BU/TD — from that many goroutines. Any worker count produces the
+	// same Output and the same SQLExecuted as the serial run, under a
+	// ProbeBudget too: a batch is granted its share of the budget in serial
+	// order before it is dispatched. BU and TD are the exception under a
+	// budget below the serial run's probe count, because their per-MTN runs
+	// spend it concurrently: which MTNs get it depends on scheduling, so
 	// only the partial-result guarantees hold — answers, non-answers and
 	// MPANs are subsets of the full run's and SQLExecuted stays within the
-	// budget — while the classified set varies from run to run (ROADMAP
-	// item 14). A Deadline is time-dependent at any worker count. SBH
+	// budget — while the classified set varies from run to run (DESIGN
+	// §8). A Deadline is time-dependent at any worker count. SBH
 	// ignores the setting because its probe order is inherently
 	// sequential. Values above 64 are clamped.
 	Workers int
@@ -340,13 +334,6 @@ type Options struct {
 	// trips for any worker count; a smaller one yields a partial, Incomplete
 	// Output whose reported MPANs are a subset of the unbudgeted run's.
 	ProbeBudget int
-	// Filter, when non-nil, restricts the candidate networks considered:
-	// MTNs for which it returns false are dropped after Phase 2, before any
-	// probing. This is the paper's §5 future-work hook ("pushing
-	// user-defined constraints into the search procedure might greatly
-	// prune the search space") — e.g. exclude interpretations through a
-	// noisy relation, or cap the number of free tuple sets.
-	Filter func(n *lattice.Node) bool
 }
 
 // Debug runs phases 1-3 for a keyword query and explains every non-answer.
@@ -395,17 +382,6 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		return out, nil
 	}
 	e := ph.entry
-	if opts.Filter != nil {
-		// A filtered run builds a private entry over the MTNs it keeps.
-		kept := e.mtnIDs[:0:0]
-		for _, id := range e.mtnIDs {
-			if opts.Filter(sys.lat.Node(id)) {
-				kept = append(kept, id)
-			}
-		}
-		e = newBindingEntry(sys.lat, e.pruned, kept)
-		out.Stats.MTNs = len(kept)
-	}
 	mMTNs.Observe(float64(out.Stats.MTNs))
 	if e.sub == nil {
 		return out, nil
@@ -637,14 +613,4 @@ func (sys *System) Results(nodeID int, keywords []string, limit int) ([]string, 
 		return nil, nil, err
 	}
 	return res.Columns, res.Rows, nil
-}
-
-// Bindings exposes Phase 1's keyword->relations mapping for tools.
-func (sys *System) Bindings(keywords []string) (map[string][]string, error) {
-	ix := sys.eng.Index()
-	out := make(map[string][]string, len(keywords))
-	for _, kw := range keywords {
-		out[kw] = ix.Tables(kw)
-	}
-	return out, nil
 }

@@ -436,20 +436,6 @@ func TestResultsFetch(t *testing.T) {
 	}
 }
 
-func TestBindings(t *testing.T) {
-	sys := productSystem(t)
-	b, err := sys.Bindings([]string{"saffron", "zzz"})
-	if err != nil {
-		t.Fatalf("Bindings: %v", err)
-	}
-	if got := b["saffron"]; !reflect.DeepEqual(got, []string{"Attr", "Color", "Item"}) {
-		t.Errorf("saffron -> %v", got)
-	}
-	if len(b["zzz"]) != 0 {
-		t.Errorf("zzz -> %v", b["zzz"])
-	}
-}
-
 func TestStatsReusePercent(t *testing.T) {
 	s := Stats{DescTotal: 100, DescUnique: 40}
 	if got := s.ReusePercent(); got != 60 {
@@ -613,36 +599,6 @@ func TestOracleErrorPropagates(t *testing.T) {
 type failingOracle struct{}
 
 func (f *failingOracle) IsAlive(int) (bool, error) { return false, fmt.Errorf("boom") }
-
-func TestFilterConstraint(t *testing.T) {
-	sys := productSystem(t)
-	kws := []string{"saffron", "scented", "candle"}
-	// The paper's S5 future-work hook: push a user constraint into the
-	// search. Exclude every interpretation that goes through Attr.
-	noAttr := func(n *lattice.Node) bool {
-		return !n.HasVertex("Attr", 1)
-	}
-	out, err := sys.Debug(kws, Options{Strategy: SBH, Filter: noAttr})
-	if err != nil {
-		t.Fatalf("Debug: %v", err)
-	}
-	if out.Stats.MTNs != 3 {
-		t.Errorf("filtered MTNs = %d, want 3", out.Stats.MTNs)
-	}
-	for _, na := range out.NonAnswers {
-		if strings.Contains(na.Query.Tree, "Attr") {
-			t.Errorf("filtered-out MTN reported: %s", na.Query.Tree)
-		}
-	}
-	// Filtering everything yields a clean empty output.
-	out, err = sys.Debug(kws, Options{Strategy: SBH, Filter: func(*lattice.Node) bool { return false }})
-	if err != nil {
-		t.Fatalf("Debug: %v", err)
-	}
-	if len(out.Answers)+len(out.NonAnswers) != 0 || out.Stats.MTNs != 0 {
-		t.Errorf("filter-all produced output: %+v", out.Stats)
-	}
-}
 
 func TestMPANPresentationOrder(t *testing.T) {
 	sys := productSystem(t)

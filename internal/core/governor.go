@@ -32,11 +32,13 @@ func (e *exhaustedError) Is(target error) bool { return target == errExhausted }
 
 // governor enforces one Debug run's probe allowances: the caller's context
 // (whose cancellation is a real error), the run's own Options.Deadline (whose
-// expiry degrades the run to a partial result), and the probe budget. Probes
-// are charged on admission — one per Oracle.IsAlive call, cache hits included
-// — which is exactly the Stats.SQLExecuted metric, so a budget of at least
-// the serial run's probe count can never trip for any worker count: the
-// scheduler probes precisely the serial probe set.
+// expiry degrades the run to a partial result), and the probe budget. The
+// budget is charged one unit per Oracle.IsAlive call, cache hits included —
+// exactly the Stats.SQLExecuted metric — so a budget of at least the serial
+// run's probe count can never trip for any worker count: the scheduler
+// probes precisely the serial probe set. A serial probe is charged on
+// admission; a parallel batch is granted its serial prefix up front, so
+// what a budget admits does not depend on which worker claims which node.
 type governor struct {
 	parent   context.Context // caller's context: its errors abort the run
 	probeCtx context.Context // parent plus Options.Deadline: its expiry is graceful
@@ -67,16 +69,41 @@ func newGovernor(parent, probeCtx context.Context, budget int) *governor {
 // probe may run, the parent context's error verbatim on cancellation, and an
 // exhaustedError when the deadline or budget has run out.
 func (g *governor) admit() error {
+	if err := g.check(); err != nil {
+		return err
+	}
+	if g.limited && g.remaining.Add(-1) < 0 {
+		return g.trip(ReasonProbeBudget)
+	}
+	return nil
+}
+
+// check is admit without the charge, for a probe its batch's grant already
+// paid for: the parent context's error verbatim on cancellation, an
+// exhaustedError once the deadline has passed, nil otherwise.
+func (g *governor) check() error {
 	if err := g.parent.Err(); err != nil {
 		return err
 	}
 	if g.probeCtx.Err() != nil {
 		return g.trip(ReasonDeadline)
 	}
-	if g.limited && g.remaining.Add(-1) < 0 {
-		return g.trip(ReasonProbeBudget)
-	}
 	return nil
+}
+
+// grant charges a batch of n probes up front and returns how many the
+// budget allows, min(remaining, n): the batch then probes only its first
+// that many nodes, the ones the serial loop would have admitted. A run
+// grants one batch at a time, and runs that share a governor run serially
+// inside (runMTNsParallel), so none grants while another admits and
+// nothing charges the budget between the load and the add.
+func (g *governor) grant(n int) int {
+	if !g.limited {
+		return n
+	}
+	k := max(0, min(g.remaining.Load(), int64(n)))
+	g.remaining.Add(-k)
+	return int(k)
 }
 
 // graceful converts a probe failure caused by the run's own deadline into the

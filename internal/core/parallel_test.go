@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"kwsdbg/internal/dblife"
 	"kwsdbg/internal/probecache"
 )
 
@@ -84,6 +85,74 @@ func TestParallelDeterminism(t *testing.T) {
 						t.Fatalf("trial %d %v %v: CacheHits %d > SQLExecuted %d",
 							trial, kws, strat, out.Stats.CacheHits, out.Stats.SQLExecuted)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBudgetedParallelDeterminism is the scheduler's contract under a probe
+// budget: a budgeted BUWR, TDWR, RE or SBH run at workers 2, 4 and 8
+// produces the budgeted serial run's Output, normalized as in
+// TestParallelDeterminism, because each batch is granted its serial prefix
+// of the budget before it is dispatched. BU and TD are left out: their
+// per-MTN runs spend one budget concurrently.
+func TestBudgetedParallelDeterminism(t *testing.T) {
+	t.Run("figure2", func(t *testing.T) {
+		sys := productSystem(t)
+		for _, kws := range figure2Queries {
+			checkBudgetedWorkers(t, sys, kws)
+		}
+	})
+	for _, level := range []int{3, 5} {
+		t.Run(fmt.Sprintf("dblife-level%d", level), func(t *testing.T) {
+			sys := dblifeSystem(t, level)
+			for _, q := range dblife.Workload() {
+				checkBudgetedWorkers(t, sys, q.Keywords)
+			}
+		})
+	}
+	t.Run("random", func(t *testing.T) {
+		r := rand.New(rand.NewSource(14))
+		for trial := 0; trial < 10; trial++ {
+			sys, vocab := randomSystem(t, r)
+			for q := 0; q < 3; q++ {
+				kws := make([]string, 1+r.Intn(3))
+				for i := range kws {
+					kws[i] = vocab[r.Intn(len(vocab))]
+				}
+				checkBudgetedWorkers(t, sys, kws)
+			}
+		}
+	})
+}
+
+// checkBudgetedWorkers runs kws under budgets from one probe to one short of
+// the serial run's count, at workers 1, 2, 4 and 8 with the verdict cache
+// bypassed, and requires every worker count to match workers 1.
+func checkBudgetedWorkers(t *testing.T, sys *System, kws []string) {
+	t.Helper()
+	run := func(opts Options) Output {
+		t.Helper()
+		opts.BypassCache = true
+		out, err := sys.Debug(kws, opts)
+		if err != nil {
+			t.Fatalf("%v %v budget=%d workers=%d: %v", kws, opts.Strategy, opts.ProbeBudget, opts.Workers, err)
+		}
+		return normalized(out)
+	}
+	for _, strat := range []Strategy{BUWR, TDWR, RE, SBH} {
+		serial := run(Options{Strategy: strat}).Stats.SQLExecuted
+		for _, budget := range []int{1, 3, 7, 40, serial - 1} {
+			if budget < 1 || budget >= serial {
+				continue
+			}
+			want := run(Options{Strategy: strat, ProbeBudget: budget})
+			for _, workers := range []int{2, 4, 8} {
+				got := run(Options{Strategy: strat, ProbeBudget: budget, Workers: workers})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v %v budget=%d workers=%d diverges from workers 1\ngot:  %+v\nwant: %+v",
+						kws, strat, budget, workers, got, want)
 				}
 			}
 		}

@@ -69,6 +69,9 @@ type probeOutcome struct {
 // claiming and probe every index they claim, so only indexes above the
 // failed one go unclaimed. Checking after the claim would let a worker drop
 // a lower index when a higher one failed in between.
+//
+// The budget was charged when the batch was granted (see batch), so each
+// worker checks only cancellation and the deadline before its probe.
 func (r *run) dispatch(xs []int) []probeOutcome {
 	outcomes := make([]probeOutcome, len(xs))
 	var next atomic.Int64
@@ -87,9 +90,12 @@ func (r *run) dispatch(xs []int) []probeOutcome {
 				if i >= len(xs) {
 					return
 				}
-				alive, err := r.probe(xs[i])
-				outcomes[i] = probeOutcome{alive: alive, err: err, done: true}
-				if err != nil {
+				oc := probeOutcome{err: r.gov.check(), done: true}
+				if oc.err == nil {
+					oc.alive, oc.err = r.ask(xs[i])
+				}
+				outcomes[i] = oc
+				if oc.err != nil {
 					failed.Store(true)
 				}
 			}
@@ -103,11 +109,11 @@ func (r *run) dispatch(xs []int) []probeOutcome {
 // traversal would have applied them — so classifications and inferred
 // counts evolve identically to Workers=1. The first real error in order is
 // returned, matching where a serial run would have stopped.
-// Graceful-exhaustion outcomes are different: every verdict the pool did
-// land is still committed (they are true database answers, and result only
-// reports what the committed statuses guarantee), and the exhaustion
-// sentinel is returned at the end so the caller degrades to a partial
-// result instead of discarding the batch.
+// Graceful-exhaustion outcomes, from a deadline that passed mid-batch, are
+// different: every verdict the pool did land is still committed (they are
+// true database answers, and result only reports what the committed
+// statuses guarantee), and the exhaustion sentinel is returned at the end so
+// the caller degrades to a partial result instead of discarding the batch.
 func (r *run) commit(xs []int, outcomes []probeOutcome) error {
 	var exhausted error
 	for i, x := range xs {
@@ -139,8 +145,22 @@ func (r *run) commit(xs []int, outcomes []probeOutcome) error {
 	return exhausted
 }
 
+// batch probes pending, unknown nodes whose verdicts cannot settle one
+// another, through the pool and commits the verdicts in serial order. The governor first
+// grants the batch a prefix of pending, the nodes the serial loop would
+// have admitted, and only those are dispatched. A batch the budget cut
+// short then returns the exhaustion sentinel, as the serial loop's next
+// admit would have.
+func (r *run) batch(pending []int) error {
+	k := r.gov.grant(len(pending))
+	if err := r.commit(pending[:k], r.dispatch(pending[:k])); err != nil || k == len(pending) {
+		return err
+	}
+	return r.gov.trip(ReasonProbeBudget)
+}
+
 // resolveLevel settles one traversal level: the still-unknown nodes of xs
-// (which is sorted) are probed — concurrently when the run has workers —
+// (which is sorted) are probed — as one batch when the run has workers —
 // and their verdicts committed in serial order. Nodes already classified by
 // cross-level inference cost nothing, exactly as in the serial loop.
 func (r *run) resolveLevel(xs []int) error {
@@ -158,7 +178,7 @@ func (r *run) resolveLevel(xs []int) error {
 		}
 		return nil
 	}
-	return r.commit(pending, r.dispatch(pending))
+	return r.batch(pending)
 }
 
 // runMTNsParallel executes the independent single-MTN runs of the no-reuse
@@ -176,7 +196,10 @@ func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle 
 
 	runOne := func(mi int) {
 		r := newRun(sub, oracle, []int{mi})
-		r.ctx, r.workers, r.gov = ctx, 1, gov // parallel across MTNs, serial within
+		// Parallel across MTNs, serial within: the runs admit their probes
+		// one at a time, and none dispatches a batch whose grant could race
+		// another run's admit.
+		r.ctx, r.workers, r.gov = ctx, 1, gov
 		var err error
 		if strategy == BU {
 			err = r.bottomUp(sd)

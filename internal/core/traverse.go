@@ -103,12 +103,18 @@ func (r *run) classify(x int, isAlive, inferred bool) {
 
 // probe resolves one node through the oracle under the run's governor:
 // cancellation and exhaustion are checked (and the budget charged) before
-// the oracle is consulted, and a failure caused by the run's own deadline is
-// converted to the graceful exhaustion sentinel.
+// the oracle is consulted.
 func (r *run) probe(x int) (bool, error) {
 	if err := r.gov.admit(); err != nil {
 		return false, err
 	}
+	return r.ask(x)
+}
+
+// ask consults the oracle for a node the governor has admitted; a failure
+// caused by the run's own deadline is converted to the graceful exhaustion
+// sentinel.
+func (r *run) ask(x int) (bool, error) {
 	alive, err := r.oracle.IsAlive(r.sub.nodeID[x])
 	if err != nil {
 		if gerr := r.gov.graceful(err); gerr != nil {
@@ -280,7 +286,7 @@ func (r *run) returnEverything(sd seed) error {
 	// has learned — so the whole traversal is one embarrassingly-parallel
 	// batch when the run has workers.
 	if r.workers > 1 && len(pending) > 1 {
-		return r.commit(pending, r.dispatch(pending))
+		return r.batch(pending)
 	}
 	for _, x := range pending {
 		alive, err := r.probe(x)

@@ -129,16 +129,6 @@ func (c *PreparedCache) Resize(max int) {
 	c.mEntries.Set(float64(c.ll.Len()))
 }
 
-// Purge drops every entry but keeps the bound; benchmarks use it to measure
-// cold-path costs.
-func (c *PreparedCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-	c.mEntries.Set(0)
-}
-
 // Len returns the current entry count.
 func (c *PreparedCache) Len() int {
 	c.mu.Lock()

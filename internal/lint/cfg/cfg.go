@@ -1,11 +1,11 @@
 // Package cfg builds intraprocedural control-flow graphs over ast.Stmt and
 // runs forward dataflow analyses over them.
 //
-// The syntax-level analyzers of PR 5 (determinism, lockcheck, …) see one
-// statement at a time; the invariants the repo now stakes correctness on —
-// Lock/Unlock balance across early returns, goroutine join evidence,
-// allocation discipline inside loops — are properties of *paths*, not
-// statements. This package is the flow-sensitive layer those analyzers
+// The syntax-level analyzers (determinism, errwrap, …) see one statement at
+// a time; the invariants the repo now stakes correctness on — Lock/Unlock
+// balance across early returns, guarded fields touched only under their
+// mutex, goroutine join evidence, allocation discipline inside loops — are
+// properties of *paths*, not statements. This package is the flow-sensitive layer those analyzers
 // (lockflow, leakcheck, hotpath) stand on: a basic-block graph with edges for
 // if/for/range/switch/select/goto and explicit defer capture, plus a
 // worklist fixpoint over a pluggable join semilattice.

@@ -29,7 +29,7 @@ var a = 1
 //lint:ignore kwslint/errwrap,kwslint/ctxflow shared waiver for both checks
 var b = 2
 
-//lint:ignore kwslint/lockcheck
+//lint:ignore kwslint/lockflow
 var c = 3
 
 //lint:ignore

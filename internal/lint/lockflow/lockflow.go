@@ -1,18 +1,36 @@
-// Package lockflow checks Lock/Unlock balance along every control-flow path
-// and accumulates a cross-package lock-acquisition-order graph.
+// Package lockflow checks Lock/Unlock balance along every control-flow path,
+// checks `guarded by` field annotations against the locks held there, and
+// accumulates a cross-package lock-acquisition-order graph.
 //
-// lockcheck (PR 5) verifies that guarded fields are touched under *some*
-// acquisition of the named mutex; it cannot see an early return that skips
-// the Unlock, because it reads methods as bags of statements. lockflow runs
-// the cfg engine instead: a must-held lattice (a lock is in the fact only if
-// every path to this point acquired it and has not released it) flows
-// forward, deferred unlocks — including unlocks inside deferred function
-// literals — count as releases on every exit, and any return or fall-off end
-// still holding a non-deferred lock is reported. Intersection join means a
-// conditionally-acquired lock is never reported, trading false negatives for
-// silence — the right bias for a gate that blocks `make verify`.
+// It runs the cfg engine over every function and function literal: a
+// must-held lattice (a lock is in the fact only if every path to this point
+// acquired it and has not released it) flows forward, deferred unlocks —
+// including unlocks inside deferred function literals — count as releases on
+// every exit, and any return or fall-off end still holding a non-deferred
+// lock is reported. Intersection join means a conditionally-acquired lock is
+// never reported, trading false negatives for silence — the right bias for a
+// gate that blocks `make verify`.
 //
-// The same walk feeds a process-global acquisition-order graph: acquiring B
+// The same facts check guarded fields, in the manner of gVisor's checklocks.
+// A struct field whose comment says `guarded by mu` names a sibling
+// sync.Mutex/RWMutex field; `guarded by rec.mu` names the mutex field mu of
+// the struct a sibling pointer field rec points to (a flight log's state is
+// guarded by its recorder's mutex). An annotation that names anything else
+// is reported at the field and not checked further. An access x.f to a
+// field guarded by g is legal only where
+//
+//   - x.g is must-held, by Lock or RLock;
+//   - the enclosing method's name ends in "Locked", the repo's convention for
+//     helpers whose callers hold the lock; or
+//   - x is a variable declared in the function body: a constructor's fresh
+//     value, not yet shared (receivers and parameters do not count).
+//
+// A function literal starts with no lock held: it may run after its creator
+// released the lock. Because the facts are per path, an access after an
+// early Unlock, under a lock held on one branch only, or under another
+// instance's mutex is reported.
+//
+// The walk also feeds a process-global acquisition-order graph: acquiring B
 // while holding A adds the edge A→B, where A and B are stable cross-package
 // identifiers ("pkg.Type.field" for struct mutexes, "pkg.var" for
 // package-level ones — the same mutexes `guarded by` annotations name).
@@ -27,6 +45,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 
@@ -34,10 +53,12 @@ import (
 	"kwsdbg/internal/lint/cfg"
 )
 
-// Analyzer is the path-sensitive lock balance and ordering checker.
+// Analyzer is the path-sensitive lock balance, guarded-field and ordering
+// checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockflow",
 	Doc: "every mutex acquired must be released on all exit paths or via defer; " +
+		"`guarded by mu` fields are touched only where their mutex is held on every path; " +
 		"nested acquisitions must agree on a global lock order (deadlock risk)",
 	Run: run,
 }
@@ -52,22 +73,133 @@ var orderEdges = map[string]map[string]token.Pos{}
 func ResetForTest() { orderEdges = map[string]map[string]token.Pos{} }
 
 func run(pass *analysis.Pass) error {
+	guards := collectGuards(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkBody(pass, fd.Name.Name, fd.Body)
+			locked := fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Locked")
+			checkBody(pass, guards, fd.Name.Name, fd.Body, locked)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if fl, ok := n.(*ast.FuncLit); ok {
-					checkBody(pass, fd.Name.Name+": func literal", fl.Body)
+					checkBody(pass, guards, fd.Name.Name+": func literal", fl.Body, false)
 				}
 				return true
 			})
 		}
 	}
 	return nil
+}
+
+// guardPattern extracts the guard from an annotation comment: a mutex field
+// name, or a pointer field name and the mutex field it leads to.
+var guardPattern = regexp.MustCompile(`(?i)\bguarded by (\w+(?:\.\w+)?)\b`)
+
+// guard names the mutex protecting one annotated field: mutex is the
+// selector path from a value of the owning struct to it ("mu" or "rec.mu").
+type guard struct {
+	owner string // the struct's type name, for diagnostics
+	mutex string
+}
+
+// collectGuards finds the annotated fields of this package's struct types.
+// An annotation must name a sync.Mutex/RWMutex sibling field, or such a
+// field of the struct a sibling pointer field points to; any other is
+// reported at the field, which is then left unchecked.
+func collectGuards(pass *analysis.Pass) map[*types.Var]guard {
+	guards := make(map[*types.Var]guard)
+	pass.Inspect(func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, field := range st.Fields.List {
+			mutex, ok := guardAnnotation(field)
+			if !ok {
+				continue
+			}
+			if ptr, mu, through := strings.Cut(mutex, "."); through {
+				if !hasPointedMutex(pass, st, ptr, mu) {
+					pass.Reportf(field.Pos(),
+						"guarded-by annotation names %q, which is not a sync.Mutex/RWMutex field reached through a pointer field of %s",
+						mutex, ts.Name.Name)
+					continue
+				}
+			} else if !isMutex(fieldType(pass, st, mutex)) {
+				pass.Reportf(field.Pos(),
+					"guarded-by annotation names %q, which is not a sync.Mutex/RWMutex field of %s",
+					mutex, ts.Name.Name)
+				continue
+			}
+			for _, name := range field.Names {
+				if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+					guards[v] = guard{owner: ts.Name.Name, mutex: mutex}
+				}
+			}
+		}
+		return true
+	})
+	return guards
+}
+
+// guardAnnotation reads a field's doc or trailing line comment.
+func guardAnnotation(field *ast.Field) (string, bool) {
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg == nil {
+			continue
+		}
+		if m := guardPattern.FindStringSubmatch(cg.Text()); m != nil {
+			return m[1], true
+		}
+	}
+	return "", false
+}
+
+// hasPointedMutex reports whether st has a field ptr of pointer-to-struct
+// type whose struct has a sync.Mutex/RWMutex field mu.
+func hasPointedMutex(pass *analysis.Pass, st *ast.StructType, ptr, mu string) bool {
+	p, ok := fieldType(pass, st, ptr).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	pointee, ok := p.Elem().Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < pointee.NumFields(); i++ {
+		if f := pointee.Field(i); f.Name() == mu {
+			return isMutex(f.Type())
+		}
+	}
+	return false
+}
+
+// fieldType returns the type of st's field called name, or nil.
+func fieldType(pass *analysis.Pass, st *ast.StructType, name string) types.Type {
+	for _, field := range st.Fields.List {
+		for _, fn := range field.Names {
+			if fn.Name == name {
+				return pass.TypesInfo.TypeOf(field.Type)
+			}
+		}
+	}
+	return nil
+}
+
+// isMutex reports whether t is sync.Mutex or sync.RWMutex; t may be nil.
+func isMutex(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	return full == "sync.Mutex" || full == "sync.RWMutex"
 }
 
 // fact is the must-held lock state at a program point.
@@ -100,6 +232,12 @@ func (f fact) clone() fact {
 type lattice struct {
 	pass     *analysis.Pass
 	funcName string
+	// guards are the package's annotated fields; body is the function body
+	// being walked, whose own variables are fresh values; locked is set in a
+	// *Locked method, whose callers hold every guard.
+	guards map[*types.Var]guard
+	body   *ast.BlockStmt
+	locked bool
 	// ids caches held-key → order-ID resolutions within one function walk
 	// (the held map stores source paths, which only the acquiring selector
 	// could resolve to a typed identity).
@@ -155,6 +293,9 @@ func (l *lattice) Transfer(b *cfg.Block, in fact) fact {
 func (l *lattice) apply(b *cfg.Block, in fact, report bool) fact {
 	f := in.clone()
 	for _, s := range b.Stmts {
+		if report {
+			l.checkAccesses(s, f)
+		}
 		switch s := s.(type) {
 		case *ast.ExprStmt:
 			call, ok := s.X.(*ast.CallExpr)
@@ -199,6 +340,98 @@ func (l *lattice) call(call *ast.CallExpr, f *fact, report bool) {
 	case "Unlock", "RUnlock":
 		delete(f.held, key)
 		delete(f.deferred, key)
+	}
+}
+
+// checkAccesses reports each guarded field access that statement s
+// evaluates where its guard is not must-held in f. A control statement
+// contributes only its header: its bodies sit in successor blocks, and its
+// init and post statements are statements of their own. Function literals
+// are skipped; each is walked as a body of its own.
+func (l *lattice) checkAccesses(s ast.Stmt, f fact) {
+	if len(l.guards) == 0 {
+		return
+	}
+	var evaluated []ast.Node
+	switch s := s.(type) {
+	case *ast.IfStmt:
+		evaluated = []ast.Node{s.Cond}
+	case *ast.ForStmt:
+		evaluated = []ast.Node{s.Cond}
+	case *ast.RangeStmt:
+		evaluated = []ast.Node{s.Key, s.Value, s.X}
+	case *ast.SwitchStmt:
+		evaluated = []ast.Node{s.Tag}
+		for _, cc := range s.Body.List {
+			for _, e := range cc.(*ast.CaseClause).List {
+				evaluated = append(evaluated, e)
+			}
+		}
+	case *ast.TypeSwitchStmt, *ast.SelectStmt:
+		// The type switch's assignment and the select's cases are
+		// statements of their own.
+	default:
+		evaluated = []ast.Node{s}
+	}
+	for _, n := range evaluated {
+		if n == nil {
+			continue
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.SelectorExpr:
+				l.checkAccess(n, f)
+			}
+			return true
+		})
+	}
+}
+
+// checkAccess reports sel when it selects a guarded field of a value x whose
+// guard x.g is not must-held, outside a *Locked method, and x is not a
+// fresh local of the body.
+func (l *lattice) checkAccess(sel *ast.SelectorExpr, f fact) {
+	s, ok := l.pass.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return
+	}
+	field, _ := s.Obj().(*types.Var)
+	g, ok := l.guards[field]
+	if !ok || l.locked || l.fresh(sel.X) {
+		return
+	}
+	held := g.mutex
+	if base := exprPath(sel.X); base != "" {
+		held = base + "." + g.mutex
+		if _, ok := f.held[held]; ok {
+			return
+		}
+		if _, ok := f.held["R:"+held]; ok {
+			return
+		}
+	}
+	l.pass.Reportf(sel.Sel.Pos(),
+		"%s accesses %s.%s without holding %s (guarded by %s); lock it on every path here, or name the method *Locked if its callers hold it",
+		l.funcName, g.owner, field.Name(), held, g.mutex)
+}
+
+// fresh reports whether x is a variable declared in the walked body: a
+// constructor's value, initialized before any other goroutine can see it.
+func (l *lattice) fresh(x ast.Expr) bool {
+	for {
+		switch e := x.(type) {
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.Ident:
+			obj := l.pass.TypesInfo.ObjectOf(e)
+			return obj != nil && obj.Pos() > l.body.Lbrace && obj.Pos() < l.body.Rbrace
+		default:
+			return false
+		}
 	}
 }
 
@@ -388,10 +621,11 @@ func deferredReleases(call *ast.CallExpr) []string {
 }
 
 // checkBody runs the fixpoint over one function body and then a single
-// reporting walk with the converged block inputs.
-func checkBody(pass *analysis.Pass, name string, body *ast.BlockStmt) {
+// reporting walk with the converged block inputs. locked marks a *Locked
+// method's own body.
+func checkBody(pass *analysis.Pass, guards map[*types.Var]guard, name string, body *ast.BlockStmt, locked bool) {
 	g := cfg.New(body)
-	lat := &lattice{pass: pass, funcName: name}
+	lat := &lattice{pass: pass, funcName: name, guards: guards, body: body, locked: locked}
 	in := cfg.Forward[fact](g, lat)
 	for _, b := range g.Reachable() {
 		f, ok := in[b]

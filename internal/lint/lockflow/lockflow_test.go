@@ -11,3 +11,8 @@ func TestLockflowFixture(t *testing.T) {
 	lockflow.ResetForTest()
 	linttest.Run(t, lockflow.Analyzer, "testdata/flow")
 }
+
+func TestLockflowGuardFixture(t *testing.T) {
+	lockflow.ResetForTest()
+	linttest.Run(t, lockflow.Analyzer, "testdata/guard")
+}

@@ -1,7 +1,7 @@
-// Package lock is the lockcheck analyzer's fixture: a guarded LRU-shaped
-// struct with correctly locked methods, the unlocked regressions the
-// analyzer exists to catch, and each sanctioned escape hatch.
-package lock
+// Package guard is the lockflow guarded-field fixture: a guarded
+// LRU-shaped struct with correctly locked methods, the unlocked accesses the
+// check exists to catch, and each sanctioned escape hatch.
+package guard
 
 import "sync"
 
@@ -26,7 +26,7 @@ func (c *cache) get(k string) int {
 
 // peek reads a guarded field with no lock anywhere in the method.
 func (c *cache) peek(k string) int {
-	return c.items[k] // want `peek accesses cache\.items without acquiring mu`
+	return c.items[k] // want `peek accesses cache\.items without holding c\.mu`
 }
 
 // sizeLocked follows the *Locked naming convention: callers hold mu.
@@ -45,14 +45,14 @@ func newCache(n int) *cache {
 
 // drain reaches into guarded state from a plain function on a shared value.
 func drain(c *cache) {
-	for k := range c.items { // want `guarded field cache\.items accessed outside a method`
-		delete(c.items, k) // want `guarded field cache\.items accessed outside a method`
+	for k := range c.items { // want `drain accesses cache\.items without holding c\.mu`
+		delete(c.items, k) // want `drain accesses cache\.items without holding c\.mu`
 	}
 }
 
 // approxLen records why a torn read is acceptable here.
 func (c *cache) approxLen() int {
-	//lint:ignore kwslint/lockcheck approximate stat, torn reads acceptable
+	//lint:ignore kwslint/lockflow approximate stat, torn reads acceptable
 	return len(c.items)
 }
 
@@ -70,7 +70,7 @@ func (r *rw) read() int {
 }
 
 func (r *rw) badRead() int {
-	return r.n // want `badRead accesses rw\.n without acquiring lk`
+	return r.n // want `badRead accesses rw\.n without holding r\.lk`
 }
 
 // misnamed annotates a field with a guard that is not a mutex sibling: the
@@ -109,5 +109,66 @@ func (h *handle) useLocked() { h.uses++ }
 
 // count reads the handle's state without the owner's lock.
 func (h *handle) count() int {
-	return h.uses // want `count accesses handle\.uses without acquiring own\.mu`
+	return h.uses // want `count accesses handle\.uses without holding h\.own\.mu`
+}
+
+// earlyUnlock acquires mu but releases it before its last read: the read is
+// unguarded on every path.
+func (c *cache) earlyUnlock(k string) int {
+	c.mu.Lock()
+	n := c.hits
+	c.mu.Unlock()
+	return n + c.items[k] // want `earlyUnlock accesses cache\.items without holding c\.mu`
+}
+
+// merge holds the receiver's lock while reading another cache's state.
+func (c *cache) merge(o *cache, k string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.items[k] = o.items[k] // want `merge accesses cache\.items without holding o\.mu`
+}
+
+// both holds each instance's lock for its own state: clean.
+func (c *cache) both(o *cache) int {
+	o.mu.Lock()
+	n := len(o.items)
+	o.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return n + len(c.items)
+}
+
+// maybe holds mu on one path only: the lock is not must-held at the read.
+func (c *cache) maybe(lock bool) int {
+	if lock {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	return c.hits // want `maybe accesses cache\.hits without holding c\.mu`
+}
+
+// later hands guarded state to a function literal, which starts with no lock
+// held: it may run after the lock is released.
+func (c *cache) later(run func(func())) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	run(func() { c.hits++ }) // want `later: func literal accesses cache\.hits without holding c\.mu`
+}
+
+// clone fills a fresh value declared in its own body under the receiver's
+// lock: the copy needs no lock of its own until it is shared.
+func (c *cache) clone() *cache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := &cache{}
+	n.items = make(map[string]int, len(c.items))
+	for k, v := range c.items {
+		n.items[k] = v
+	}
+	return n
+}
+
+// reset takes the cache as a parameter: a parameter is shared, not fresh.
+func reset(c *cache) {
+	c.hits = 0 // want `reset accesses cache\.hits without holding c\.mu`
 }

@@ -219,9 +219,9 @@ func (r *Recorder) nextLocked() (seq uint64, slot *Event) {
 // Snapshot copies out every live event in the ring, ordered by sequence
 // number. req filters to one request ID when non-empty.
 func (r *Recorder) Snapshot(req string) []Event {
-	// The ring's length is fixed at construction, so the output can be
-	// allocated before the lock is taken.
-	out := make([]Event, 0, len(r.ring))
+	// mask is fixed at construction and a ring holds mask+1 slots, so the
+	// output can be allocated before the lock is taken.
+	out := make([]Event, 0, r.mask+1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// The ring holds sequence numbers oldest..seq; walking them in order

@@ -222,30 +222,76 @@ func TestHotpathAllocBudgets(t *testing.T) {
 // TestWarmDebugAllocBudget pins what a warm debug run allocates: SBH over
 // DBLife Q1-Q10 at level 5 with a flight log attached, every binding served
 // by the per-binding cache and every probe by the verdict cache — the shape
-// of a warm /debug request. The budget is the measured count (509.7 per run
-// on go1.24) plus 5 %.
+// of a warm /debug request. A replayed run follows the decision path in
+// SBH's memo; a fresh one finds the memo empty and runs the lazy-greedy
+// loop, as the first run of a binding's path does, and records its path.
+// The replayed budget is the measured count on go1.24 (364.3) plus 5 %; the
+// fresh one is the budget the loop had before runs recorded their paths
+// (measured 516.6).
 func TestWarmDebugAllocBudget(t *testing.T) {
-	base := dblifeSystem(t, 5)
+	for _, c := range []struct {
+		name   string
+		fresh  bool
+		budget float64
+	}{
+		{"replayed", false, 383},
+		{"fresh", true, 536},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sweep, queries := warmDebug(t, c.fresh)
+			perCall := testing.AllocsPerRun(20, sweep) / float64(queries)
+			t.Logf("%s warm debug run: %.1f allocations", c.name, perCall)
+			if perCall > c.budget {
+				t.Errorf("a %s warm debug run allocates %.1f times, budget %v", c.name, perCall, c.budget)
+			}
+		})
+	}
+}
+
+// warmDebug returns a sweep of warm SBH debug runs over DBLife Q1-Q10 at
+// level 5, each with a flight log, on a System of its own, and the number
+// of runs in a sweep. One sweep has run already: it filled the binding,
+// verdict and handle caches and recorded every query's decision path. With
+// fresh set, the sweep empties every SBH memo before each run, so each run
+// takes the lazy-greedy loop and records its path again.
+func warmDebug(tb testing.TB, fresh bool) (func(), int) {
+	base := dblifeSystem(tb, 5)
 	sys, err := NewSystem(base.eng, base.lat)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	sys.SetProbeCache(probecache.New(probecache.Config{}))
 	rec := flight.NewRecorder(flight.DefaultRingSize)
 	queries := dblife.Workload()
 	sweep := func() {
 		for _, q := range queries {
-			ctx := flight.NewContext(context.Background(), flight.NewLog(rec, "alloc-budget", false))
+			if fresh {
+				forgetPaths(sys)
+			}
+			ctx := flight.NewContext(context.Background(), flight.NewLog(rec, "warm-debug", false))
 			if _, err := sys.DebugContext(ctx, q.Keywords, Options{Strategy: SBH}); err != nil {
-				t.Fatalf("%s: %v", q.ID, err)
+				tb.Fatalf("%s: %v", q.ID, err)
 			}
 		}
 	}
-	sweep() // fills the binding, verdict and handle caches
-	perCall := testing.AllocsPerRun(20, sweep) / float64(len(queries))
-	t.Logf("warm debug run: %.1f allocations", perCall)
-	const budget = 536
-	if perCall > budget {
-		t.Errorf("a warm debug run allocates %.1f times, budget %d", perCall, budget)
+	sweep()
+	return sweep, len(queries)
+}
+
+// forgetPaths empties the SBH memo of every binding sys has cached.
+func forgetPaths(sys *System) {
+	c := sys.bindings
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		sub := el.Value.(*bindingSlot).e.sub
+		if sub == nil {
+			continue
+		}
+		m := &sub.sbh
+		m.mu.Lock()
+		m.paths.Store(nil)
+		m.bytes = 0
+		m.mu.Unlock()
 	}
 }

@@ -24,7 +24,8 @@ func benchSystem(b *testing.B) *System {
 }
 
 // BenchmarkDebugStrategies measures the full online pipeline per strategy on
-// the Figure 2 running example.
+// the Figure 2 running example. Its SBH runs replay the decision path the
+// first one recorded; BenchmarkWarmDebug times fresh SBH runs too.
 func BenchmarkDebugStrategies(b *testing.B) {
 	sys := benchSystem(b)
 	kws := []string{"saffron", "scented", "candle"}
@@ -35,6 +36,28 @@ func BenchmarkDebugStrategies(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWarmDebug measures the core of a warm /debug request: SBH over
+// DBLife Q1-Q10 at level 5 with a flight log, every binding and verdict
+// cached (warmDebug). "replayed" runs follow their recorded decision paths;
+// "fresh" runs find SBH's memo empty and run the lazy-greedy loop. It
+// reports microseconds per query.
+func BenchmarkWarmDebug(b *testing.B) {
+	for _, fresh := range []bool{false, true} {
+		name := "replayed"
+		if fresh {
+			name = "fresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			sweep, queries := warmDebug(b, fresh)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*queries), "us/query")
 		})
 	}
 }
@@ -117,13 +140,14 @@ func BenchmarkProbeCompile(b *testing.B) {
 }
 
 // BenchmarkDebugWorkers sweeps the probe scheduler's worker counts over the
-// strategy with the largest independent batches (RE) and the paper's default
-// (BUWR). On a single-core host the parallel runs mainly measure scheduler
+// strategy with the largest independent batches (RE), the paper's default
+// (BUWR), and BU and TD, whose per-MTN runs batch their levels one MTN at a
+// time. On a single-core host the parallel runs mainly measure scheduler
 // overhead.
 func BenchmarkDebugWorkers(b *testing.B) {
 	sys := benchSystem(b)
 	kws := []string{"saffron", "scented", "candle"}
-	for _, strat := range []Strategy{RE, BUWR} {
+	for _, strat := range []Strategy{RE, BUWR, BU, TD} {
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", strat, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

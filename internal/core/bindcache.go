@@ -20,14 +20,20 @@ import (
 // Phase 1a recomputes it from the live inverted index on every request, so a
 // write that makes a keyword bind a new table changes the key; and the
 // lattice never changes, so an entry never goes stale and nothing
-// invalidates it. Entries are immutable and shared by concurrent runs; what
-// a run learns (node statuses, probe memos) stays in the run.
+// invalidates it. Entries are shared by concurrent runs and immutable but
+// for the sublattice's SBH memo, to which completed SBH runs add their
+// decision paths (sbh.go); everything else a run learns (node statuses,
+// probe memos) stays in the run.
 
 // bindingCacheBytes bounds the cache. Entries are charged their computed
 // size. On the level-5 DBLife lattice the eight distinct Q1-Q10 bindings
 // take 423 KB in all, and the 197 bindings of kwsbench's long-tail pool
 // (scale 0.2) take 6.6 MB, 33 KB on average: the bound holds every Q1-Q10
-// binding and about 125 long-tail ones.
+// binding and about 125 long-tail ones. The SBH memos are not charged: each
+// stays within its sublattice's size, so the entries and their memos take
+// at most twice the bound. That holds as far as traverseResult.bytes bounds
+// a result's heap: on Q1-Q10 at level 5 the ten recorded paths are charged
+// 67.7 KB and retain 61.7 KB.
 const bindingCacheBytes = 4 << 20
 
 // bindKeyStack sizes the stack buffer a binding key is built in: seven

@@ -247,6 +247,7 @@ func TestBindingCacheAcrossWrites(t *testing.T) {
 // TestBindingCacheConcurrent debugs the same and different bindings on one
 // System from several goroutines — every run after the first of a binding
 // shares its entry — and requires each output to equal the serial run's.
+// Then DBLife Q1 and Q6 run SBH from several goroutines on one warm System.
 // Run it under -race -count=10.
 func TestBindingCacheConcurrent(t *testing.T) {
 	queries := [][]string{
@@ -306,5 +307,65 @@ func TestBindingCacheConcurrent(t *testing.T) {
 	}
 	if st := sys.BindingCacheStats(); st.Entries != len(queries) || st.Hits == 0 {
 		t.Errorf("binding cache after the storm: %+v, want one entry per query and hits", st)
+	}
+
+	// DBLife Q1 and Q6 bind the same relations and take different SBH
+	// paths, so their concurrent runs replay, and record into, one memo.
+	lv5 := dblifeSystem(t, 5)
+	var sbhQueries [][]string
+	for _, q := range dblife.Workload() {
+		if q.ID == "Q1" || q.ID == "Q6" {
+			sbhQueries = append(sbhQueries, q.Keywords)
+		}
+	}
+	for _, kws := range sbhQueries {
+		plain, err := NewSystem(lv5.eng, lv5.lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := plain.Debug(kws, Options{Strategy: SBH})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[fmt.Sprint(kws)] = normalized(out)
+	}
+	shared, err := NewSystem(lv5.eng, lv5.lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.SetProbeCache(probecache.New(probecache.Config{}))
+	errs = make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				kws := sbhQueries[(g+i)%len(sbhQueries)]
+				out, err := shared.Debug(kws, Options{Strategy: SBH})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := normalized(out); !reflect.DeepEqual(got, want[fmt.Sprint(kws)]) {
+					errs <- fmt.Errorf("%s SBH: concurrent output differs from a new System's", strings.Join(kws, " "))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := shared.BindingCacheStats(); st.Entries != 1 {
+		t.Errorf("Q1 and Q6 took %d binding entries, want one", st.Entries)
+	}
+	ph, err := shared.phase12(sbhQueries[0], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paths := ph.entry.sub.sbh.paths.Load(); paths == nil || len(*paths) != 2 {
+		t.Errorf("SBH memo after the storm: %v, want the two queries' paths", paths)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // warm cached runs are in flight (run under -race by `make chaos-writes`).
 // Mid-storm runs must stay error-free — each sees some consistent prefix of
 // the writes, with intersecting verdicts suspected and repaired rather than
-// trusted stale. Once the storm quiesces, warm repaired runs at every worker
-// count must match a cold run of the final data exactly.
+// trusted stale. Once the storm quiesces, a cold run and warm repaired runs
+// at every worker count must match a run on a new System exactly.
 func TestChaosWriteStorm(t *testing.T) {
 	sys := productSystem(t)
 	sys.SetProbeCache(probecache.New(probecache.Config{}))
@@ -68,18 +68,31 @@ func TestChaosWriteStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A new System over the same engine and lattice shares neither the
+	// verdict cache nor the binding entry and its SBH memo.
+	plain, err := NewSystem(sys.Engine(), sys.Lattice())
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	fresh, err := plain.Debug(kws, Options{Strategy: SBH})
+	if err != nil {
+		t.Fatalf("new System's run at quiesce: %v", err)
+	}
+	want := normalized(fresh)
 	cold, err := sys.Debug(kws, Options{Strategy: SBH, BypassCache: true})
 	if err != nil {
 		t.Fatalf("cold run at quiesce: %v", err)
 	}
-	want := normalized(cold)
+	if got := normalized(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cold run diverges from a new System's run after storm\ngot:  %+v\nwant: %+v", got, want)
+	}
 	for _, workers := range []int{1, 4, 8} {
 		warm, err := sys.Debug(kws, Options{Strategy: SBH, Workers: workers})
 		if err != nil {
 			t.Fatalf("warm run workers=%d at quiesce: %v", workers, err)
 		}
 		if got := normalized(warm); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: repaired warm run diverges from cold run after storm\ngot:  %+v\nwant: %+v",
+			t.Fatalf("workers=%d: repaired warm run diverges from a new System's run after storm\ngot:  %+v\nwant: %+v",
 				workers, got, want)
 		}
 	}

@@ -297,19 +297,13 @@ type Options struct {
 	Pa float64
 	// Workers bounds the probe scheduler's concurrency: <= 1 (the default)
 	// probes serially, exactly as before; larger values probe independent
-	// lattice nodes — same-level batch members, or whole per-MTN runs for
-	// BU/TD — from that many goroutines. Any worker count produces the
-	// same Output and the same SQLExecuted as the serial run, under a
-	// ProbeBudget too: a batch is granted its share of the budget in serial
-	// order before it is dispatched. BU and TD are the exception under a
-	// budget below the serial run's probe count, because their per-MTN runs
-	// spend it concurrently: which MTNs get it depends on scheduling, so
-	// only the partial-result guarantees hold — answers, non-answers and
-	// MPANs are subsets of the full run's and SQLExecuted stays within the
-	// budget — while the classified set varies from run to run (DESIGN
-	// §8). A Deadline is time-dependent at any worker count. SBH
-	// ignores the setting because its probe order is inherently
-	// sequential. Values above 64 are clamped.
+	// lattice nodes — the members of one level's batch — from that many
+	// goroutines. Any worker count produces the same Output and the same
+	// SQLExecuted as the serial run, under a ProbeBudget too: a batch is
+	// granted its share of the budget in serial order before it is
+	// dispatched, and BU and TD take their MTNs one after another (DESIGN
+	// §8). A Deadline is time-dependent at any worker count. SBH ignores the setting because
+	// its probe order is inherently sequential. Values above 64 are clamped.
 	Workers int
 	// BypassCache disables the verdict cache for this run (the System's,
 	// or a Session's private one): no lookups, no stores, so every probe

@@ -94,8 +94,8 @@ func (g *governor) check() error {
 // grant charges a batch of n probes up front and returns how many the
 // budget allows, min(remaining, n): the batch then probes only its first
 // that many nodes, the ones the serial loop would have admitted. A run
-// grants one batch at a time, and runs that share a governor run serially
-// inside (runMTNsParallel), so none grants while another admits and
+// grants one batch at a time, and the runs that share a governor go one
+// after another (traverse), so none grants while another admits and
 // nothing charges the budget between the load and the add.
 func (g *governor) grant(n int) int {
 	if !g.limited {

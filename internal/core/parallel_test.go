@@ -92,11 +92,10 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestBudgetedParallelDeterminism is the scheduler's contract under a probe
-// budget: a budgeted BUWR, TDWR, RE or SBH run at workers 2, 4 and 8
-// produces the budgeted serial run's Output, normalized as in
-// TestParallelDeterminism, because each batch is granted its serial prefix
-// of the budget before it is dispatched. BU and TD are left out: their
-// per-MTN runs spend one budget concurrently.
+// budget: a budgeted run of any strategy at workers 2, 4 and 8 produces the
+// budgeted serial run's Output, normalized as in TestParallelDeterminism,
+// because each batch is granted its serial prefix of the budget before it
+// is dispatched, and BU's and TD's per-MTN runs go one after another.
 func TestBudgetedParallelDeterminism(t *testing.T) {
 	t.Run("figure2", func(t *testing.T) {
 		sys := productSystem(t)
@@ -141,7 +140,7 @@ func checkBudgetedWorkers(t *testing.T, sys *System, kws []string) {
 		}
 		return normalized(out)
 	}
-	for _, strat := range []Strategy{BUWR, TDWR, RE, SBH} {
+	for _, strat := range allStrategies {
 		serial := run(Options{Strategy: strat}).Stats.SQLExecuted
 		for _, budget := range []int{1, 3, 7, 40, serial - 1} {
 			if budget < 1 || budget >= serial {

@@ -409,7 +409,7 @@ var dblifeSystems struct {
 // dblifeSystem returns a debugger over the DBLife data (seed 1, scale 0.02,
 // the data every Q1-Q10 keyword binds in) with a lattice of the given level
 // and three keyword slots.
-func dblifeSystem(t *testing.T, level int) *System {
+func dblifeSystem(t testing.TB, level int) *System {
 	t.Helper()
 	dblifeSystems.Lock()
 	defer dblifeSystems.Unlock()

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -27,10 +25,10 @@ import (
 // the inferred counts, and Stats.SQLExecuted exactly equal to the Workers=1
 // run.
 //
-// SBH is inherently sequential — every probe choice depends on all previous
-// verdicts through the search-space weights — so it ignores the worker
-// bound; BU and TD parallelize across their independent per-MTN runs
-// instead, which is where their redundant probing makes concurrency pay.
+// BU and TD run their MTNs one after another, each run batching its levels,
+// so a probe budget goes to the MTNs in order. SBH is inherently
+// sequential — every probe choice depends on all previous verdicts through
+// the search-space weights — so it ignores the worker bound.
 
 // MaxWorkers caps Options.Workers; beyond this the scheduler is goroutine
 // churn, not throughput. It is exported so callers that surface a workers
@@ -179,85 +177,4 @@ func (r *run) resolveLevel(xs []int) error {
 		return nil
 	}
 	return r.batch(pending)
-}
-
-// runMTNsParallel executes the independent single-MTN runs of the no-reuse
-// strategies (BU, TD) concurrently: each MTN gets a private run (private
-// statuses — re-probing shared descendants is the point of these
-// baselines), the pool is bounded by workers, and results merge in MTN order
-// afterwards, so the accumulated Output and the summed probe/inferred counts
-// match the serial loop exactly.
-func (sys *System) runMTNsParallel(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, strategy Strategy, workers int, gov *governor) (traverseResult, int, error) {
-	n := len(sub.mtns)
-	results := make([]traverseResult, n)
-	inferredBy := make([]int, n)
-	errs := make([]error, n)
-	done := make([]bool, n)
-
-	runOne := func(mi int) {
-		r := newRun(sub, oracle, []int{mi})
-		// Parallel across MTNs, serial within: the runs admit their probes
-		// one at a time, and none dispatches a batch whose grant could race
-		// another run's admit.
-		r.ctx, r.workers, r.gov = ctx, 1, gov
-		var err error
-		if strategy == BU {
-			err = r.bottomUp(sd)
-		} else {
-			err = r.topDown(sd)
-		}
-		// When the shared governor runs dry mid-run, finish keeps the
-		// guarantees this MTN's run established and the remaining runs
-		// proceed: with no budget left they settle probe-free knowledge
-		// (base levels, pins) and report partial results of their own.
-		results[mi], err = r.finish(err)
-		inferredBy[mi] = r.inferred
-		errs[mi] = err
-		done[mi] = true
-	}
-
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Check before claiming, as in dispatch: a claimed run is
-				// always executed, so a skipped one lies above a failure.
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				mi := int(next.Add(1)) - 1
-				if mi >= n {
-					return
-				}
-				runOne(mi)
-				if errs[mi] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	acc := traverseResult{mpans: make(map[int][]int)}
-	inferred := 0
-	for mi := 0; mi < n; mi++ {
-		if errs[mi] != nil {
-			return traverseResult{}, 0, errs[mi]
-		}
-		if !done[mi] {
-			if err := ctx.Err(); err != nil {
-				return traverseResult{}, 0, err
-			}
-			return traverseResult{}, 0, fmt.Errorf("core: MTN run %d skipped without cause", mi)
-		}
-		acc.merge(results[mi])
-		inferred += inferredBy[mi]
-	}
-	sort.Ints(acc.aliveMTNs)
-	sort.Ints(acc.deadMTNs)
-	return acc, inferred, nil
 }

@@ -17,9 +17,10 @@ import (
 // are downward closed; ancestors are restricted to the sub-lattice, which is
 // the scope MPAN maximality is defined over).
 //
-// A sublattice is immutable once built: the per-binding cache shares one
-// between every concurrent run of a binding. Its adjacency lists are CSR
-// pairs, so it is a handful of pointer-free arrays whatever its size.
+// A sublattice is immutable once built, but for sbh, SBH's memo of decision
+// paths: the per-binding cache shares one between every concurrent run of a
+// binding. Its adjacency lists are CSR pairs, so it is a handful of
+// pointer-free arrays whatever its size.
 type sublattice struct {
 	lat    *lattice.Lattice
 	nodeID []int // sub index -> lattice node ID
@@ -45,6 +46,9 @@ type sublattice struct {
 	// of lower rank (see index).
 	members bitset
 	before  []int32
+
+	// sbh records the decision paths of completed SBH runs (sbh.go).
+	sbh sbhMemo
 }
 
 // csr is an adjacency in compressed sparse row form: row i is
@@ -215,7 +219,7 @@ func (s *sublattice) descendantStats() (total, unique int) {
 
 // bytes returns the sublattice's size: its arrays plus the struct.
 func (s *sublattice) bytes() int {
-	const sublatticeHeader = 15 * 24 // the struct: slice headers and scalars
+	const sublatticeHeader = 16 * 24 // the struct: slice headers, scalars and the SBH memo
 	return sublatticeHeader + 8*(cap(s.nodeID)+cap(s.level)+cap(s.mtns)+cap(s.members)) +
 		4*(cap(s.before)+cap(s.regions)) + s.children.bytes() + s.parents.bytes() +
 		s.desc.bytes() + s.asc.bytes()

@@ -55,6 +55,10 @@ type run struct {
 
 	status   []status
 	inferred int // classifications that did not execute SQL
+
+	// res, when set, is the run's result, which finish returns instead of
+	// reading it off the statuses: a completed SBH run sets it (sbh.go).
+	res *traverseResult
 }
 
 func newRun(sub *sublattice, oracle Oracle, positions []int) *run {
@@ -309,6 +313,9 @@ func (r *run) returnEverything(sd seed) error {
 // verdict can demote it (DESIGN §8).
 func (r *run) result() traverseResult {
 	res := traverseResult{mpans: make(map[int][]int)}
+	// region[y] holds the position+1 of the last dead MTN whose desc row
+	// holds y, so deadParents tests membership in one load.
+	var region []int32
 	r.active.forEach(func(mi int) {
 		m := r.sub.mtns[mi]
 		switch r.status[m] {
@@ -318,7 +325,14 @@ func (r *run) result() traverseResult {
 			res.unresolved = append(res.unresolved, m)
 		default:
 			res.deadMTNs = append(res.deadMTNs, m)
+			if region == nil {
+				region = make([]int32, r.sub.len())
+			}
+			stamp := int32(mi + 1)
 			desc := r.sub.desc.row(m)
+			for _, d := range desc {
+				region[d] = stamp
+			}
 			var ps []int
 			partial := false
 			for _, d := range desc {
@@ -326,7 +340,7 @@ func (r *run) result() traverseResult {
 				case stUnknown:
 					partial = true
 				case stAlive:
-					if r.deadParents(int(d), desc) {
+					if r.deadParents(int(d), region, stamp) {
 						ps = append(ps, int(d))
 					}
 				}
@@ -343,19 +357,44 @@ func (r *run) result() traverseResult {
 	return res
 }
 
-// deadParents reports whether every parent of x that lies in desc, a
-// sorted desc row, is dead. The MTN heading the row is dead itself, so the
-// row alone stands for its region.
-func (r *run) deadParents(x int, desc []int32) bool {
+// deadParents reports whether every parent of x in the region stamped
+// stamp, a dead MTN's desc row, is dead. The MTN heading the row is dead
+// itself, so the row alone stands for its region.
+func (r *run) deadParents(x int, region []int32, stamp int32) bool {
 	for _, p := range r.sub.parents.row(x) {
-		if r.status[p] == stDead {
-			continue
-		}
-		if _, in := slices.BinarySearch(desc, p); in {
+		if region[p] == stamp && r.status[p] != stDead {
 			return false
 		}
 	}
 	return true
+}
+
+// bytes estimates the result's size, for the SBH memo's bound: its arrays
+// and its maps.
+func (res *traverseResult) bytes() int {
+	n := 8*(cap(res.aliveMTNs)+cap(res.deadMTNs)+cap(res.unresolved)) + mapBytes(len(res.mpans), 8+24)
+	for _, ps := range res.mpans {
+		n += 8 * cap(ps)
+	}
+	if res.partial != nil {
+		n += mapBytes(len(res.partial), 8+8)
+	}
+	return n
+}
+
+// mapBytes bounds the heap a map of n entries takes when its key and value
+// fill slot bytes. Go keeps a map's slots in groups of eight behind a
+// header, each group with eight control bytes (and, before Go 1.24, an
+// overflow pointer). A map has at least one group and doubles them only
+// when they hold 6.5 entries each on average (7 from Go 1.24), so it has at
+// most the fewest groups, a power of two, that hold six entries each. The
+// quarter added covers the rounding of each allocation to a size class.
+func mapBytes(n, slot int) int {
+	groups := 1
+	for 6*groups < n {
+		groups *= 2
+	}
+	return 112 + groups*(16+8*slot)*5/4
 }
 
 // finish assembles a run's result once its traversal returns err. A run
@@ -366,7 +405,12 @@ func (r *run) finish(err error) (traverseResult, error) {
 	if err != nil && !errors.Is(err, errExhausted) {
 		return traverseResult{}, err
 	}
-	res := r.result()
+	var res traverseResult
+	if r.res != nil {
+		res = *r.res
+	} else {
+		res = r.result()
+	}
 	if n := len(res.unresolved); err == nil && n > 0 {
 		return traverseResult{}, fmt.Errorf("core: MTN %s left unclassified", r.sub.node(res.unresolved[n-1]))
 	}
@@ -393,9 +437,9 @@ func (res *traverseResult) merge(one traverseResult) {
 }
 
 // traverse dispatches a Phase 3 strategy over the sub-lattice. workers > 1
-// engages the probe scheduler: within-run level batches for the with-reuse
-// strategies and RE, across-MTN runs for the no-reuse baselines. SBH stays
-// serial regardless — its probe choices depend on every previous verdict.
+// engages the probe scheduler's within-run level batches (RE: one batch).
+// SBH stays serial regardless — its probe choices depend on every previous
+// verdict.
 // Exhaustion of the governor's deadline or budget is not an error: the
 // traversal degrades to whatever the statuses it settled guarantee.
 func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle, sd seed, opts Options, workers int, gov *governor) (traverseResult, int, error) {
@@ -405,10 +449,8 @@ func (sys *System) traverse(ctx context.Context, sub *sublattice, oracle Oracle,
 	case BU, TD:
 		// One traversal per MTN with private knowledge: shared descendants
 		// are re-probed for every MTN, which is exactly the redundancy the
-		// with-reuse variants eliminate.
-		if workers > 1 && len(sub.mtns) > 1 {
-			return sys.runMTNsParallel(ctx, sub, oracle, sd, opts.Strategy, workers, gov)
-		}
+		// with-reuse variants eliminate. The runs go one after another, so a
+		// probe budget is spent in MTN order.
 		acc := traverseResult{mpans: make(map[int][]int)}
 		for mi := range sub.mtns {
 			r := newRun(sub, oracle, []int{mi})

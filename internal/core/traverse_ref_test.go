@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"kwsdbg/internal/dblife"
@@ -434,12 +435,15 @@ func refTraverse(sub *sublattice, oracle Oracle, sd seed, strategy Strategy, pa 
 	return traverseResult{}, 0, fmt.Errorf("core: unknown strategy %v", strategy)
 }
 
-// truthOracle answers probes from a verdict per sub node and counts them.
-// It is safe for concurrent use.
+// truthOracle answers probes from a verdict per sub node and records the
+// order of its probes. It is safe for concurrent use.
 type truthOracle struct {
-	sub    *sublattice
-	alive  []bool
-	probes atomic.Int64
+	sub   *sublattice
+	alive []bool
+
+	mu sync.Mutex
+	// order lists the probed sub indexes in probe order. guarded by mu.
+	order []int
 }
 
 func (o *truthOracle) IsAlive(nodeID int) (bool, error) {
@@ -447,7 +451,9 @@ func (o *truthOracle) IsAlive(nodeID int) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("probe of node %d outside the sublattice", nodeID)
 	}
-	o.probes.Add(1)
+	o.mu.Lock()
+	o.order = append(o.order, x)
+	o.mu.Unlock()
 	return o.alive[x], nil
 }
 
@@ -494,22 +500,42 @@ func (c *refCase) randomPins(r *rand.Rand) map[int]bool {
 	return pins
 }
 
-// check runs one strategy through sys.traverse and through the reference,
-// each with its own oracle and governor, and compares what they report:
-// the alive, dead and unresolved MTNs, the MPANs, the partial set, the
-// inferred count and the probe count.
+// check runs one strategy through sys.traverse and through the reference
+// (compare). An SBH case runs twice on the case's sublattice, fresh or
+// replaying its memo and then replaying it, and then once more for each of
+// three probes of its path, with that probe's verdict flipped (flipped), so
+// that the replay diverges there.
 func (c *refCase) check(t *testing.T, pins map[int]bool, strat Strategy, budget, workers int) {
 	t.Helper()
-	ctx := context.Background()
 	sd := seed{baseAlive: c.sys.baseAliveFunc(), pins: pins}
 	label := fmt.Sprintf("%s %v budget=%d workers=%d pins=%v", c.name, strat, budget, workers, pins)
+	order := c.compare(t, label, c.truth, sd, strat, budget, workers)
+	if strat != SBH {
+		return
+	}
+	order = c.compare(t, label+" again", c.truth, sd, strat, budget, workers)
+	if len(order) == 0 {
+		return
+	}
+	for _, k := range slices.Compact([]int{0, len(order) / 2, len(order) - 1}) {
+		c.compare(t, fmt.Sprintf("%s flipped at probe %d", label, k+1), c.flipped(order[k]), sd, strat, budget, workers)
+	}
+}
 
-	gotOracle := &truthOracle{sub: c.sub, alive: c.truth}
+// compare runs one strategy through sys.traverse and through the
+// reference, each with its own oracle and governor, on the verdicts truth,
+// and compares what they report: the alive, dead and unresolved MTNs, the
+// MPANs, the partial set, the inferred count, the probe count and, for
+// serial runs and SBH, the probe order. It returns the probe order.
+func (c *refCase) compare(t *testing.T, label string, truth []bool, sd seed, strat Strategy, budget, workers int) []int {
+	t.Helper()
+	ctx := context.Background()
+	gotOracle := &truthOracle{sub: c.sub, alive: truth}
 	got, gotInferred, err := c.sys.traverse(ctx, c.sub, gotOracle, sd, Options{Strategy: strat, Pa: 0.5}, workers, newGovernor(ctx, ctx, budget))
 	if err != nil {
 		t.Fatalf("%s: traverse: %v", label, err)
 	}
-	wantOracle := &truthOracle{sub: c.sub, alive: c.truth}
+	wantOracle := &truthOracle{sub: c.sub, alive: truth}
 	want, wantInferred, err := refTraverse(c.sub, wantOracle, sd, strat, 0.5, newGovernor(ctx, ctx, budget))
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
@@ -520,9 +546,31 @@ func (c *refCase) check(t *testing.T, pins map[int]bool, strat Strategy, budget,
 	if gotInferred != wantInferred {
 		t.Fatalf("%s: inferred %d, reference %d", label, gotInferred, wantInferred)
 	}
-	if g, w := gotOracle.probes.Load(), wantOracle.probes.Load(); g != w {
+	if g, w := len(gotOracle.order), len(wantOracle.order); g != w {
 		t.Fatalf("%s: %d probes, reference %d", label, g, w)
 	}
+	if (workers == 1 || strat == SBH) && !slices.Equal(gotOracle.order, wantOracle.order) {
+		t.Fatalf("%s: probe order differs from the reference\ngot:  %v\nwant: %v", label, gotOracle.order, wantOracle.order)
+	}
+	return gotOracle.order
+}
+
+// flipped returns the case's verdicts with x's flipped. The verdicts that
+// hang on x's follow it, so the rules still hold between them: x's
+// ancestors die with it, and its descendants come alive with it. A run that
+// probed x after other nodes probed them with the verdicts they keep, since
+// rules R1 and R2 would otherwise have settled x before its probe.
+func (c *refCase) flipped(x int) []bool {
+	truth := slices.Clone(c.truth)
+	truth[x] = !truth[x]
+	implied := c.sub.desc.row(x)
+	if !truth[x] {
+		implied = c.sub.asc.row(x)
+	}
+	for _, y := range implied {
+		truth[y] = truth[x]
+	}
+	return truth
 }
 
 // normalized treats empty and nil lists and maps as equal.
@@ -550,17 +598,13 @@ func (res traverseResult) normalized() traverseResult {
 	return out
 }
 
-// checkAll runs every strategy at workers 1 under each budget, and at
-// workers 4 unbudgeted and, but for BU and TD, under each budget. Budgeted
-// BU and TD runs at workers > 1 are left out: their per-MTN runs spend one
-// budget concurrently, so which MTNs get it depends on scheduling.
+// checkAll runs every strategy at workers 1 and 4 under each budget.
 func (c *refCase) checkAll(t *testing.T, pins map[int]bool) {
 	t.Helper()
 	for _, strat := range allStrategies {
 		for _, budget := range []int{0, 1, 3, 7, 40} {
-			c.check(t, pins, strat, budget, 1)
-			if budget == 0 || (strat != BU && strat != TD) {
-				c.check(t, pins, strat, budget, 4)
+			for _, workers := range []int{1, 4} {
+				c.check(t, pins, strat, budget, workers)
 			}
 		}
 	}
@@ -620,7 +664,8 @@ func TestTraversalMatchesReference(t *testing.T) {
 // FuzzTraversalMatchesReference compares one serial traversal with the
 // reference on a random schema built from seed: strategy picks one of the
 // six, budget caps the probes (0 is unlimited), and a non-zero pinSeed pins
-// 1-3 random sub nodes.
+// 1-3 random sub nodes. The case runs twice, so the second SBH check
+// replays what the first recorded.
 func FuzzTraversalMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0), int64(0))
 	f.Add(int64(2), uint8(0), uint8(3), int64(0))
@@ -643,6 +688,8 @@ func FuzzTraversalMatchesReference(f *testing.F) {
 		if pinSeed != 0 {
 			pins = c.randomPins(rand.New(rand.NewSource(pinSeed)))
 		}
-		c.check(t, pins, allStrategies[int(strategy)%len(allStrategies)], int(budget), 1)
+		for i := 0; i < 2; i++ {
+			c.check(t, pins, allStrategies[int(strategy)%len(allStrategies)], int(budget), 1)
+		}
 	})
 }

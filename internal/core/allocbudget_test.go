@@ -45,9 +45,11 @@ func TestHotpathAllocBudgets(t *testing.T) {
 			}
 		})
 	}
-	// steps are the hot steps of (*oracle).IsAlive, each under the manifest
-	// name of the oracle type it replaced, so a regression names its step:
-	// a prepared probe the verdict cache answers.
+	// steps are the hot steps of (*oracle).IsAlive, so a regression names
+	// its step: a prepared probe the verdict cache answers, under the
+	// manifest name of the oracle type it replaced, and a new run's first
+	// probe of a node, which the cache answers too and whose key the
+	// sublattice's key memo holds.
 	steps := []struct {
 		name string
 		run  func(t *testing.T) float64
@@ -58,6 +60,33 @@ func TestHotpathAllocBudgets(t *testing.T) {
 			o.view = cache.SyncVersions(sys.eng.Versions())
 			o.cache = cache
 			return warmIsAlive(t, o, 0)
+		}},
+		{"kwsdbg/internal/core.(*oracle).IsAlive, first probe of a run", func(t *testing.T) float64 {
+			sub := buildSublattice(sys.lat, []int{0})
+			cache := probecache.New(probecache.Config{})
+			view := cache.SyncVersions(sys.eng.Versions())
+			newRun := func() *oracle {
+				o := sys.newOracle(ctx, sub, kws, nil)
+				o.view, o.cache = view, cache
+				return o
+			}
+			if _, err := newRun().IsAlive(0); err != nil { // stores the verdict
+				t.Fatalf("cold probe: %v", err)
+			}
+			// AllocsPerRun calls the function once more than it counts.
+			const runs = 1000
+			oracles := make([]*oracle, runs+1)
+			for i := range oracles {
+				oracles[i] = newRun()
+			}
+			next := 0
+			return testing.AllocsPerRun(runs, func() {
+				o := oracles[next]
+				next++
+				if _, err := o.IsAlive(0); err != nil {
+					t.Fatalf("first probe: %v", err)
+				}
+			})
 		}},
 	}
 
@@ -102,14 +131,13 @@ func TestHotpathAllocBudgets(t *testing.T) {
 		},
 		"kwsdbg/internal/engine.(*PreparedCache).Get": {budget: 0, run: func(t *testing.T) float64 {
 			o := sys.newOracle(ctx, buildSublattice(sys.lat, []int{0}), kws, nil)
-			n, err := o.node(0)
+			x, key, err := o.node(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := o.handle(0, n); err != nil { // compiles and Puts the handle
+			if _, err := o.handle(0, x, key); err != nil { // compiles and Puts the handle
 				t.Fatalf("compile handle: %v", err)
 			}
-			key := n.key
 			return testing.AllocsPerRun(1000, func() {
 				if sys.prepared.Get(key) == nil {
 					t.Fatal("warm handle missing")
@@ -225,20 +253,19 @@ func TestHotpathAllocBudgets(t *testing.T) {
 // of a warm /debug request. A replayed run follows the decision path in
 // SBH's memo; a fresh one finds the memo empty and runs the lazy-greedy
 // loop, as the first run of a binding's path does, and records its path.
-// The replayed budget is the measured count on go1.24 (364.3) plus 5 %; the
-// fresh one is the budget the loop had before runs recorded their paths
-// (measured 516.6).
+// Both read their probe keys from their tuple's memoized table. Each budget
+// is the count measured on go1.24 plus 5 %: replayed 79.0, fresh 231.3.
 func TestWarmDebugAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		fresh  bool
+		mode   warmMode
 		budget float64
 	}{
-		{"replayed", false, 383},
-		{"fresh", true, 536},
+		{"replayed", warmReplayed, 83},
+		{"fresh", warmFresh, 243},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sweep, queries := warmDebug(t, c.fresh)
+			sweep, queries := warmDebug(t, c.mode)
 			perCall := testing.AllocsPerRun(20, sweep) / float64(queries)
 			t.Logf("%s warm debug run: %.1f allocations", c.name, perCall)
 			if perCall > c.budget {
@@ -248,13 +275,28 @@ func TestWarmDebugAllocBudget(t *testing.T) {
 	}
 }
 
+// warmMode says what the runs of a warm sweep find in their sublattice's
+// memos besides the verdicts.
+type warmMode int
+
+const (
+	// warmReplayed runs find their decision path and their key table.
+	warmReplayed warmMode = iota
+	// warmFresh runs find their key table, but every SBH memo is emptied
+	// before each run.
+	warmFresh
+	// warmPrivate runs find their decision path, but every key memo is
+	// empty and charged full, so each run builds a table of its own, as a
+	// tuple that finds no room does.
+	warmPrivate
+)
+
 // warmDebug returns a sweep of warm SBH debug runs over DBLife Q1-Q10 at
 // level 5, each with a flight log, on a System of its own, and the number
 // of runs in a sweep. One sweep has run already: it filled the binding,
-// verdict and handle caches and recorded every query's decision path. With
-// fresh set, the sweep empties every SBH memo before each run, so each run
-// takes the lazy-greedy loop and records its path again.
-func warmDebug(tb testing.TB, fresh bool) (func(), int) {
+// verdict and handle caches, recorded every query's decision path and
+// memoized every query's key table; mode then says what later runs find.
+func warmDebug(tb testing.TB, mode warmMode) (func(), int) {
 	base := dblifeSystem(tb, 5)
 	sys, err := NewSystem(base.eng, base.lat)
 	if err != nil {
@@ -265,8 +307,8 @@ func warmDebug(tb testing.TB, fresh bool) (func(), int) {
 	queries := dblife.Workload()
 	sweep := func() {
 		for _, q := range queries {
-			if fresh {
-				forgetPaths(sys)
+			if mode == warmFresh {
+				eachSub(sys, forgetPaths)
 			}
 			ctx := flight.NewContext(context.Background(), flight.NewLog(rec, "warm-debug", false))
 			if _, err := sys.DebugContext(ctx, q.Keywords, Options{Strategy: SBH}); err != nil {
@@ -275,23 +317,39 @@ func warmDebug(tb testing.TB, fresh bool) (func(), int) {
 		}
 	}
 	sweep()
+	if mode == warmPrivate {
+		eachSub(sys, fillKeyMemo)
+	}
 	return sweep, len(queries)
 }
 
-// forgetPaths empties the SBH memo of every binding sys has cached.
-func forgetPaths(sys *System) {
+// eachSub calls f on the sublattice of every binding sys has cached.
+func eachSub(sys *System, f func(*sublattice)) {
 	c := sys.bindings
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		sub := el.Value.(*bindingSlot).e.sub
-		if sub == nil {
-			continue
+		if sub := el.Value.(*bindingSlot).e.sub; sub != nil {
+			f(sub)
 		}
-		m := &sub.sbh
-		m.mu.Lock()
-		m.paths.Store(nil)
-		m.bytes = 0
-		m.mu.Unlock()
 	}
+}
+
+// forgetPaths empties sub's SBH memo.
+func forgetPaths(sub *sublattice) {
+	m := &sub.sbh
+	m.mu.Lock()
+	m.paths.Store(nil)
+	m.bytes = 0
+	m.mu.Unlock()
+}
+
+// fillKeyMemo empties sub's key memo and charges it its bound, so it
+// records no table again.
+func fillKeyMemo(sub *sublattice) {
+	m := &sub.keyMemo
+	m.mu.Lock()
+	m.tables.Store(nil)
+	m.bytes = sub.bytes()
+	m.mu.Unlock()
 }

@@ -42,17 +42,18 @@ func BenchmarkDebugStrategies(b *testing.B) {
 
 // BenchmarkWarmDebug measures the core of a warm /debug request: SBH over
 // DBLife Q1-Q10 at level 5 with a flight log, every binding and verdict
-// cached (warmDebug). "replayed" runs follow their recorded decision paths;
-// "fresh" runs find SBH's memo empty and run the lazy-greedy loop. It
-// reports microseconds per query.
+// cached (warmDebug). "replayed" runs follow their recorded decision paths
+// and read their memoized key tables; "fresh" runs find SBH's memo empty
+// and run the lazy-greedy loop; "private" runs replay their paths but find
+// no key table and no room, so each builds its own. It reports
+// microseconds per query.
 func BenchmarkWarmDebug(b *testing.B) {
-	for _, fresh := range []bool{false, true} {
-		name := "replayed"
-		if fresh {
-			name = "fresh"
-		}
-		b.Run(name, func(b *testing.B) {
-			sweep, queries := warmDebug(b, fresh)
+	for _, c := range []struct {
+		name string
+		mode warmMode
+	}{{"replayed", warmReplayed}, {"fresh", warmFresh}, {"private", warmPrivate}} {
+		b.Run(c.name, func(b *testing.B) {
+			sweep, queries := warmDebug(b, c.mode)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sweep()
@@ -93,7 +94,7 @@ func BenchmarkSublatticeBuild(b *testing.B) {
 // "render" is the text path's per-probe cost of materializing the SQL string
 // (what every probe paid before handles); "compile" resolves a fresh handle
 // from the AST (the handle-cache miss path); "handle" looks a warm handle up
-// through the run's per-node memo — the cost every repeat probe actually pays.
+// through the run's handle memo — the cost every repeat probe actually pays.
 func BenchmarkProbeCompile(b *testing.B) {
 	sys := benchSystem(b)
 	kws := []string{"saffron", "scented", "candle"}
@@ -123,16 +124,16 @@ func BenchmarkProbeCompile(b *testing.B) {
 	})
 	b.Run("handle", func(b *testing.B) {
 		o := sys.newOracle(context.Background(), sub, kws, nil)
-		n, err := o.node(nodeID)
+		x, key, err := o.node(nodeID)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := o.handle(nodeID, n); err != nil {
+		if _, err := o.handle(nodeID, x, key); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := o.handle(nodeID, n); err != nil {
+			if _, err := o.handle(nodeID, x, key); err != nil {
 				b.Fatal(err)
 			}
 		}

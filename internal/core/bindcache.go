@@ -3,10 +3,13 @@ package core
 import (
 	"container/list"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"kwsdbg/internal/lattice"
+	"kwsdbg/internal/probecache"
 )
 
 // This file is the per-binding cache. Phases 1b and 2 (§2.3–2.4) — pruning
@@ -21,19 +24,21 @@ import (
 // write that makes a keyword bind a new table changes the key; and the
 // lattice never changes, so an entry never goes stale and nothing
 // invalidates it. Entries are shared by concurrent runs and immutable but
-// for the sublattice's SBH memo, to which completed SBH runs add their
-// decision paths (sbh.go); everything else a run learns (node statuses,
-// probe memos) stays in the run.
+// for the sublattice's two memos: completed SBH runs add their decision
+// paths (sbh.go), and the first run of each keyword tuple adds its probe-key
+// table (keyMemo). Everything else a run learns (node statuses, prepared
+// handles) stays in the run.
 
 // bindingCacheBytes bounds the cache. Entries are charged their computed
 // size. On the level-5 DBLife lattice the eight distinct Q1-Q10 bindings
 // take 423 KB in all, and the 197 bindings of kwsbench's long-tail pool
 // (scale 0.2) take 6.6 MB, 33 KB on average: the bound holds every Q1-Q10
-// binding and about 125 long-tail ones. The SBH memos are not charged: each
-// stays within its sublattice's size, so the entries and their memos take
-// at most twice the bound. That holds as far as traverseResult.bytes bounds
-// a result's heap: on Q1-Q10 at level 5 the ten recorded paths are charged
-// 67.7 KB and retain 61.7 KB.
+// binding and about 125 long-tail ones. The memos are not charged: each
+// stays within its sublattice's size, so the entries, their SBH memos and
+// their key memos take at most three times the bound. The key memo's
+// charge is exact; the SBH memo's holds as far as traverseResult.bytes
+// bounds a result's heap: on Q1-Q10 at level 5 the ten recorded paths are
+// charged 67.7 KB and retain 61.7 KB.
 const bindingCacheBytes = 4 << 20
 
 // bindKeyStack sizes the stack buffer a binding key is built in: seven
@@ -93,6 +98,125 @@ func newBindingEntry(lat *lattice.Lattice, pruned int, mtnIDs []int) *bindingEnt
 // Output.QuerySQL, so a caller that never shows it never renders it.
 func (e *bindingEntry) info(x int) QueryInfo {
 	return QueryInfo{NodeID: e.sub.nodeID[x], Level: e.sub.level[x], Tree: e.labels[e.labelOff[x]:e.labelOff[x+1]]}
+}
+
+// keyTable is every sub node's probe key for one keyword tuple, back to
+// back as the entry's labels are: sub node x's key is keys[off[x]:off[x+1]],
+// byte for byte probecache.Key of the node's label and copy mask and the
+// tuple. A run reads its keys from its tuple's table, so a probe builds
+// none.
+type keyTable struct {
+	keywords []string
+	keys     string
+	off      []int32
+}
+
+// newKeyTable builds sub's key table for keywords. A key is the node's
+// label and the suffix of its copy mask, and the suffix of each mask is
+// built once.
+func newKeyTable(sub *sublattice, keywords []string) *keyTable {
+	// suffixes[i] is the suffix of the copy masks whose keyword bits,
+	// bits 1..len(keywords), read i.
+	suffixes := make([]string, 1<<len(keywords))
+	bound := uint64(len(suffixes) - 1)
+	total := 0
+	for x := 0; x < sub.len(); x++ {
+		n := sub.node(x)
+		i := n.CopyMask >> 1 & bound
+		if i != 0 && suffixes[i] == "" {
+			suffixes[i] = probecache.Suffix(n.CopyMask, keywords)
+		}
+		total += len(n.Label) + len(suffixes[i])
+	}
+	var sb strings.Builder
+	sb.Grow(total)
+	t := &keyTable{keywords: keywords, off: make([]int32, sub.len()+1)}
+	for x := 0; x < sub.len(); x++ {
+		n := sub.node(x)
+		sb.WriteString(n.Label)
+		sb.WriteString(suffixes[n.CopyMask>>1&bound])
+		t.off[x+1] = int32(sb.Len())
+	}
+	t.keys = sb.String()
+	return t
+}
+
+// key returns sub node x's probe key.
+func (t *keyTable) key(x int) string { return t.keys[t.off[x]:t.off[x+1]] }
+
+// bytes returns the table's charge against its memo's bound: its struct
+// and its slot in the memo's published slice, its keys, its offsets and its
+// keywords.
+func (t *keyTable) bytes() int {
+	n := 64 + 8 + len(t.keys) + 4*cap(t.off)
+	for _, kw := range t.keywords {
+		n += 16 + len(kw)
+	}
+	return n
+}
+
+// keyMemo holds the key tables of the keyword tuples run on one
+// sublattice. Readers load the published slice, which is never changed;
+// record publishes a copy with one more table. The tables take at most as
+// many bytes as the sublattice itself, and none is ever dropped.
+type keyMemo struct {
+	tables atomic.Pointer[[]*keyTable]
+
+	// mu serializes record.
+	mu sync.Mutex
+	// bytes is the charge of the published tables. guarded by mu.
+	bytes int
+}
+
+// keys returns the key table of keywords on s: the memo's, or else a new
+// one, which the memo records while it has room. A tuple that finds no
+// room keeps its table to the run.
+func (s *sublattice) keys(keywords []string) *keyTable {
+	if t := s.keyMemo.find(keywords); t != nil {
+		return t
+	}
+	return s.keyMemo.record(s, newKeyTable(s, keywords))
+}
+
+// find returns the published table of keywords, or nil.
+func (m *keyMemo) find(keywords []string) *keyTable {
+	if p := m.tables.Load(); p != nil {
+		for _, t := range *p {
+			if slices.Equal(t.keywords, keywords) {
+				return t
+			}
+		}
+	}
+	return nil
+}
+
+// record publishes t, unless the memo holds its tuple's table already,
+// which it returns instead, or t would take the memo past the size of sub.
+// A recorded table keeps its own copy of the keywords, which the caller
+// may reuse.
+func (m *keyMemo) record(sub *sublattice, t *keyTable) *keyTable {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if u := m.find(t.keywords); u != nil {
+		return u
+	}
+	size := t.bytes()
+	if m.bytes+size > sub.bytes() {
+		return t
+	}
+	kws := make([]string, len(t.keywords))
+	for i, kw := range t.keywords {
+		kws[i] = strings.Clone(kw)
+	}
+	t.keywords = kws
+	var tables []*keyTable
+	if p := m.tables.Load(); p != nil {
+		tables = *p
+	}
+	next := append(tables[:len(tables):len(tables)], t)
+	m.tables.Store(&next)
+	m.bytes += size
+	return t
 }
 
 // appendBindKey appends the cache key of an n-keyword query's binding: the

@@ -247,8 +247,9 @@ func TestBindingCacheAcrossWrites(t *testing.T) {
 // TestBindingCacheConcurrent debugs the same and different bindings on one
 // System from several goroutines — every run after the first of a binding
 // shares its entry — and requires each output to equal the serial run's.
-// Then DBLife Q1 and Q6 run SBH from several goroutines on one warm System.
-// Run it under -race -count=10.
+// Then DBLife Q1 and Q6, one binding and two keyword tuples, run SBH from
+// several goroutines on one System, and Q1 alone from every goroutine at
+// once on a new one. Run it under -race -count=10.
 func TestBindingCacheConcurrent(t *testing.T) {
 	queries := [][]string{
 		{"saffron", "scented", "candle"},
@@ -367,5 +368,194 @@ func TestBindingCacheConcurrent(t *testing.T) {
 	}
 	if paths := ph.entry.sub.sbh.paths.Load(); paths == nil || len(*paths) != 2 {
 		t.Errorf("SBH memo after the storm: %v, want the two queries' paths", paths)
+	}
+	if tables := ph.entry.sub.keyMemo.tables.Load(); tables == nil || len(*tables) != 2 {
+		t.Errorf("key memo after the storm: %v, want the two queries' tables", tables)
+	}
+
+	// One tuple from every goroutine at once on a new System: the first
+	// runs all miss the key memo and race to record the tuple's table, and
+	// the memo keeps one.
+	one, err := NewSystem(lv5.eng, lv5.lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.SetProbeCache(probecache.New(probecache.Config{}))
+	start := make(chan struct{})
+	errs = make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < rounds; i++ {
+				out, err := one.Debug(sbhQueries[0], Options{Strategy: SBH})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := normalized(out); !reflect.DeepEqual(got, want[fmt.Sprint(sbhQueries[0])]) {
+					errs <- fmt.Errorf("%s SBH: concurrent output differs from a new System's", strings.Join(sbhQueries[0], " "))
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if ph, err = one.phase12(sbhQueries[0], true); err != nil {
+		t.Fatal(err)
+	}
+	if tables := ph.entry.sub.keyMemo.tables.Load(); tables == nil || len(*tables) != 1 {
+		t.Errorf("key memo after one tuple's storm: %v, want one table", tables)
+	}
+}
+
+// checkKeyTables runs Debug and ReturnNothing on kws, so the sublattice of
+// each subset's binding memoizes the key table of the tuple that ran on it
+// while it has room, and requires every key of each subset's table, the
+// memo's or a private one, to equal probecache.Key. It returns how many
+// memoized tables it checked.
+func checkKeyTables(t *testing.T, sys *System, kws []string) int {
+	t.Helper()
+	if _, err := sys.Debug(kws, Options{Strategy: SBH}); err != nil {
+		t.Fatalf("%v: %v", kws, err)
+	}
+	if len(kws) > 1 {
+		if _, err := sys.ReturnNothing(kws); err != nil {
+			t.Fatalf("%v: ReturnNothing: %v", kws, err)
+		}
+	}
+	checked := 0
+	for _, subset := range subsets(kws) {
+		ph, err := sys.phase12(subset, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ph.nonKeywords) > 0 || ph.entry.sub == nil {
+			continue
+		}
+		sub := ph.entry.sub
+		tab := sub.keys(subset)
+		if tab == sub.keyMemo.find(subset) {
+			checked++
+		}
+		if len(tab.off) != sub.len()+1 {
+			t.Fatalf("%v: table has %d keys for %d sub nodes", subset, len(tab.off)-1, sub.len())
+		}
+		for x := 0; x < sub.len(); x++ {
+			n := sub.node(x)
+			if got, want := tab.key(x), probecache.Key(n.Label, n.CopyMask, subset); got != want {
+				t.Fatalf("%v: key of %s = %q, want %q", subset, sub.node(x), got, want)
+			}
+		}
+	}
+	return checked
+}
+
+// TestProbeKeyTable checks the probe-key tables against probecache.Key on
+// Figure 2, random schemas and DBLife Q1-Q10 at levels 3 and 5: for the
+// full keyword tuples Debug runs and for the subsets ReturnNothing submits,
+// every sub node's key in its tuple's table is the key Key builds.
+func TestProbeKeyTable(t *testing.T) {
+	sys := productSystem(t)
+	checked := 0
+	for _, kws := range onlineCNQueries {
+		checked += checkKeyTables(t, sys, kws)
+	}
+
+	r := rand.New(rand.NewSource(20261021))
+	vocab := []string{"amber", "birch", "cedar", "dune", "ember", "flint", "grove", "haze"}
+	for trial := 0; trial < 8; trial++ {
+		rs, _ := randomSystem(t, r)
+		for q := 0; q < 4; q++ {
+			kws := make([]string, 1+r.Intn(3))
+			for i := range kws {
+				kws[i] = vocab[r.Intn(len(vocab))]
+			}
+			checked += checkKeyTables(t, rs, kws)
+		}
+	}
+
+	if !testing.Short() {
+		for _, level := range []int{3, 5} {
+			lv, err := NewSystem(dblifeSystem(t, level).eng, dblifeSystem(t, level).lat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range dblife.Workload() {
+				checked += checkKeyTables(t, lv, q.Keywords)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no memoized key table checked")
+	}
+	t.Logf("%d memoized tables checked", checked)
+}
+
+// TestKeyMemoBound fills one sublattice's key memo with many keyword
+// tuples. The memo's charge stays within the binding entry's size and is
+// the sum of its tables' exact charges; once a tuple finds no room, it gets
+// a private table with the same keys each time it runs, while the tuples
+// recorded before keep reading theirs.
+func TestKeyMemoBound(t *testing.T) {
+	sys := productSystem(t)
+	ph, err := sys.phase12([]string{"saffron", "scented", "candle"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ph.entry
+	m := &e.sub.keyMemo
+	charged := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.bytes
+	}
+	var recorded [][]string
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("the memo took 1,000 tuples without filling")
+		}
+		// The table does not depend on what the keywords bind.
+		kws := []string{fmt.Sprintf("saffron%d", i), "scented", "candle"}
+		tab := e.sub.keys(kws)
+		for x := 0; x < e.sub.len(); x++ {
+			n := e.sub.node(x)
+			if tab.key(x) != probecache.Key(n.Label, n.CopyMask, kws) {
+				t.Fatalf("tuple %d: key of %s differs from Key", i, e.sub.node(x))
+			}
+		}
+		if got := charged(); got > e.size || got > e.sub.bytes() {
+			t.Fatalf("after %d tuples the memo is charged %d bytes, over the entry's %d", i+1, got, e.size)
+		}
+		if m.find(kws) == tab {
+			recorded = append(recorded, kws)
+			continue
+		}
+		if len(recorded) == 0 {
+			t.Fatal("the first tuple found no room")
+		}
+		if again := e.sub.keys(kws); again == tab || again.keys != tab.keys {
+			t.Fatal("a tuple without room did not get a private table of the same keys")
+		}
+		break
+	}
+	total := 0
+	for _, tab := range *m.tables.Load() {
+		total += tab.bytes()
+	}
+	if total != charged() || len(*m.tables.Load()) != len(recorded) {
+		t.Fatalf("memo charged %d bytes for %d tables, its tables sum to %d over %d",
+			charged(), len(recorded), total, len(*m.tables.Load()))
+	}
+	for _, kws := range recorded {
+		if e.sub.keys(kws) != m.find(kws) {
+			t.Fatalf("recorded tuple %v no longer reads its table", kws)
+		}
 	}
 }

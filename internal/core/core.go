@@ -447,14 +447,14 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	mProbes.With(strat).Add(float64(out.Stats.SQLExecuted))
 	mInferred.With(strat).Add(float64(out.Stats.Inferred))
 
-	for _, m := range res.aliveMTNs {
-		out.Answers = append(out.Answers, e.info(m))
+	// Each list is sized once and stays nil when empty: the report tells a
+	// nil list from an empty one.
+	out.Answers = infos(e, res.aliveMTNs)
+	if len(res.deadMTNs) > 0 {
+		out.NonAnswers = make([]NonAnswer, 0, len(res.deadMTNs))
 	}
 	for _, m := range res.deadMTNs {
-		na := NonAnswer{Query: e.info(m), Incomplete: res.partial[m]}
-		for _, p := range res.mpans[m] {
-			na.MPANs = append(na.MPANs, e.info(p))
-		}
+		na := NonAnswer{Query: e.info(m), MPANs: infos(e, res.mpans[m]), Incomplete: res.partial[m]}
 		// Present the most specific explanations first: an MPAN covering
 		// more of the query (higher level) is usually the actionable one.
 		slices.SortStableFunc(na.MPANs, func(a, b QueryInfo) int {
@@ -466,10 +466,20 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		out.NonAnswers = append(out.NonAnswers, na)
 	}
 	sort.Ints(res.unresolved)
-	for _, m := range res.unresolved {
-		out.Unclassified = append(out.Unclassified, e.info(m))
-	}
+	out.Unclassified = infos(e, res.unresolved)
 	return out, nil
+}
+
+// infos describes the sub nodes xs, in order; nil when xs is empty.
+func infos(e *bindingEntry, xs []int) []QueryInfo {
+	if len(xs) == 0 {
+		return nil
+	}
+	qs := make([]QueryInfo, len(xs))
+	for i, x := range xs {
+		qs[i] = e.info(x)
+	}
+	return qs
 }
 
 // Analyze runs phases 1 and 2 only — keyword binding, pruning, MTN

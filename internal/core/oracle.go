@@ -91,9 +91,15 @@ type oracle struct {
 	// context instead (database/sql hides the call chain), tagged node -1.
 	fl *flight.Log
 
-	// nodes memoizes per-node probe state by sub index, each slot filled
-	// on the node's first probe.
-	nodes []atomic.Pointer[probeNode]
+	// keys holds each sub node's probe identity — canonical label plus
+	// keyword binding, shared by the verdict cache, the handle cache and
+	// every flight event — in the table of the run's keyword tuple, which
+	// the sublattice's key memo shares between runs.
+	keys *keyTable
+	// prepared memoizes each node's resolved prepared handle by sub index,
+	// filled on the node's first evaluation. It stays per run: handles
+	// shared through the sublattice would outlive the handle cache's bound.
+	prepared []atomic.Pointer[engine.Prepared]
 
 	executed  atomic.Int64
 	cacheHits atomic.Int64
@@ -103,14 +109,6 @@ type oracle struct {
 	repaired  atomic.Int64
 }
 
-// probeNode is the run's memo for one node: its probe identity — canonical
-// label plus keyword binding, shared by the verdict cache, the handle cache
-// and every flight event — and its resolved prepared handle.
-type probeNode struct {
-	key    string
-	handle atomic.Pointer[engine.Prepared]
-}
-
 // newOracle builds a run's oracle over the run's sublattice, on the
 // prepared step with no verdict cache; callers set db to pick the text
 // step. fl may be nil.
@@ -118,42 +116,35 @@ func (sys *System) newOracle(ctx context.Context, sub *sublattice, keywords []st
 	return &oracle{
 		ctx: ctx, lat: sys.lat, sub: sub, keywords: keywords, fl: fl,
 		eng: sys.eng, handles: sys.prepared, cands: engine.NewCandidateCache(),
-		nodes: make([]atomic.Pointer[probeNode], sub.len()),
+		keys: sub.keys(keywords), prepared: make([]atomic.Pointer[engine.Prepared], sub.len()),
 	}
 }
 
-// node returns the node's memo, creating it on first use. Concurrent first
-// probes of one node may both build a memo; the first stored wins. A node
-// outside the run's sublattice is a caller bug.
-func (o *oracle) node(nodeID int) (*probeNode, error) {
+// node returns a probed node's sub index and probe key. A node outside the
+// run's sublattice is a caller bug.
+func (o *oracle) node(nodeID int) (int, string, error) {
 	x, ok := o.sub.index(nodeID)
 	if !ok {
-		return nil, fmt.Errorf("core: probe of node %d outside the run's sublattice", nodeID)
+		return 0, "", fmt.Errorf("core: probe of node %d outside the run's sublattice", nodeID)
 	}
-	slot := &o.nodes[x]
-	if n := slot.Load(); n != nil {
-		return n, nil
-	}
-	node := o.lat.Node(nodeID)
-	slot.CompareAndSwap(nil, &probeNode{key: probecache.Key(node.Label, node.CopyMask, o.keywords)})
-	return slot.Load(), nil
+	return x, o.keys.key(x), nil
 }
 
 // IsAlive implements Oracle.
 //
 //kws:hotpath
 func (o *oracle) IsAlive(nodeID int) (bool, error) {
-	n, err := o.node(nodeID)
+	x, key, err := o.node(nodeID)
 	if err != nil {
 		return false, err
 	}
 	suspect := false
 	if o.cache != nil {
-		alive, outcome := o.cache.Lookup(n.key)
+		alive, outcome := o.cache.Lookup(key)
 		if outcome == probecache.Hit {
 			o.executed.Add(1)
 			o.cacheHits.Add(1)
-			o.fl.Emit(flight.ProbeCacheHit, nodeID, n.key, alive, 0, "")
+			o.fl.Emit(flight.ProbeCacheHit, nodeID, key, alive, 0, "")
 			return alive, nil
 		}
 		if outcome == probecache.Suspect {
@@ -162,44 +153,45 @@ func (o *oracle) IsAlive(nodeID int) (bool, error) {
 			// dead -> alive, so the alive branch above stays trustworthy).
 			suspect = true
 			o.suspects.Add(1)
-			o.fl.Emit(flight.Suspect, nodeID, n.key, false, 0, outcome.Cause())
+			o.fl.Emit(flight.Suspect, nodeID, key, false, 0, outcome.Cause())
 		} else {
-			o.fl.Emit(flight.ProbeCacheMiss, nodeID, n.key, false, 0, outcome.Cause())
+			o.fl.Emit(flight.ProbeCacheMiss, nodeID, key, false, 0, outcome.Cause())
 		}
 	}
 	// One timer spans the whole evaluation — rendering, handle resolution or
 	// compile, execution — so SQLTime is "time spent servicing probes" on
 	// both steps.
 	start := clock.Now()
-	alive, err := o.evaluate(nodeID, n)
+	alive, err := o.evaluate(nodeID, x, key)
 	if err != nil {
 		return false, err
 	}
 	o.executed.Add(1)
 	dur := clock.Since(start)
 	o.sqlNanos.Add(int64(dur))
-	o.fl.Emit(flight.SQLExec, nodeID, n.key, alive, dur, "")
+	o.fl.Emit(flight.SQLExec, nodeID, key, alive, dur, "")
 	if o.cache != nil {
-		o.cache.PutFP(n.key, alive, nodeFootprint(o.lat, nodeID, o.keywords), o.view)
+		o.cache.PutFP(key, alive, nodeFootprint(o.lat, nodeID, o.keywords), o.view)
 		if suspect {
 			o.repaired.Add(1)
-			o.fl.Emit(flight.Repair, nodeID, n.key, alive, 0, repairCause(alive))
+			o.fl.Emit(flight.Repair, nodeID, key, alive, 0, repairCause(alive))
 		}
 	}
 	return alive, nil
 }
 
-// evaluate answers the probe on the oracle's step: the rendered SQL through
-// database/sql when db is set, the node's prepared handle otherwise.
-func (o *oracle) evaluate(nodeID int, n *probeNode) (bool, error) {
+// evaluate answers the probe of node nodeID, sub index x, on the oracle's
+// step: the rendered SQL through database/sql when db is set, the node's
+// prepared handle otherwise.
+func (o *oracle) evaluate(nodeID, x int, key string) (bool, error) {
 	if o.db != nil {
 		return o.query(nodeID)
 	}
-	h, err := o.handle(nodeID, n)
+	h, err := o.handle(nodeID, x, key)
 	if err != nil {
 		return false, err
 	}
-	res, err := h.ExecFlight(o.ctx, o.cands, o.fl, nodeID, n.key)
+	res, err := h.ExecFlight(o.ctx, o.cands, o.fl, nodeID, key)
 	if err != nil {
 		return false, fmt.Errorf("core: probe node %d: %w", nodeID, err)
 	}
@@ -210,11 +202,11 @@ func (o *oracle) evaluate(nodeID int, n *probeNode) (bool, error) {
 // cross-request cache, then compile. Concurrent probes of one node may both
 // compile; the duplicate handle is equivalent and the last store wins, so
 // correctness never depends on winning the race.
-func (o *oracle) handle(nodeID int, n *probeNode) (*engine.Prepared, error) {
-	if h := n.handle.Load(); h != nil {
+func (o *oracle) handle(nodeID, x int, key string) (*engine.Prepared, error) {
+	if h := o.prepared[x].Load(); h != nil {
 		return h, nil
 	}
-	h := o.handles.Get(n.key)
+	h := o.handles.Get(key)
 	if h == nil {
 		sel, err := o.lat.Select(o.lat.Node(nodeID), o.keywords, true)
 		if err != nil {
@@ -224,9 +216,9 @@ func (o *oracle) handle(nodeID int, n *probeNode) (*engine.Prepared, error) {
 			return nil, fmt.Errorf("core: prepare node %d: %w", nodeID, err)
 		}
 		o.compiled.Add(1)
-		o.handles.Put(n.key, h)
+		o.handles.Put(key, h)
 	}
-	n.handle.Store(h)
+	o.prepared[x].Store(h)
 	return h, nil
 }
 

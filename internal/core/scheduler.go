@@ -69,36 +69,41 @@ type probeOutcome struct {
 // a lower index when a higher one failed in between.
 //
 // The budget was charged when the batch was granted (see batch), so each
-// worker checks only cancellation and the deadline before its probe.
+// worker checks only cancellation and the deadline before its probe. The
+// calling goroutine is one of the workers, so a batch starts one goroutine
+// fewer than it has workers.
 func (r *run) dispatch(xs []int) []probeOutcome {
 	outcomes := make([]probeOutcome, len(xs))
 	var next atomic.Int64
 	var failed atomic.Bool
+	work := func() {
+		for {
+			if failed.Load() || r.ctx.Err() != nil {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(xs) {
+				return
+			}
+			oc := probeOutcome{err: r.gov.check(), done: true}
+			if oc.err == nil {
+				oc.alive, oc.err = r.ask(xs[i])
+			}
+			outcomes[i] = oc
+			if oc.err != nil {
+				failed.Store(true)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	workers := min(r.workers, len(xs))
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(r.workers, len(xs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if failed.Load() || r.ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(xs) {
-					return
-				}
-				oc := probeOutcome{err: r.gov.check(), done: true}
-				if oc.err == nil {
-					oc.alive, oc.err = r.ask(xs[i])
-				}
-				outcomes[i] = oc
-				if oc.err != nil {
-					failed.Store(true)
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return outcomes
 }

@@ -17,9 +17,10 @@ import (
 // are downward closed; ancestors are restricted to the sub-lattice, which is
 // the scope MPAN maximality is defined over).
 //
-// A sublattice is immutable once built, but for sbh, SBH's memo of decision
-// paths: the per-binding cache shares one between every concurrent run of a
-// binding. Its adjacency lists are CSR pairs, so it is a handful of
+// A sublattice is immutable once built, but for its memos: sbh, SBH's
+// decision paths, and keyMemo, the probe-key tables of the keyword tuples
+// run on it. The per-binding cache shares one between every concurrent run
+// of a binding. Its adjacency lists are CSR pairs, so it is a handful of
 // pointer-free arrays whatever its size.
 type sublattice struct {
 	lat    *lattice.Lattice
@@ -49,6 +50,8 @@ type sublattice struct {
 
 	// sbh records the decision paths of completed SBH runs (sbh.go).
 	sbh sbhMemo
+	// keyMemo records a probe-key table per keyword tuple (bindcache.go).
+	keyMemo keyMemo
 }
 
 // csr is an adjacency in compressed sparse row form: row i is
@@ -219,7 +222,7 @@ func (s *sublattice) descendantStats() (total, unique int) {
 
 // bytes returns the sublattice's size: its arrays plus the struct.
 func (s *sublattice) bytes() int {
-	const sublatticeHeader = 16 * 24 // the struct: slice headers, scalars and the SBH memo
+	const sublatticeHeader = 17 * 24 // the struct: slice headers, scalars and the memos
 	return sublatticeHeader + 8*(cap(s.nodeID)+cap(s.level)+cap(s.mtns)+cap(s.members)) +
 		4*(cap(s.before)+cap(s.regions)) + s.children.bytes() + s.parents.bytes() +
 		s.desc.bytes() + s.asc.bytes()

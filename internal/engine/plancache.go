@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 
 	"kwsdbg/internal/obs"
@@ -95,6 +96,7 @@ func (c *PreparedCache) Put(key string, p *Prepared) {
 		c.ll.MoveToFront(el)
 		return
 	}
+	key = strings.Clone(key) // a probe key may be a substring of a larger table
 	c.items[key] = c.ll.PushFront(&planEntry{key: key, p: p})
 	for c.max > 0 && c.ll.Len() > c.max {
 		c.evictOldestLocked()

@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kwsdbg/internal/storage"
 )
@@ -175,6 +177,26 @@ func TestPreparedCacheLRU(t *testing.T) {
 	}
 	if pc.Len() != 100 {
 		t.Errorf("unbounded Len = %d, want 100", pc.Len())
+	}
+}
+
+// TestPreparedCachePutCopiesNewKey checks that a new entry keeps its own
+// copy of the key: debug runs pass probe keys that are substrings of a
+// larger probe-key table, and an entry holding one would keep the whole
+// table alive.
+func TestPreparedCachePutCopiesNewKey(t *testing.T) {
+	e := productEngine(t)
+	pc := NewPreparedCache(4, "test")
+	table := strings.Repeat("label\x001=kw", 100)
+	key := table[100:200]
+	pc.Put(key, mustPrepare(t, e, "SELECT * FROM PType"))
+	stored := pc.items[key].Value.(*planEntry).key
+	if stored != key {
+		t.Fatalf("stored key %q, want %q", stored, key)
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(stored))), uintptr(unsafe.Pointer(unsafe.StringData(table)))
+	if p >= lo && p < lo+uintptr(len(table)) {
+		t.Fatal("the stored key shares memory with the caller's table")
 	}
 }
 

@@ -29,7 +29,8 @@
 // what state it was in.
 //
 // The cache is safe for concurrent use. Lookups and stores are O(footprint),
-// which is O(1) in the lattice's node size.
+// which is O(1) in the lattice's node size, and a lookup scans a dead
+// verdict's footprint at most once per view.
 package probecache
 
 import (
@@ -96,6 +97,10 @@ type entry struct {
 	// suspect marks a dead verdict whose table slice advanced: kept for
 	// repair, reported as Suspect until a fresh PutFP lands or the TTL does.
 	suspect bool
+	// fresh is one more than the Seq of the view in which a lookup last
+	// found the footprint not advanced, zero until one does. A view never
+	// changes, so the footprint is scanned at most once per view.
+	fresh uint64
 }
 
 // Cache is a thread-safe LRU of alive/dead verdicts.
@@ -146,19 +151,42 @@ func New(cfg Config) *Cache {
 // j set when the node contains a keyword copy j >= 1 (bit 0, the free tuple
 // set, is already part of the label). Nodes that use only copy 1 therefore
 // share entries between any two queries whose first keyword matches.
+//
+// A key is the label followed by Suffix(copyMask, keywords). Debug runs
+// read their probe keys from tables built as those two parts back to back,
+// one suffix per copy mask; Key builds one key on its own, for callers that
+// probe a single node.
 func Key(label string, copyMask uint64, keywords []string) string {
-	// Built with plain writes, not fmt: the flight recorder computes a key
-	// per probe even when the verdict cache is bypassed, so this sits on the
-	// recording hot path.
-	n := len(label)
+	var sb strings.Builder
+	sb.Grow(len(label) + suffixLen(copyMask, keywords))
+	sb.WriteString(label)
+	writeSuffix(&sb, copyMask, keywords)
+	return sb.String()
+}
+
+// Suffix is the keyword part of a probe key: for each copy j >= 1 set in
+// copyMask, in ascending j, a NUL byte, j in decimal, '=' and keywords[j-1].
+// Copies beyond len(keywords) add nothing.
+func Suffix(copyMask uint64, keywords []string) string {
+	var sb strings.Builder
+	sb.Grow(suffixLen(copyMask, keywords))
+	writeSuffix(&sb, copyMask, keywords)
+	return sb.String()
+}
+
+// suffixLen bounds the length of the suffix: up to two digits per copy.
+func suffixLen(copyMask uint64, keywords []string) int {
+	n := 0
 	for j := 1; j <= len(keywords); j++ {
 		if copyMask&(1<<uint(j)) != 0 {
 			n += len(keywords[j-1]) + 4 // '\x00' + up to 2 digits + '='
 		}
 	}
-	var sb strings.Builder
-	sb.Grow(n)
-	sb.WriteString(label)
+	return n
+}
+
+// writeSuffix writes Suffix(copyMask, keywords) to sb.
+func writeSuffix(sb *strings.Builder, copyMask uint64, keywords []string) {
 	for j := 1; j <= len(keywords); j++ {
 		if copyMask&(1<<uint(j)) == 0 {
 			continue
@@ -168,7 +196,6 @@ func Key(label string, copyMask uint64, keywords []string) string {
 		sb.WriteByte('=')
 		sb.WriteString(keywords[j-1])
 	}
-	return sb.String()
 }
 
 // SyncVersions snapshots the engine's version vector so later lookups
@@ -281,27 +308,24 @@ func (c *Cache) Lookup(key string) (alive bool, outcome Outcome) {
 		mMisses.Inc()
 		return false, MissExpired
 	}
-	if c.advancedLocked(en) {
-		if en.alive {
-			// Monotone repair argument, alive half (R1): an INSERT can
-			// only create bindings, so an alive verdict stays alive no
-			// matter what landed in its tables. Serve it.
-			c.ll.MoveToFront(el)
-			c.hits++
-			mHits.Inc()
-			return true, Hit
+	// Monotone repair argument, alive half (R1): an INSERT can only create
+	// bindings, so an alive verdict stays alive no matter what landed in its
+	// tables, and only a dead one needs its footprint checked.
+	if !en.alive && en.fresh != c.view.Seq+1 {
+		if c.advancedLocked(en) {
+			// Dead half (R2): the write may have given this tree its first
+			// binding. Downgrade to suspect — once — and make the caller
+			// re-probe; the entry stays for PutFP to repair.
+			if !en.suspect {
+				en.suspect = true
+				c.suspects++
+				mSuspects.Inc()
+			}
+			c.misses++
+			mMisses.Inc()
+			return false, Suspect
 		}
-		// Dead half (R2): the write may have given this tree its first
-		// binding. Downgrade to suspect — once — and make the caller
-		// re-probe; the entry stays for PutFP to repair.
-		if !en.suspect {
-			en.suspect = true
-			c.suspects++
-			mSuspects.Inc()
-		}
-		c.misses++
-		mMisses.Inc()
-		return false, Suspect
+		en.fresh = c.view.Seq + 1
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
@@ -353,10 +377,13 @@ func (c *Cache) PutFP(key string, alive bool, fp Footprint, vw *vervec.View) {
 		}
 		en.alive, en.expires = alive, expires
 		en.names, en.ntab, en.vals, en.epoch = names, ntab, vals, epoch
-		en.suspect = false
+		en.suspect, en.fresh = false, 0
 		c.ll.MoveToFront(el)
 		return
 	}
+	// The key may be a substring of a run's probe-key table; a copy keeps
+	// the entry from pinning the whole table.
+	key = strings.Clone(key)
 	el := c.ll.PushFront(&entry{
 		key: key, alive: alive, expires: expires,
 		names: names, ntab: ntab, vals: vals, epoch: epoch,

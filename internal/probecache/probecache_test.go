@@ -2,9 +2,11 @@ package probecache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kwsdbg/internal/vervec"
 )
@@ -207,4 +209,27 @@ func TestConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPutFPCopiesNewKey checks that a new entry keeps its own copy of the
+// key: debug runs pass keys that are substrings of a larger probe-key
+// table, and an entry holding one would keep the whole table alive.
+func TestPutFPCopiesNewKey(t *testing.T) {
+	table := strings.Repeat("label\x001=kw", 100)
+	key := table[100:200]
+	c := New(Config{})
+	c.PutFP(key, true, fpItem(), c.SyncVersions(vervec.New()))
+	stored := c.items[key].Value.(*entry).key
+	if stored != key {
+		t.Fatalf("stored key %q, want %q", stored, key)
+	}
+	if sharesMemory(stored, table) {
+		t.Fatal("the stored key shares memory with the caller's table")
+	}
+}
+
+// sharesMemory reports whether s points into the bytes of within.
+func sharesMemory(s, within string) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(within)))
+	return p >= lo && p < lo+uintptr(len(within))
 }

@@ -153,3 +153,79 @@ func TestFootprintTables(t *testing.T) {
 		t.Fatalf("FootprintTables = %q, want %q", got, want)
 	}
 }
+
+// TestFootprintCheckedOncePerView pins the lookup's footprint memo: a dead
+// verdict's footprint is scanned once per view, so a hit survives a
+// disjoint write and an intersecting one still turns it suspect, while an
+// alive verdict hits whatever its footprint says. A repair hits again, and
+// an expired TTL and an epoch bump still win over a remembered check.
+func TestFootprintCheckedOncePerView(t *testing.T) {
+	vv := vervec.New()
+	c := New(Config{TTL: time.Minute})
+	now := time.Unix(1000, 0)
+	c.now = func() time.Time { return now }
+	vw := c.SyncVersions(vv)
+	c.PutFP("dead", false, fpItem(), vw)
+	c.PutFP("alive", true, fpItem(), vw)
+	lookup := func(key string, wantAlive bool, want Outcome) {
+		t.Helper()
+		if alive, outcome := c.Lookup(key); outcome != want || alive != wantAlive {
+			t.Fatalf("Lookup(%s) = (%v, %v), want (%v, %v)", key, alive, outcome, wantAlive, want)
+		}
+	}
+	lookup("dead", false, Hit)
+	lookup("alive", true, Hit)
+
+	// Within one view the footprint is not scanned again: a view whose Item
+	// counter moved under an unchanged Seq, which no vector produces, still
+	// finds the check remembered.
+	other := vervec.New()
+	other.Bump(vervec.TableKey("Item"))
+	moved := other.Snapshot()
+	moved.Seq = vw.Seq
+	c.view = moved
+	lookup("dead", false, Hit)
+	c.view = vw
+
+	// A disjoint write moves the view: the footprint is scanned again, and
+	// both verdicts still hit.
+	vv.Bump(vervec.TableKey("Person"))
+	before := c.SyncVersions(vv)
+	lookup("dead", false, Hit)
+	lookup("dead", false, Hit)
+	lookup("alive", true, Hit)
+
+	// An intersecting write turns the dead verdict suspect, on every lookup
+	// until the repair, while the alive one still hits.
+	vv.Bump(vervec.TableKey("Item"))
+	vw = c.SyncVersions(vv)
+	lookup("dead", false, Suspect)
+	lookup("dead", false, Suspect)
+	lookup("alive", true, Hit)
+	c.PutFP("dead", false, fpItem(), vw)
+	lookup("dead", false, Hit)
+
+	// A store stamped from the view before the write, by a run that synced
+	// before it, forgets the remembered check: the next lookup scans again.
+	c.PutFP("dead", false, fpItem(), before)
+	lookup("dead", false, Suspect)
+	c.PutFP("dead", false, fpItem(), vw)
+	lookup("dead", false, Hit)
+	if st := c.Snapshot(); st.Suspects != 2 || st.Repairs != 2 {
+		t.Fatalf("Suspects, Repairs = %d, %d, want 2, 2", st.Suspects, st.Repairs)
+	}
+
+	// An expired TTL wins over a check remembered in the current view.
+	now = now.Add(time.Minute)
+	lookup("dead", false, MissExpired)
+
+	// So does an epoch bump.
+	c.PutFP("dead", false, fpItem(), vw)
+	lookup("dead", false, Hit)
+	vv.BumpEpoch()
+	c.SyncVersions(vv)
+	lookup("dead", false, MissStale)
+	if st := c.Snapshot(); st.EvictionsStale != 2 {
+		t.Fatalf("EvictionsStale = %d, want 2", st.EvictionsStale)
+	}
+}
